@@ -31,7 +31,7 @@ off, unit = verify_block_diagonalization(blocks, 8)
 print(f"random block circulant:   off-block residual {off:.2e}, unitarity {unit:.2e}")
 
 config = ProblemConfig(8, 2.0, math.inf, PERIODIC)
-A = assemble_operator(config)
+A = assemble_operator(config).toarray()
 op_blocks = [A[0:2, 2 * j : 2 * j + 2] for j in range(8)]
 off, unit = verify_block_diagonalization(op_blocks, 8)
 print(f"assembled operator:       off-block residual {off:.2e}, unitarity {unit:.2e}")

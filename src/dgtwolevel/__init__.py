@@ -10,6 +10,7 @@ from .assembly import (
     smoother_partition,
     symmetry_defect,
 )
+from .blocks import BlockDiagonal, BlockTridiagonal, CellStencil, CyclicReduction
 from .closed_forms import (
     ClosedFormDomainError,
     EigenPair,

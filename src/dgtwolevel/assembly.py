@@ -1,15 +1,38 @@
-"""Dense assembly of the interior-penalty operator, smoothers and transfers.
+"""Assembly of the interior-penalty operator, smoothers and transfers.
 
 Unknowns are ordered cell by cell, ``(u_0^+, u_0^-, u_1^+, u_1^-, ...)``,
 where ``u_j^+`` is the trace at the left end of cell ``j`` and ``u_j^-``
 the trace at its right end.  All operators carry the ``1/h**2`` scaling
 of the discrete problem, so their spectra depend on ``(delta0, gamma)``
 only.
+
+Every operator is stored by its 2x2 blocks per cell (``dgtwolevel.blocks``)
+and applied in O(n) work; nothing builds an n x n array:
+
+* ``assemble_operator`` and ``assemble_coarse`` return a symmetric
+  ``BlockTridiagonal``: diagonal blocks, blocks coupling each cell to the
+  next, and a wrap block from the last cell to the first that is zero
+  on Dirichlet meshes.
+* ``assemble_smoother`` returns the ``BlockDiagonal`` of the block-Jacobi
+  smoother.  Point blocks are shifted by one unknown, so the Dirichlet
+  point smoother's two unpaired boundary unknowns share one diagonal
+  block.
+* ``assemble_transfer`` returns ``CellStencil`` transfers that apply the
+  fixed 2x4 restriction stencil per coarse cell.
+
+``toarray()`` gives the dense matrix of each.  It is the oracle the tests
+compare against at desk scale and feeds the dense iteration matrix; no
+solve goes through it.
 """
 
 import numpy as np
 
-from .config import CELL, DIRICHLET, PERIODIC, ProblemConfig, check_smoother
+from .blocks import BlockDiagonal, BlockTridiagonal, CellStencil
+from .config import CELL, DIRICHLET, PERIODIC, POINT, ProblemConfig, check_smoother
+
+# Linear interpolation weights over the four fine unknowns of a coarse
+# cell; R applies half of them, P = 2 R^T their transpose.
+_PAIR_STENCIL = np.array([[1.0, 0.5, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0]])
 
 
 class SingularBlockError(ValueError):
@@ -28,7 +51,7 @@ def symmetry_defect(A: np.ndarray) -> float:
     return float(np.abs(A - A.T).max() / scale)
 
 
-def assemble_operator(config: ProblemConfig) -> np.ndarray:
+def assemble_operator(config: ProblemConfig) -> BlockTridiagonal:
     """Assemble the 2J x 2J interior-penalty reaction-diffusion matrix.
 
     Interior rows follow the five-point pattern
@@ -46,26 +69,16 @@ def assemble_operator(config: ProblemConfig) -> np.ndarray:
     d = config.delta0 + config.inv_gamma / 3.0
     mu = config.inv_gamma / 6.0
     cross = 1.0 - config.delta0
-    n = 2 * J
-    A = np.zeros((n, n))
-    for j in range(J):
-        p, m = 2 * j, 2 * j + 1
-        A[p, p] = d
-        A[m, m] = d
-        A[p, m] = A[m, p] = mu
-        if j + 1 < J or config.bc == PERIODIC:
-            q, r = (2 * j + 2) % n, (2 * j + 3) % n
-            A[m, q] = A[q, m] = cross
-            A[p, q] = A[q, p] = -0.5
-            A[m, r] = A[r, m] = -0.5
+    diag = np.tile([[d, mu], [mu, d]], (J, 1, 1))
+    # rows (u_j^+, u_j^-) against columns (u_{j+1}^+, u_{j+1}^-)
+    upper = np.tile([[-0.5, 0.0], [cross, -0.5]], (J, 1, 1))
     if config.bc == DIRICHLET:
         corner = 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
         edge = 0.5 + mu
-        A[0, 0] = corner
-        A[0, 1] = A[1, 0] = edge
-        A[-1, -1] = corner
-        A[-1, -2] = A[-2, -1] = edge
-    return A / config.h**2
+        upper[-1] = 0.0
+        diag[0] = [[corner, edge], [edge, d]]
+        diag[-1] = [[d, edge], [edge, corner]]
+    return BlockTridiagonal(diag / config.h**2, upper / config.h**2)
 
 
 def smoother_partition(config: ProblemConfig, kind: str) -> list:
@@ -89,35 +102,37 @@ def smoother_partition(config: ProblemConfig, kind: str) -> list:
     return groups
 
 
-def assemble_smoother(config: ProblemConfig, kind: str) -> np.ndarray:
-    """Assemble the block-diagonal smoother matrix D (not its inverse).
+def assemble_smoother(config: ProblemConfig, kind: str) -> BlockDiagonal:
+    """Assemble the block-diagonal smoother D (not its inverse).
 
     Cell blocks are ``(1/h^2) * [[delta0 + 1/(3 gamma), 1/(6 gamma)],
     [1/(6 gamma), delta0 + 1/(3 gamma)]]`` for every cell; point blocks
-    couple the node pair with off-diagonal ``1 - delta0``.  The Dirichlet
-    point smoother keeps 1x1 corner blocks holding the operator's
-    diagonal entry at the unpaired boundary unknowns.
+    couple the node pair with off-diagonal ``1 - delta0`` and are shifted
+    by one unknown.  The Dirichlet point smoother keeps 1x1 corner blocks
+    holding the operator's diagonal entry at the unpaired boundary
+    unknowns; in the shifted layout both sit in the last block, with a
+    zero coupling.  ``SingularBlockError.block_index`` counts blocks in
+    ``smoother_partition`` order.
     """
     J = config.cells
     d = config.delta0 + config.inv_gamma / 3.0
-    mu = config.inv_gamma / 6.0
-    check_smoother(kind)
-    D = np.zeros((2 * J, 2 * J))
-    off = mu if kind == CELL else 1.0 - config.delta0
-    for group in smoother_partition(config, kind):
-        if len(group) == 1:
-            # unpaired boundary unknown: diagonal entry of the Dirichlet matrix
-            D[group[0], group[0]] = 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
-        else:
-            a, b = group
-            D[a, a] = D[b, b] = d
-            D[a, b] = D[b, a] = off
-    D /= config.h**2
-    for i, group in enumerate(smoother_partition(config, kind)):
-        block = D[np.ix_(group, group)]
-        if abs(np.linalg.det(block)) < 1e-14 * max(1.0, np.abs(block).max() ** len(group)):
-            raise SingularBlockError(i, f"singular smoother block {block.tolist()}")
-    return D
+    off = config.inv_gamma / 6.0 if check_smoother(kind) == CELL else 1.0 - config.delta0
+    blocks = np.tile([[d, off], [off, d]], (J, 1, 1))
+    corners = kind == POINT and config.bc == DIRICHLET
+    if corners:
+        # unpaired boundary unknowns: diagonal entry of the Dirichlet matrix
+        corner = 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
+        blocks[-1] = [[corner, 0.0], [0.0, corner]]
+    blocks /= config.h**2
+    scale = np.maximum(1.0, np.abs(blocks).max(axis=(1, 2)) ** 2)
+    singular = np.flatnonzero(np.abs(np.linalg.det(blocks)) < 1e-14 * scale)
+    if singular.size:
+        j = int(singular[0])
+        # shifted Dirichlet point blocks: block j is group j + 1, and the
+        # last block holds the corner groups 0 and J
+        index = (j + 1) % J if corners else j
+        raise SingularBlockError(index, f"singular smoother block {blocks[j].tolist()}")
+    return BlockDiagonal(blocks, shift=0 if kind == CELL else 1)
 
 
 def assemble_transfer(cells: int) -> tuple:
@@ -131,22 +146,29 @@ def assemble_transfer(cells: int) -> tuple:
     """
     if cells % 2 != 0:
         raise ValueError("cells must be even to coarsen by pairing")
-    J = cells
-    R = np.zeros((J, 2 * J))
-    for M in range(J // 2):
-        c = 4 * M
-        R[2 * M, c] = 1.0
-        R[2 * M, c + 1] = R[2 * M, c + 2] = 0.5
-        R[2 * M + 1, c + 1] = R[2 * M + 1, c + 2] = 0.5
-        R[2 * M + 1, c + 3] = 1.0
-    R *= 0.5
-    return R, 2.0 * R.T
+    R = CellStencil(0.5 * _PAIR_STENCIL, cells // 2)
+    return R, CellStencil(2.0 * R.stencil.T, cells // 2)
 
 
-def assemble_coarse(A: np.ndarray, R: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Galerkin coarse operator ``A0 = R A P``."""
-    if A.shape[0] != A.shape[1] or R.shape[1] != A.shape[0] or P.shape[0] != A.shape[1]:
+def assemble_coarse(A: BlockTridiagonal, R: CellStencil, P: CellStencil) -> BlockTridiagonal:
+    """Galerkin coarse operator ``A0 = R A P`` on the J/2 paired cells.
+
+    Coarse cell M joins fine cells 2M and 2M + 1, so its diagonal block
+    is ``R_M A_M P_M`` with ``A_M`` the 4x4 block of the pair, and only
+    the fine coupling from cell 2M + 1 to 2M + 2 reaches the next coarse
+    cell.
+    """
+    n = A.shape[0]
+    if R.shape != (n // 2, n) or P.shape != (n, n // 2) or R.stencil.shape != (2, 4):
         raise ValueError(
             f"incompatible shapes: A {A.shape}, R {R.shape}, P {P.shape}"
         )
-    return R @ A @ P
+    inner = A.upper[0::2]
+    pair = np.zeros((A.cells // 2, 4, 4))
+    pair[:, :2, :2] = A.diag[0::2]
+    pair[:, 2:, 2:] = A.diag[1::2]
+    pair[:, :2, 2:] = inner
+    pair[:, 2:, :2] = np.swapaxes(inner, 1, 2)
+    diag = R.stencil @ pair @ P.stencil
+    upper = R.stencil[:, 2:] @ A.upper[1::2] @ P.stencil[:2, :]
+    return BlockTridiagonal(diag, upper)

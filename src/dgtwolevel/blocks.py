@@ -1,0 +1,267 @@
+"""Structured operators on 2x2 blocks per cell, numpy only.
+
+Every operator of the two-level method is sparse in a fixed way once the
+unknowns are grouped in pairs, one pair per cell:
+
+* ``BlockTridiagonal``: symmetric, block tridiagonal over cells, with a
+  wrap block closing the chain into a cycle (zero for Dirichlet meshes).
+  Holds the fine operator and the Galerkin coarse operator.
+* ``BlockDiagonal``: 2x2 blocks on the diagonal, optionally shifted by
+  one unknown so that a block pairs the last unknown of a cell with the
+  first of the next (the point smoother).
+* ``CellStencil``: one fixed small stencil repeated over groups of
+  cells (the transfers).
+
+Each applies to a vector or to an ``(n, k)`` column stack with ``@`` in
+O(n k) work, and ``toarray()`` gives the dense matrix, meant as a test
+oracle at desk scale.  ``CyclicReduction`` factors a ``BlockTridiagonal``
+once and solves with it in O(n) work per right-hand side.
+"""
+
+import numpy as np
+
+# Cyclic reduction stops at this many cells and inverts the rest densely.
+_DENSE_CELLS = 64
+
+
+def _as_blocks(x: np.ndarray, width: int) -> np.ndarray:
+    """View a vector or column stack as ``(groups, width, columns)``."""
+    return x.reshape(x.shape[0] // width, width, -1)
+
+
+def _mul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M[j] @ X[j]`` for 2x2 blocks ``M`` and a ``(J, 2, k)`` stack ``X``.
+
+    numpy's stacked matmul pays a per-block cost that dominates for a
+    single column (about 4x the written-out product at J = 1024), and
+    wins for many columns.
+    """
+    if X.shape[2] == 1:
+        return M[:, :, :1] * X[:, :1] + M[:, :, 1:] * X[:, 1:]
+    return M @ X
+
+
+def _rotate(X: np.ndarray, shift: int) -> np.ndarray:
+    """``X`` with its leading axis rotated up by ``shift`` (``np.roll(X,
+    -shift, axis=0)`` at a fraction of its call cost)."""
+    return np.concatenate((X[shift:], X[:shift]))
+
+
+class BlockTridiagonal:
+    """Symmetric block-tridiagonal matrix over cells, with a wrap block.
+
+    Row block ``j`` holds ``diag[j]`` on the diagonal, ``upper[j]`` in
+    column block ``j + 1`` and ``upper[j - 1].T`` in column block
+    ``j - 1``, indices taken modulo the number of cells: ``upper[-1]``
+    couples the last cell to the first (periodic meshes) and is zero on
+    Dirichlet meshes.
+    """
+
+    def __init__(self, diag: np.ndarray, upper: np.ndarray):
+        diag = np.asarray(diag, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        if diag.ndim != 3 or diag.shape[1:] != (2, 2) or upper.shape != diag.shape:
+            raise ValueError(
+                f"need (J, 2, 2) diagonal and upper blocks, got {diag.shape} and {upper.shape}"
+            )
+        self.diag = diag
+        self.upper = upper
+        # lower[j] = upper[j - 1].T couples cell j to cell j - 1
+        self._lower = _rotate(np.swapaxes(upper, 1, 2), -1)
+
+    @property
+    def cells(self) -> int:
+        return self.diag.shape[0]
+
+    @property
+    def shape(self) -> tuple:
+        n = 2 * self.cells
+        return (n, n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        X = _as_blocks(x, 2)
+        wrapped = np.concatenate((X[-1:], X, X[:1]))
+        Y = _mul(self.diag, X) + _mul(self.upper, wrapped[2:]) + _mul(self._lower, wrapped[:-2])
+        return Y.reshape(x.shape)
+
+    def toarray(self) -> np.ndarray:
+        J = self.cells
+        dense = np.zeros((J, 2, J, 2))
+        cells = np.arange(J)
+        nxt = (cells + 1) % J
+        dense[cells, :, cells, :] += self.diag
+        # += on fancy indices does not accumulate repeated indices, so the
+        # two couplings go in one at a time (they land in the same block
+        # when J is 1 or 2)
+        dense[cells, :, nxt, :] += self.upper
+        dense[nxt, :, cells, :] += np.swapaxes(self.upper, 1, 2)
+        return dense.reshape(2 * J, 2 * J)
+
+
+class BlockDiagonal:
+    """2x2 diagonal blocks, shifted by ``shift`` unknowns (0 or 1).
+
+    Block ``j`` acts on unknowns ``(2j + shift, 2j + 1 + shift)``, taken
+    modulo ``n``: with ``shift = 1`` the last block pairs the last
+    unknown with the first.
+    """
+
+    def __init__(self, blocks: np.ndarray, shift: int = 0):
+        blocks = np.asarray(blocks, dtype=float)
+        if blocks.ndim != 3 or blocks.shape[1:] != (2, 2):
+            raise ValueError(f"need (J, 2, 2) blocks, got {blocks.shape}")
+        if shift not in (0, 1):
+            raise ValueError(f"shift must be 0 or 1, got {shift}")
+        self.blocks = blocks
+        self.shift = shift
+
+    @property
+    def shape(self) -> tuple:
+        n = 2 * self.blocks.shape[0]
+        return (n, n)
+
+    def inverse(self) -> "BlockDiagonal":
+        return BlockDiagonal(np.linalg.inv(self.blocks), self.shift)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self.shift:
+            x = _rotate(x, self.shift)
+        Y = _mul(self.blocks, _as_blocks(x, 2)).reshape(x.shape)
+        return _rotate(Y, -self.shift) if self.shift else Y
+
+    def toarray(self) -> np.ndarray:
+        J = self.blocks.shape[0]
+        dense = np.zeros((J, 2, J, 2))
+        dense[np.arange(J), :, np.arange(J), :] = self.blocks
+        dense = dense.reshape(2 * J, 2 * J)
+        return np.roll(dense, (self.shift, self.shift), axis=(0, 1))
+
+
+class CellStencil:
+    """Block-diagonal matrix repeating one ``(rows, cols)`` stencil
+    ``groups`` times."""
+
+    def __init__(self, stencil: np.ndarray, groups: int):
+        self.stencil = np.asarray(stencil, dtype=float)
+        self.groups = groups
+
+    @property
+    def shape(self) -> tuple:
+        rows, cols = self.stencil.shape
+        return (self.groups * rows, self.groups * cols)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot apply a {self.shape} operator to shape {x.shape}")
+        cols = self.stencil.shape[1]
+        if x.ndim == 1:  # one plain matrix product, much cheaper than stacked
+            return (x.reshape(-1, cols) @ self.stencil.T).reshape(-1)
+        Y = self.stencil @ _as_blocks(x, cols)
+        return Y.reshape((self.shape[0],) + x.shape[1:])
+
+    def toarray(self) -> np.ndarray:
+        return np.kron(np.eye(self.groups), self.stencil)
+
+
+class _Reduction:
+    """One step of cyclic reduction: eliminate the odd cells of a cycle.
+
+    Odd cells ``1, 3, ...`` (all but the last cell when the count is odd)
+    have only kept neighbours, so their unknowns are eliminated in one
+    batched step.  The kept cells ``0, 2, ...`` form a block-tridiagonal
+    cycle again; when the count is odd the last kept cell keeps its
+    original wrap block to the first.  Odd cell ``2p + 1`` sits between
+    kept cells ``p`` and ``p + 1`` (modulo the kept count).
+    """
+
+    def __init__(self, op: BlockTridiagonal):
+        m = op.cells
+        self.cells = m
+        self.odd = slice(1, m - m % 2, 2)
+        to_odd = op.upper[0 : m - m % 2 : 2]  # kept cell p -> odd cell
+        from_odd = op.upper[self.odd]  # odd cell -> kept cell p + 1
+        self.odd_inverse = np.linalg.inv(op.diag[self.odd])
+        self.to_odd_T = np.swapaxes(to_odd, 1, 2)
+        self.from_odd = from_odd
+        self.left_gain = to_odd @ self.odd_inverse
+        self.right_gain = np.swapaxes(from_odd, 1, 2) @ self.odd_inverse
+
+        pairs = m // 2
+        diag = op.diag[0::2].copy()
+        diag[:pairs] -= self.left_gain @ self.to_odd_T
+        self._subtract_right(diag, self.right_gain @ from_odd)
+        upper = np.zeros_like(diag)
+        upper[:pairs] = -self.left_gain @ from_odd
+        if m % 2:
+            upper[-1] = op.upper[-1]
+        self.reduced = BlockTridiagonal(diag, upper)
+
+    def _subtract_right(self, kept: np.ndarray, C: np.ndarray):
+        """``kept[p + 1] -= C[p]`` for every odd cell ``2p + 1``."""
+        kept[1:] -= C[: len(kept) - 1]
+        if self.cells % 2 == 0:
+            kept[0] -= C[-1]
+
+    def restrict(self, B: np.ndarray) -> tuple:
+        """Right-hand side of the reduced system, and the odd cells' part."""
+        odd = B[self.odd]
+        kept = B[0::2].copy()
+        kept[: len(odd)] -= _mul(self.left_gain, odd)
+        self._subtract_right(kept, _mul(self.right_gain, odd))
+        return kept, odd
+
+    def expand(self, kept: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """Full solution from the kept cells' solution (back substitution)."""
+        n_odd = len(odd)
+        X = np.empty((self.cells,) + kept.shape[1:])
+        X[0::2] = kept
+        X[self.odd] = _mul(
+            self.odd_inverse,
+            odd
+            - _mul(self.to_odd_T, kept[:n_odd])
+            - _mul(self.from_odd, _rotate(kept, 1)[:n_odd]),
+        )
+        return X
+
+
+class CyclicReduction:
+    """Factorization of a symmetric ``BlockTridiagonal`` for repeated solves.
+
+    Halves the cell count by cyclic reduction until at most
+    ``_DENSE_CELLS`` cells remain, then inverts that remainder densely, so
+    a solve costs O(n) work and no array grows with n squared.
+
+    ``constant_kernel=True`` declares the operator singular on the
+    constant vector (periodic pure diffusion): right-hand sides and
+    solutions are projected onto mean zero, the solution is the one a
+    pseudo-inverse gives, and the remainder is made invertible by adding
+    a multiple of the all-ones matrix (which leaves mean-zero solutions
+    unchanged) instead of cutting small singular values.
+    """
+
+    def __init__(self, op: BlockTridiagonal, constant_kernel: bool = False):
+        self.constant_kernel = constant_kernel
+        self.levels = []
+        while op.cells > _DENSE_CELLS:
+            level = _Reduction(op)
+            self.levels.append(level)
+            op = level.reduced
+        remainder = op.toarray()
+        if constant_kernel:
+            remainder += np.abs(remainder).max() / remainder.shape[0]
+        self.remainder_inverse = np.linalg.inv(remainder)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        B = _as_blocks(np.asarray(b, dtype=float), 2)
+        if self.constant_kernel:
+            B = B - B.mean(axis=(0, 1))
+        odd_parts = []
+        for level in self.levels:
+            B, odd = level.restrict(B)
+            odd_parts.append(odd)
+        X = _as_blocks(self.remainder_inverse @ B.reshape(-1, B.shape[2]), 2)
+        for level, odd in zip(reversed(self.levels), reversed(odd_parts)):
+            X = level.expand(X, odd)
+        if self.constant_kernel:
+            X -= X.mean(axis=(0, 1))
+        return X.reshape(np.shape(b))

@@ -1,6 +1,7 @@
 """Problem description shared by every solver and analysis routine."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 CELL = "cell"
@@ -39,6 +40,8 @@ class ProblemConfig:
     bc: str = PERIODIC
 
     def __post_init__(self):
+        if not isinstance(self.cells, numbers.Integral):
+            raise ValueError(f"cells must be an integer, got {self.cells!r}")
         if self.cells < 4 or self.cells % 2 != 0:
             raise ValueError(f"cells must be even and >= 4, got {self.cells}")
         if not self.delta0 >= 1.0:

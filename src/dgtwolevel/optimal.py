@@ -17,7 +17,7 @@ import numpy as np
 
 from .closed_forms import eigenvalue_pair, rho_on_ck_values
 from .config import CELL, POINT, ProblemConfig, check_smoother
-from .twolevel import spectral_radius_dense, two_level_components
+from .twolevel import iteration_factors, spectral_radius_dense, two_level_components
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -405,10 +405,8 @@ def alpha_opt_numeric(
             return float(np.maximum(np.abs(1.0 + a * gp), np.abs(1.0 + a * gm)).max())
 
     elif mode == "dense":
-        base = two_level_components(config, kind, 1.0)
-        n = base.A.shape[0]
-        smoothed = np.column_stack([base.smooth(col) for col in base.A.T])
-        correct = np.eye(n) - base.P @ base.coarse_solve(base.R @ base.A)
+        correct, smoothed = iteration_factors(two_level_components(config, kind, 1.0))
+        n = smoothed.shape[0]
 
         def objective(a):
             return spectral_radius_dense(correct @ (np.eye(n) - a * smoothed))

@@ -1,5 +1,6 @@
 """Two-level preconditioner, stationary iteration and dense spectra."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,9 +10,9 @@ from .assembly import (
     assemble_operator,
     assemble_smoother,
     assemble_transfer,
-    smoother_partition,
 )
-from .config import ProblemConfig
+from .blocks import BlockDiagonal, BlockTridiagonal, CellStencil, CyclicReduction
+from .config import PERIODIC, ProblemConfig
 
 
 class EigenSolverError(RuntimeError):
@@ -24,55 +25,49 @@ class IterationHistory:
     iterations: int
     converged: bool
     diverged: bool = False
+    solution: np.ndarray = field(default=None, repr=False)
 
 
 @dataclass
 class TwoLevelComponents:
     """Immutable bundle of the two-level method's operators.
 
-    ``A`` is the fine operator, ``D`` the block-diagonal smoother whose
-    blocks are listed by ``partition``, ``R``/``P`` the transfers,
-    ``A0 = R A P`` the Galerkin coarse operator and ``alpha`` the
-    smoother relaxation.  Block factorizations and the coarse solve are
-    prepared once at construction.
+    ``A`` is the fine operator, ``D`` the block-diagonal smoother, ``R``/
+    ``P`` the transfers, ``A0 = R A P`` the Galerkin coarse operator and
+    ``alpha`` the smoother relaxation, all in the structured forms of
+    ``dgtwolevel.blocks``.  ``constant_kernel`` declares ``A0`` singular
+    on the constant vector (periodic pure diffusion); the coarse solve
+    then projects that mode out.  The block inverses of ``D`` and the
+    cyclic reduction of ``A0`` are prepared once at construction.
     """
 
-    A: np.ndarray
-    D: np.ndarray
-    R: np.ndarray
-    P: np.ndarray
-    A0: np.ndarray
+    A: BlockTridiagonal
+    D: BlockDiagonal
+    R: CellStencil
+    P: CellStencil
+    A0: BlockTridiagonal
     alpha: float
-    partition: list
-    _block_inverses: list = field(default_factory=list, repr=False)
-    _A0_inverse: np.ndarray = field(default=None, repr=False)
+    constant_kernel: bool = False
+    _D_inverse: BlockDiagonal = field(default=None, repr=False)
+    _A0_factor: CyclicReduction = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.A.shape[0]
-        if self.A.shape != (n, n) or self.D.shape != (n, n):
-            raise ValueError("A and D must be square and of equal size")
-        if self.R.shape != (n // 2, n) or self.P.shape != (n, n // 2):
+        if self.D.shape != (n, n):
+            raise ValueError("A and D must be of equal size")
+        if self.R.shape != (n // 2, n) or self.P.shape != (n, n // 2) or self.A0.shape[0] != n // 2:
             raise ValueError("transfer operators have incompatible shapes")
-        self._block_inverses = [
-            np.linalg.inv(self.D[np.ix_(g, g)]) for g in self.partition
-        ]
-        # The periodic pure-diffusion coarse operator is singular on the
-        # constant vector; the pseudo-inverse removes exactly that mode.
-        ones = np.ones(self.A0.shape[0])
-        if np.abs(self.A0 @ ones).max() < 1e-8 * np.abs(self.A0).max():
-            self._A0_inverse = np.linalg.pinv(self.A0)
-        else:
-            self._A0_inverse = np.linalg.inv(self.A0)
+        self._D_inverse = self.D.inverse()
+        self._A0_factor = CyclicReduction(self.A0, constant_kernel=self.constant_kernel)
 
     def smooth(self, g: np.ndarray) -> np.ndarray:
-        """Apply D^{-1} block by block."""
-        x = np.zeros_like(g, dtype=float)
-        for grp, inv in zip(self.partition, self._block_inverses):
-            x[grp] = inv @ g[grp]
-        return x
+        """Apply D^{-1} to a vector or to every column of a matrix."""
+        return self._D_inverse @ g
 
     def coarse_solve(self, g: np.ndarray) -> np.ndarray:
-        return self._A0_inverse @ g
+        """Apply A0^{-1} (the pseudo-inverse when A0 is singular on
+        constants) to a vector or to every column of a matrix."""
+        return self._A0_factor.solve(g)
 
 
 def two_level_components(config: ProblemConfig, kind: str, alpha: float) -> TwoLevelComponents:
@@ -81,7 +76,10 @@ def two_level_components(config: ProblemConfig, kind: str, alpha: float) -> TwoL
     D = assemble_smoother(config, kind)
     R, P = assemble_transfer(config.cells)
     A0 = assemble_coarse(A, R, P)
-    return TwoLevelComponents(A, D, R, P, A0, alpha, smoother_partition(config, kind))
+    # only pure diffusion is singular: any finite gamma adds a positive
+    # mass term, however small, and A0 is then inverted as it is
+    constant_kernel = config.bc == PERIODIC and config.is_poisson
+    return TwoLevelComponents(A, D, R, P, A0, alpha, constant_kernel)
 
 
 def apply_preconditioner(tl: TwoLevelComponents, g: np.ndarray) -> np.ndarray:
@@ -95,14 +93,22 @@ def apply_preconditioner(tl: TwoLevelComponents, g: np.ndarray) -> np.ndarray:
     return x + tl.P @ tl.coarse_solve(tl.R @ (g - tl.A @ x))
 
 
+def iteration_factors(tl: TwoLevelComponents) -> tuple:
+    """Dense ``(I - P A0^{-1} R A, D^{-1} A)``, the coarse-correction
+    factor and the unrelaxed smoothed operator of the iteration matrix.
+
+    Every column is smoothed and coarse-solved in one batched apply.
+    """
+    A = tl.A.toarray()
+    correct = np.eye(A.shape[0]) - tl.P @ tl.coarse_solve(tl.R @ A)
+    return correct, tl.smooth(A)
+
+
 def build_iteration_matrix(tl: TwoLevelComponents) -> np.ndarray:
     """Dense error-propagation matrix
     ``E = (I - P A0^{-1} R A)(I - alpha D^{-1} A)``."""
-    n = tl.A.shape[0]
-    identity = np.eye(n)
-    smooth = identity - tl.alpha * np.column_stack([tl.smooth(col) for col in tl.A.T])
-    correct = identity - tl.P @ tl.coarse_solve(tl.R @ tl.A)
-    return correct @ smooth
+    correct, smoothed = iteration_factors(tl)
+    return correct @ (np.eye(smoothed.shape[0]) - tl.alpha * smoothed)
 
 
 def spectral_radius_dense(M: np.ndarray) -> float:
@@ -129,7 +135,8 @@ def stationary_solve(
 
     Converged when the 2-norm residual drops below ``tol`` relative to
     the initial one; flagged as diverged when it grows beyond 1e8 times
-    the initial residual.
+    the initial residual or stops being finite.  The final iterate is
+    returned as ``solution``.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -140,16 +147,16 @@ def stationary_solve(
     r = f.copy()
     norms = [float(np.linalg.norm(r))]
     if norms[0] == 0.0:
-        return IterationHistory(norms, 0, True)
+        return IterationHistory(norms, 0, True, solution=u)
     for it in range(1, maxit + 1):
         u += apply_preconditioner(tl, r)
         r = f - tl.A @ u
         norms.append(float(np.linalg.norm(r)))
         if norms[-1] <= tol * norms[0]:
-            return IterationHistory(norms, it, True)
-        if norms[-1] > 1e8 * norms[0]:
-            return IterationHistory(norms, it, False, diverged=True)
-    return IterationHistory(norms, maxit, False)
+            return IterationHistory(norms, it, True, solution=u)
+        if not math.isfinite(norms[-1]) or norms[-1] > 1e8 * norms[0]:
+            return IterationHistory(norms, it, False, diverged=True, solution=u)
+    return IterationHistory(norms, maxit, False, solution=u)
 
 
 def convergence_factor(history: IterationHistory, window: int = 10) -> float:

@@ -99,7 +99,7 @@ def run_validation(cells: int = 64, appendix_perturbation=None) -> list:
         off, unit = verify_block_diagonalization(blocks, 8)
         worst = max(worst, off)
         worst_unitary = max(worst_unitary, unit)
-    A = assemble_operator(ProblemConfig(8, 2.0, math.inf, PERIODIC))
+    A = assemble_operator(ProblemConfig(8, 2.0, math.inf, PERIODIC)).toarray()
     blocks = [A[0:2, 2 * j : 2 * j + 2] for j in range(8)]
     off, unit = verify_block_diagonalization(blocks, 8)
     worst = max(worst, off / max(1.0, np.abs(A).max()))

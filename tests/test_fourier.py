@@ -36,7 +36,7 @@ def test_identity_block_diagonalizes_exactly():
 
 
 def test_operator_block_diagonalizes():
-    A = assemble_operator(ProblemConfig(8, 2.0, math.inf, PERIODIC))
+    A = assemble_operator(ProblemConfig(8, 2.0, math.inf, PERIODIC)).toarray()
     blocks = [A[0:2, 2 * j : 2 * j + 2] for j in range(8)]
     off, unit = verify_block_diagonalization(blocks, 8)
     assert off < 1e-10 * np.abs(A).max() and unit < 1e-12

@@ -1,0 +1,323 @@
+"""Structured block operators against dense oracles.
+
+The dense references below are the loop assemblies the structured ones
+replaced; ``toarray()`` must reproduce them exactly.  Everything the
+two-level method applies is then compared with plain dense linear
+algebra on those matrices.
+"""
+
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dgtwolevel
+from dgtwolevel import (
+    CELL,
+    DIRICHLET,
+    PERIODIC,
+    POINT,
+    BlockTridiagonal,
+    CyclicReduction,
+    ProblemConfig,
+    alpha_opt,
+    apply_preconditioner,
+    assemble_operator,
+    assemble_smoother,
+    assemble_transfer,
+    build_iteration_matrix,
+    lfa_spectral_radius,
+    smoother_partition,
+    spectral_radius_dense,
+    stationary_solve,
+    two_level_components,
+)
+from dgtwolevel.cli import main
+
+EPS = np.finfo(float).eps
+
+
+def dense_operator(config):
+    J = config.cells
+    d = config.delta0 + config.inv_gamma / 3.0
+    mu = config.inv_gamma / 6.0
+    cross = 1.0 - config.delta0
+    n = 2 * J
+    A = np.zeros((n, n))
+    for j in range(J):
+        p, m = 2 * j, 2 * j + 1
+        A[p, p] = d
+        A[m, m] = d
+        A[p, m] = A[m, p] = mu
+        if j + 1 < J or config.bc == PERIODIC:
+            q, r = (2 * j + 2) % n, (2 * j + 3) % n
+            A[m, q] = A[q, m] = cross
+            A[p, q] = A[q, p] = -0.5
+            A[m, r] = A[r, m] = -0.5
+    if config.bc == DIRICHLET:
+        corner = 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
+        edge = 0.5 + mu
+        A[0, 0] = corner
+        A[0, 1] = A[1, 0] = edge
+        A[-1, -1] = corner
+        A[-1, -2] = A[-2, -1] = edge
+    return A / config.h**2
+
+
+def dense_smoother(config, kind):
+    d = config.delta0 + config.inv_gamma / 3.0
+    off = config.inv_gamma / 6.0 if kind == CELL else 1.0 - config.delta0
+    D = np.zeros((2 * config.cells, 2 * config.cells))
+    for group in smoother_partition(config, kind):
+        if len(group) == 1:
+            D[group[0], group[0]] = 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
+        else:
+            a, b = group
+            D[a, a] = D[b, b] = d
+            D[a, b] = D[b, a] = off
+    return D / config.h**2
+
+
+def dense_transfer(cells):
+    R = np.zeros((cells, 2 * cells))
+    for M in range(cells // 2):
+        c = 4 * M
+        R[2 * M, c] = 1.0
+        R[2 * M, c + 1] = R[2 * M, c + 2] = 0.5
+        R[2 * M + 1, c + 1] = R[2 * M + 1, c + 2] = 0.5
+        R[2 * M + 1, c + 3] = 1.0
+    R *= 0.5
+    return R, 2.0 * R.T
+
+
+def gap(x, ref):
+    """Largest entry of ``x - ref`` relative to the largest of ``ref``."""
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+def coarse_oracle(A0, constant_kernel):
+    """Dense A0^{-1} from the eigendecomposition, dropping the constant
+    mode when A0 is singular on it, and the condition number it inverts."""
+    w, V = np.linalg.eigh(A0)
+    if constant_kernel:
+        w, V = w[1:], V[:, 1:]
+    return (V / w) @ V.T, w[-1] / w[0]
+
+
+GRID = [
+    (cells, bc, kind, gamma)
+    for cells in (8, 16, 64, 96, 192, 512)
+    for bc in (PERIODIC, DIRICHLET)
+    for kind in (CELL, POINT)
+    for gamma in (math.inf, 1.0, 0.05)
+]
+
+
+@pytest.mark.parametrize("cells,bc,kind,gamma", GRID)
+def test_structured_matches_dense_oracle(cells, bc, kind, gamma):
+    config = ProblemConfig(cells, 1.7, gamma, bc)
+    alpha = 0.8
+    tl = two_level_components(config, kind, alpha)
+    A, D = dense_operator(config), dense_smoother(config, kind)
+    R, P = dense_transfer(cells)
+    assert np.array_equal(tl.A.toarray(), A)
+    assert np.array_equal(tl.D.toarray(), D)
+    assert np.array_equal(tl.R.toarray(), R) and np.array_equal(tl.P.toarray(), P)
+    A0 = R @ A @ P
+    assert gap(tl.A0.toarray(), A0) < 1e-12
+
+    rng = np.random.default_rng(cells)
+    n = 2 * cells
+    for g in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        gc = g[: n // 2]
+        for op, dense, x in ((tl.A, A, g), (tl.D, D, g), (tl.R, R, g), (tl.P, P, gc), (tl.A0, A0, gc)):
+            assert (op @ x).shape == (dense @ x).shape
+            assert gap(op @ x, dense @ x) < 1e-12
+        assert gap(tl.smooth(g), np.linalg.solve(D, g)) < 1e-12
+
+        # Two float64 solves of a system with condition number kappa agree
+        # to about kappa * eps, not better: at J = 512 pure diffusion
+        # (kappa 2.3e4) two dense LAPACK routes already differ by 6e-12.
+        constant_kernel = math.isinf(gamma) and bc == PERIODIC
+        A0inv, kappa = coarse_oracle(A0, constant_kernel)
+        tol = max(1e-12, 10.0 * EPS * kappa)
+        y = tl.coarse_solve(gc)
+        assert gap(y, A0inv @ gc) < tol
+        # residual of the projected system: kappa-free
+        projected = gc - gc.mean(axis=0) if constant_kernel else gc
+        assert gap(A0 @ y, projected) < 1e-12
+        if constant_kernel:
+            assert np.abs(y.sum(axis=0)).max() < 1e-12 * np.abs(y).max()
+
+        x = alpha * np.linalg.solve(D, g)
+        expected = x + P @ A0inv @ R @ (g - A @ x)
+        assert gap(apply_preconditioner(tl, g), expected) < tol
+
+    E = (np.eye(n) - P @ A0inv @ R @ A) @ (np.eye(n) - alpha * np.linalg.solve(D, A))
+    assert gap(build_iteration_matrix(tl), E) < 1e-12
+
+
+def random_cycle(rng, cells, wrap):
+    """Random symmetric, strictly diagonally dominant block-tridiagonal
+    matrix (so SPD), with or without a wrap block."""
+    upper = rng.uniform(-1.0, 1.0, (cells, 2, 2))
+    if not wrap:
+        upper[-1] = 0.0
+    diag = rng.uniform(-1.0, 1.0, (cells, 2, 2))
+    diag = diag + np.swapaxes(diag, 1, 2)
+    diag += 6.0 * np.eye(2)
+    return BlockTridiagonal(diag, upper)
+
+
+# The remainder is inverted densely at 64 cells or fewer; above that the
+# counts reduce 65 -> 33, 97 -> 49, 130 -> 65 -> 33, 258 -> 129 -> 65 -> 33
+# and 260 -> 130 -> 65 -> 33, so both parities are eliminated at every
+# depth, and 3 takes the dense path alone.
+@pytest.mark.parametrize("cells", [3, 65, 97, 130, 258, 260])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_cyclic_reduction_odd_and_even_counts(cells, wrap):
+    rng = np.random.default_rng(cells)
+    op = random_cycle(rng, cells, wrap)
+    dense = op.toarray()
+    assert np.array_equal(dense, dense.T)
+    b = rng.standard_normal((2 * cells, 4))
+    x = CyclicReduction(op).solve(b)
+    assert gap(x, np.linalg.solve(dense, b)) < 1e-12
+    assert gap(op @ x, b) < 1e-12
+
+
+@pytest.mark.parametrize("cells", [260, 516])
+def test_cyclic_reduction_constant_kernel_matches_pseudo_inverse(cells):
+    # periodic pure diffusion on 130 and 258 coarse cells, reduced to an
+    # odd count below the dense limit
+    tl = two_level_components(ProblemConfig(cells, 2.0, math.inf, PERIODIC), CELL, 1.0)
+    assert tl.constant_kernel
+    A0 = tl.A0.toarray()
+    A0inv, kappa = coarse_oracle(A0, constant_kernel=True)
+    g = np.random.default_rng(3).standard_normal(cells)
+    y = CyclicReduction(tl.A0, constant_kernel=True).solve(g)
+    assert gap(y, A0inv @ g) < max(1e-12, 10.0 * EPS * kappa)
+
+
+@pytest.mark.parametrize("cells", [16, 192, 1024])
+@pytest.mark.parametrize("gamma", [1e4, 1e9])
+def test_weak_reaction_keeps_the_constant_mode(cells, gamma):
+    # however small 1/gamma is, A0 is nonsingular and its constant mode is
+    # solved, not projected out
+    config = ProblemConfig(cells, 2.0, gamma, PERIODIC)
+    tl = two_level_components(config, CELL, 1.0)
+    assert not tl.constant_kernel
+    A0 = tl.A0.toarray()
+    g = np.random.default_rng(cells).standard_normal((cells, 2))
+    kappa = np.linalg.cond(A0)
+    assert gap(tl.coarse_solve(g), np.linalg.solve(A0, g)) < max(1e-12, 10.0 * EPS * kappa)
+
+
+@pytest.mark.parametrize("kind,rho", [(CELL, 0.35), (POINT, 0.8)])
+def test_weak_reaction_dense_spectrum_matches_lfa(kind, rho):
+    # LFA is exact on periodic meshes with finite gamma
+    config = ProblemConfig(16, 2.0, 1e9, PERIODIC)
+    tl = two_level_components(config, kind, 0.9)
+    dense = spectral_radius_dense(build_iteration_matrix(tl))
+    assert dense == pytest.approx(lfa_spectral_radius(config, kind, 0.9), abs=1e-12)
+    assert dense == pytest.approx(rho, abs=1e-8)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_sweep_dense_column_matches_dense_reference(capsys, bc, kind):
+    # The structured route changes rounding, so the rho_dense column is
+    # not byte-identical to a dense computation; it is held to 1e-12
+    # absolute (about 5e-14 seen at J = 16 and 64).
+    cells = 16
+    code = main([
+        "sweep", "--smoother", kind, "--delta0", "1,1.5,2.5", "--gamma", "inf,1,0.05",
+        "--alpha", "opt", "--cells", str(cells), "--bc", bc, "--dense",
+    ])
+    assert code == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 9
+    R, P = dense_transfer(cells)
+    n = 2 * cells
+    for row in rows:
+        delta0, gamma, alpha, _, rho_dense = (float(v) for v in row.split(","))
+        config = ProblemConfig(cells, delta0, gamma, bc)
+        A, D = dense_operator(config), dense_smoother(config, kind)
+        A0inv, _ = coarse_oracle(R @ A @ P, math.isinf(gamma) and bc == PERIODIC)
+        E = (np.eye(n) - P @ A0inv @ R @ A) @ (np.eye(n) - alpha * np.linalg.solve(D, A))
+        assert rho_dense == pytest.approx(np.abs(np.linalg.eigvals(E)).max(), abs=1e-12)
+
+
+@pytest.mark.parametrize("cells", [64, 256])
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("gamma,delta0", [(math.inf, 1.5), (1.0, 3.0), (0.05, 1.5)])
+def test_iteration_counts_equal_dense_reference(cells, kind, gamma, delta0):
+    config = ProblemConfig(cells, delta0, gamma, DIRICHLET)
+    alpha = alpha_opt(config, kind).alpha_opt
+    tl = two_level_components(config, kind, alpha)
+    A, D = dense_operator(config), dense_smoother(config, kind)
+    R, P = dense_transfer(cells)
+    n = 2 * cells
+    Dinv = np.linalg.inv(D)
+    Minv = alpha * Dinv + P @ np.linalg.inv(R @ A @ P) @ R @ (np.eye(n) - alpha * A @ Dinv)
+    rng = np.random.default_rng(cells)
+    for _ in range(3):
+        f = rng.standard_normal(n)
+        hist = stationary_solve(tl, f, 1e-10, 300)
+        u, norms = np.zeros(n), [np.linalg.norm(f)]
+        while norms[-1] > 1e-10 * norms[0]:
+            u += Minv @ (f - A @ u)
+            norms.append(np.linalg.norm(f - A @ u))
+        assert hist.converged and hist.iterations == len(norms) - 1
+        assert np.abs(np.array(hist.residual_norms) - norms).max() < 1e-12 * norms[0]
+
+
+@pytest.mark.parametrize("bc,gamma", [(DIRICHLET, math.inf), (PERIODIC, math.inf), (DIRICHLET, 1.0)])
+def test_large_mesh_solve_allocates_no_square_array(bc, gamma):
+    cells = 4096
+    n = 2 * cells
+    config = ProblemConfig(cells, 1.5, gamma, bc)
+    alpha = alpha_opt(config, CELL).alpha_opt
+    f = np.random.default_rng(0).standard_normal(n)
+    if bc == PERIODIC:
+        f -= f.mean()  # the singular periodic problem needs f orthogonal to constants
+    tracemalloc.start()
+    try:
+        tl = two_level_components(config, CELL, alpha)
+        hist = stationary_solve(tl, f, 1e-10, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.converged
+    # an n x n float64 array is 512 MiB; the whole build and solve stays
+    # within 64 vectors of length n (4 MiB)
+    assert peak < 64 * n * 8
+
+
+def test_import_pulls_in_no_scipy():
+    src = str(Path(dgtwolevel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, dgtwolevel; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_operators_reject_mismatched_columns():
+    R, P = assemble_transfer(8)
+    with pytest.raises(ValueError):
+        R @ np.ones(12)
+    A = assemble_operator(ProblemConfig(8, 2.0))
+    with pytest.raises(ValueError):
+        BlockTridiagonal(A.diag, A.upper[:-1])
+    D = assemble_smoother(ProblemConfig(8, 2.0), POINT)
+    assert D.shift == 1 and D.inverse().shift == 1

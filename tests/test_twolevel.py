@@ -8,6 +8,7 @@ from dgtwolevel import (
     DIRICHLET,
     PERIODIC,
     POINT,
+    IterationHistory,
     ProblemConfig,
     alpha_opt_poisson,
     apply_preconditioner,
@@ -23,10 +24,10 @@ from dgtwolevel.fourier import Frequency, symbol_blocks
 
 def explicit_preconditioner(tl):
     """Dense M^{-1} = alpha D^{-1} + P A0^+ R (I - alpha A D^{-1})."""
-    n = tl.A.shape[0]
-    Dinv = np.linalg.inv(tl.D)
-    A0inv = np.linalg.pinv(tl.A0)
-    return tl.alpha * Dinv + tl.P @ A0inv @ tl.R @ (np.eye(n) - tl.alpha * tl.A @ Dinv)
+    A, D, R, P, A0 = (op.toarray() for op in (tl.A, tl.D, tl.R, tl.P, tl.A0))
+    Dinv = np.linalg.inv(D)
+    A0inv = np.linalg.pinv(A0)
+    return tl.alpha * Dinv + P @ A0inv @ R @ (np.eye(len(A)) - tl.alpha * A @ Dinv)
 
 
 def test_apply_zero_residual():
@@ -53,22 +54,24 @@ def test_apply_matches_explicit_matrix_column():
 def test_coarse_correction_is_projector():
     tl = two_level_components(ProblemConfig(16, 2.0, 1.0, DIRICHLET), CELL, 1.0)
     n = tl.A.shape[0]
-    proj = np.eye(n) - tl.P @ tl.coarse_solve(tl.R @ tl.A)
+    proj = np.eye(n) - tl.P @ tl.coarse_solve(tl.R @ tl.A.toarray())
     assert np.abs(proj @ proj - proj).max() < 1e-10
 
 
 def test_projector_annihilates_coarse_space():
     tl = two_level_components(ProblemConfig(8, 1.5, 4.0, PERIODIC), CELL, 0.0)
     E = build_iteration_matrix(tl)
-    assert np.abs(E @ tl.P).max() < 1e-12 * np.abs(tl.P).max()
+    P = tl.P.toarray()
+    assert np.abs(E @ P).max() < 1e-12 * np.abs(P).max()
 
 
 def test_iteration_matrix_vs_preconditioner_columns():
     tl = two_level_components(ProblemConfig(8, 1.3, 0.5, DIRICHLET), POINT, 0.9)
-    n = tl.A.shape[0]
+    A = tl.A.toarray()
+    n = A.shape[0]
     E = build_iteration_matrix(tl)
     for j in range(0, n, 3):
-        col = np.eye(n)[:, j] - apply_preconditioner(tl, tl.A[:, j])
+        col = np.eye(n)[:, j] - apply_preconditioner(tl, A[:, j])
         assert np.abs(E[:, j] - col).max() < 1e-12
 
 
@@ -151,3 +154,28 @@ def test_rho_dense_equals_max_block_rho_periodic():
     tl = two_level_components(cfg, POINT, 0.8)
     rho = spectral_radius_dense(build_iteration_matrix(tl))
     assert rho == pytest.approx(lfa_spectral_radius(cfg, POINT, 0.8), abs=1e-9)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+def test_stationary_returns_its_solution(bc):
+    cfg = ProblemConfig(64, 1.5, math.inf, bc)
+    tl = two_level_components(cfg, CELL, alpha_opt_poisson(CELL, 1.5).alpha_opt)
+    f = np.random.default_rng(1).standard_normal(128)
+    f -= f.mean()  # orthogonal to the periodic kernel
+    hist = stationary_solve(tl, f, tol=1e-10, maxit=200)
+    assert hist.converged
+    assert np.linalg.norm(f - tl.A @ hist.solution) == hist.residual_norms[-1]
+    zero = stationary_solve(tl, np.zeros(128), tol=1e-10, maxit=5)
+    assert np.array_equal(zero.solution, np.zeros(128))
+
+
+def test_iteration_history_positional_fields_unchanged():
+    hist = IterationHistory([1.0, 0.5], 1, False, True)
+    assert hist.diverged and hist.solution is None
+
+
+def test_non_finite_residual_stops_as_diverged():
+    tl = two_level_components(ProblemConfig(8, 2.0, 1.0, DIRICHLET), CELL, math.nan)
+    hist = stationary_solve(tl, np.ones(16), tol=1e-10, maxit=50)
+    assert hist.diverged and not hist.converged
+    assert hist.iterations == 1 and not math.isfinite(hist.residual_norms[-1])
