@@ -34,7 +34,6 @@ from .optimal import (
     SMOOTHING_ONLY_ALPHA,
     DELTA0_TILDE_PLUS,
     DELTA_C_CROSSOVER,
-    NonUnimodalError,
     RelaxationResult,
     Thresholds,
     alpha_opt,

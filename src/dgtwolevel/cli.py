@@ -10,18 +10,14 @@ byte-reproducible.
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 from .closed_forms import eigs_closed_form, lfa_spectral_radius
 from .config import BOUNDARY_MODES, DIRICHLET, SMOOTHERS, ProblemConfig
-from .optimal import (
-    NonUnimodalError,
-    alpha_opt,
-    alpha_opt_numeric,
-    crossover_check,
-)
+from .optimal import alpha_opt, alpha_opt_numeric, crossover_check
 from .twolevel import build_iteration_matrix, spectral_radius_dense, two_level_components
 from .validate import run_validation
 
@@ -71,13 +67,14 @@ def _output(path: str):
             yield fh
 
 
-def _add_common(sub, alpha_default="opt"):
+def _add_common(sub, bc=True):
     sub.add_argument("--smoother", choices=SMOOTHERS, required=True)
     sub.add_argument("--delta0", default="2", help="value, list v1,v2 or range lo:hi:step")
     sub.add_argument("--gamma", default="inf", help="value, inf, or list")
-    sub.add_argument("--alpha", default=alpha_default, help="value, 'opt', or range")
+    sub.add_argument("--alpha", default="opt", help="value, 'opt', or range")
     sub.add_argument("--cells", type=int, default=64)
-    sub.add_argument("--bc", choices=BOUNDARY_MODES, default=DIRICHLET)
+    if bc:
+        sub.add_argument("--bc", choices=BOUNDARY_MODES, default=DIRICHLET)
     sub.add_argument("--out", default="-", help="output path or - for stdout")
 
 
@@ -92,7 +89,8 @@ def cmd_spectrum(args, parser) -> int:
     gamma = _parse_grid(args.gamma, parser, "--gamma", allow_inf=True)
     if len(delta0) != 1 or len(gamma) != 1:
         parser.error("spectrum expects a single --delta0 and --gamma")
-    config = ProblemConfig(args.cells, delta0[0], gamma[0], args.bc)
+    # the frequency pairs come from the periodic analysis: no boundary enters
+    config = ProblemConfig(args.cells, delta0[0], gamma[0])
     alphas = _resolve_alpha(args.alpha, parser, config, args.smoother)
     if len(alphas) != 1:
         parser.error("spectrum expects a single --alpha")
@@ -115,11 +113,7 @@ def cmd_optimize(args, parser) -> int:
         parser.error("optimize expects a single --delta0 and --gamma")
     config = ProblemConfig(args.cells, delta0[0], gamma[0], args.bc)
     formula = alpha_opt(config, args.smoother)
-    try:
-        numeric = alpha_opt_numeric(config, args.smoother)
-    except NonUnimodalError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    numeric = alpha_opt_numeric(config, args.smoother)
     case = "poisson" if config.is_poisson else f"rd-{args.smoother}"
     tol = _OPTIMIZE_TOLERANCES[case]
     gap = abs(formula.alpha_opt - numeric.alpha_opt)
@@ -154,8 +148,12 @@ def cmd_sweep(args, parser) -> int:
         return rows
 
     grid = [(d0, g) for d0 in delta0 for g in gamma]
-    with ThreadPoolExecutor() as pool:
-        blocks = list(pool.map(rows_for, grid))
+    if args.dense:
+        # LAPACK releases the interpreter lock; closed-form rows would not gain
+        with ThreadPoolExecutor() as pool:
+            blocks = list(pool.map(rows_for, grid))
+    else:
+        blocks = list(map(rows_for, grid))
     with _output(args.out) as out:
         header = "delta0,gamma,alpha,rho_lfa"
         out.write(header + (",rho_dense\n" if args.dense else "\n"))
@@ -198,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("spectrum", help="eigenvalue pair per frequency as CSV")
-    _add_common(sub)
+    _add_common(sub, bc=False)
     sub.set_defaults(func=cmd_spectrum)
 
     sub = subs.add_parser("optimize", help="closed-form vs numeric optimum report")
@@ -206,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_optimize)
 
     sub = subs.add_parser("sweep", help="parameter sweep as CSV")
-    _add_common(sub, alpha_default="opt")
+    _add_common(sub)
     sub.add_argument("--dense", action="store_true", help="add assembled-matrix spectral radius")
     sub.set_defaults(func=cmd_sweep)
 
@@ -226,7 +224,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early; send the interpreter's final flush nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

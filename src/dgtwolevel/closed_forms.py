@@ -121,11 +121,12 @@ def _rd_pair(x, delta0, gamma, alpha, kind):
         num = c[0] + c[1] * x + c[2] * x**2
         rad_coeffs = c[3:8]
         den = c[8] + c[9] * x + c[10] * x**2
-    rad = np.zeros_like(x)
-    scale = np.zeros_like(x)
-    for i, ci in enumerate(rad_coeffs):
-        rad += ci * x**i
-        scale += abs(ci) * np.abs(x) ** i
+    # Horner's rule: powers x**i of negative entries take a slow libm path
+    ax = np.abs(x)
+    rad = scale = 0.0
+    for ci in reversed(rad_coeffs):
+        rad = rad * x + ci
+        scale = scale * ax + abs(ci)
     den_scale = sum(abs(c[i]) for i in ((9, 10, 11) if kind == POINT else (8, 9, 10)))
     if np.any(np.abs(den) < 1e-14 * max(1.0, den_scale)):
         raise ClosedFormDomainError("vanishing eigenvalue-formula denominator")

@@ -1,11 +1,11 @@
-"""Optimal relaxation parameters, regime thresholds and numeric oracles.
+"""Optimal relaxation parameters, regime thresholds and exact oracles.
 
 The nonzero two-grid eigenvalues are affine in the relaxation parameter,
-``lambda_{+-}(alpha) = 1 + alpha * g_{+-}(c_k)``, so centering the
-spectrum (equioscillation of the extreme eigenvalues) has closed-form
-solutions.  This module evaluates them, selects the correct regime
-branch, and provides a grid + golden-section minimizer of the spectral
-radius as an independent check.
+``lambda(alpha) = 1 - alpha * mu``, so centering the spectrum
+(equioscillation of the extreme eigenvalues) has closed-form solutions.
+This module evaluates them per regime branch, and, as an independent
+check, computes the exact optimum ``alpha* = 2 / (mu_min + mu_max)``
+from sampled closed-form pairs or from the assembled operators.
 """
 
 import math
@@ -15,15 +15,13 @@ from typing import Callable
 
 import numpy as np
 
+from .assembly import assemble_operator, assemble_smoother, assemble_transfer
 from .closed_forms import eigenvalue_pair, rho_on_ck_values
-from .config import CELL, POINT, ProblemConfig, check_smoother
-from .twolevel import iteration_factors, spectral_radius_dense, two_level_components
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .config import CELL, PERIODIC, POINT, ProblemConfig, check_smoother
 
 #: Penalty where the middle cell branch begins: real root of
 #: 4 d^3 - 8 d^2 + 4 d - 1.
-DELTA0_TILDE_PLUS = (
+DELTA0_TILDE_PLUS = float(
     8.0 + np.cbrt(152.0 - 24.0 * math.sqrt(33.0)) + 2.0 * np.cbrt(19.0 + 3.0 * math.sqrt(33.0))
 ) / 12.0
 
@@ -31,7 +29,7 @@ DELTA0_TILDE_PLUS = (
 DELTA0_TILDE_MINUS = 1.5
 
 #: Pure-diffusion penalty below which the cell smoother beats the point smoother.
-DELTA_C_CROSSOVER = (
+DELTA_C_CROSSOVER = float(
     1.0
     + np.cbrt(54.0 - 6.0 * math.sqrt(33.0)) / 6.0
     + np.cbrt(0.25 + math.sqrt(33.0) / 36.0)
@@ -39,15 +37,6 @@ DELTA_C_CROSSOVER = (
 
 #: Relaxation from a smoothing-only analysis (reference data, not used here).
 SMOOTHING_ONLY_ALPHA = {POINT: 4.0 / 5.0, CELL: 2.0 / 3.0}
-
-
-class NonUnimodalError(RuntimeError):
-    """The sampled spectral radius has several separated minima."""
-
-    def __init__(self, minima):
-        self.minima = minima
-        pts = ", ".join(f"(alpha={a:.6f}, rho={r:.6e})" for a, r in minima)
-        super().__init__(f"spectral radius not unimodal on the bracket: {pts}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +174,11 @@ def _rho_dense(delta0, gamma, kind, alpha, grid_points=1001):
     return rho_on_ck_values(x, delta0, gamma, alpha, kind)
 
 
+def _plain(used: list) -> list:
+    """``(name, value)`` threshold pairs with plain float values."""
+    return [(name, float(value)) for name, value in used]
+
+
 def alpha_opt_poisson(kind: str, delta0: float) -> RelaxationResult:
     """Closed-form optimal relaxation for the pure diffusion problem."""
     check_smoother(kind)
@@ -208,7 +202,7 @@ def alpha_opt_poisson(kind: str, delta0: float) -> RelaxationResult:
         alpha = 2 * d * d / (2 * d * d + d - 1)
         branch = "cell-high"
     rho = _rho_dense(d, math.inf, kind, alpha)
-    return RelaxationResult(float(alpha), rho, branch, used)
+    return RelaxationResult(float(alpha), rho, branch, _plain(used))
 
 
 def _alpha_rd_point(delta0: float, gamma: float) -> tuple:
@@ -321,7 +315,7 @@ def alpha_opt_rd(kind: str, delta0: float, gamma: float) -> RelaxationResult:
     else:
         alpha, branch, used = _alpha_rd_cell(delta0, gamma)
     rho = _rho_dense(delta0, gamma, kind, alpha)
-    return RelaxationResult(float(alpha), rho, branch, used)
+    return RelaxationResult(float(alpha), rho, branch, _plain(used))
 
 
 def alpha_opt(config: ProblemConfig, kind: str) -> RelaxationResult:
@@ -331,43 +325,33 @@ def alpha_opt(config: ProblemConfig, kind: str) -> RelaxationResult:
     return alpha_opt_rd(kind, config.delta0, config.gamma)
 
 
-def _golden_section(f, lo, hi, xtol):
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xtol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+def _dense_mu(config: ProblemConfig, kind: str) -> np.ndarray:
+    """Eigenvalues ``mu`` of the pencil ``(Z^T A D^{-1} A Z, Z^T A Z)``.
 
-
-def _grid_minima(alphas, values, rise=1e-9):
-    """Indices of grid minima that are separated by rises above ``rise``."""
-    order = np.argsort(values)
-    minima = [int(order[0])]
-    for idx in order[1:]:
-        idx = int(idx)
-        separated = True
-        for m in minima:
-            a, b = sorted((m, idx))
-            barrier = values[a : b + 1].max()
-            if barrier - max(values[m], values[idx]) <= rise:
-                separated = False
-                break
-        if separated and values[idx] - values[minima[0]] <= 0.5:
-            # only nearby-in-value wells matter; high plateaus are not minima
-            lo_n = values[max(idx - 1, 0)]
-            hi_n = values[min(idx + 1, len(values) - 1)]
-            if values[idx] <= lo_n and values[idx] <= hi_n:
-                minima.append(idx)
-    return minima
+    ``Z`` is an orthonormal basis of the complement of ``range(A P)``,
+    that is of the A-orthogonal complement of the coarse space, and the
+    nonzero eigenvalues of the assembled iteration matrix are exactly
+    ``1 - alpha * mu`` (Falgout, Vassilevski and Zikatanov, "On two-grid
+    convergence estimates", NLAA 2005).
+    """
+    if config.bc == PERIODIC and config.is_poisson:
+        raise ValueError(
+            "dense mode needs a nonsingular operator; periodic pure diffusion "
+            "(gamma = inf) is singular on the constants"
+        )
+    A = assemble_operator(config)
+    D_inverse = assemble_smoother(config, kind).inverse()
+    _, P = assemble_transfer(config.cells)
+    n = A.shape[0]
+    Q = np.linalg.qr(A @ P.toarray(), mode="complete")[0]
+    Z = Q[:, n // 2 :]
+    AZ = A @ Z
+    try:
+        L = np.linalg.cholesky(Z.T @ AZ)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"operator is singular or indefinite off the coarse space: {exc}") from exc
+    C = np.linalg.solve(L, np.linalg.solve(L, AZ.T @ (D_inverse @ AZ)).T)
+    return np.linalg.eigvalsh(0.5 * (C + C.T))
 
 
 def alpha_opt_numeric(
@@ -377,19 +361,23 @@ def alpha_opt_numeric(
     mode: str = "lfa",
     grid_points: int = 1001,
 ) -> RelaxationResult:
-    """Minimize the two-grid spectral radius over the relaxation parameter.
+    """Exact minimizer of the two-grid spectral radius over ``alpha``.
 
-    Scans ``alpha`` on a 1e-3 grid over ``bracket`` and refines the best
-    well by golden-section search to ``|d alpha| < 1e-7``.  ``mode``
-    selects the objective: ``"lfa"`` (closed-form spectral radius on a
-    dense frequency grid, the default) or ``"dense"`` (spectral radius
-    of the assembled iteration matrix, for Dirichlet validation).
+    The spectrum is ``1 - alpha * mu``, so the optimum is
+    ``alpha* = 2 / (mu_min + mu_max)``, clamped to ``bracket``, with
+    ``rho* = max |1 - alpha* mu|``.  ``mode`` selects where ``mu`` comes
+    from, independently of the branch tables: ``"lfa"`` takes
+    ``mu = 1 - lambda_{+-}`` from the closed-form pairs at ``alpha = 1``
+    on a uniform ``c_k`` grid of ``grid_points`` (the default);
+    ``"dense"`` solves the symmetric-definite pencil of the assembled
+    operators (:func:`_dense_mu`), for Dirichlet validation.
 
     Raises
     ------
-    NonUnimodalError
-        If the grid scan finds several minima separated by rises above
-        1e-9; all of them are reported.
+    ValueError
+        On a bad ``bracket`` or ``mode``, if some ``mu <= 0`` (no
+        relaxation converges), or in dense mode if the operator is
+        singular (periodic pure diffusion).
     """
     check_smoother(kind)
     lo, hi = bracket
@@ -397,33 +385,24 @@ def alpha_opt_numeric(
         raise ValueError(f"bracket must satisfy 0 < lo < hi <= 4, got {bracket}")
     if mode == "lfa":
         x = np.linspace(-1.0, 1.0, grid_points)
-        gp, gm = eigenvalue_pair(x, config.delta0, config.gamma, 1.0, kind)
-        gp = gp - 1.0
-        gm = gm - 1.0
-
-        def objective(a):
-            return float(np.maximum(np.abs(1.0 + a * gp), np.abs(1.0 + a * gm)).max())
-
+        plus, minus = eigenvalue_pair(x, config.delta0, config.gamma, 1.0, kind)
+        mu = 1.0 - np.concatenate((plus, minus))
     elif mode == "dense":
-        correct, smoothed = iteration_factors(two_level_components(config, kind, 1.0))
-        n = smoothed.shape[0]
-
-        def objective(a):
-            return spectral_radius_dense(correct @ (np.eye(n) - a * smoothed))
-
+        mu = _dense_mu(config, kind)
     else:
         raise ValueError(f"mode must be 'lfa' or 'dense', got {mode!r}")
-
-    alphas = np.arange(lo, hi + 5e-4, 1e-3)
-    values = np.array([objective(a) for a in alphas])
-    minima = _grid_minima(alphas, values)
-    if len(minima) > 1:
-        raise NonUnimodalError([(float(alphas[m]), float(values[m])) for m in sorted(minima)])
-    best = minima[0]
-    a_lo = alphas[max(best - 1, 0)]
-    a_hi = alphas[min(best + 1, len(alphas) - 1)]
-    alpha, rho = _golden_section(objective, a_lo, a_hi, 1e-7)
-    return RelaxationResult(float(alpha), float(rho), f"numeric-{mode}", [])
+    # rho(alpha) = max |1 - alpha * mu| is convex in alpha: for mu > 0 it is
+    # least where the extreme eigenvalues equioscillate, and clamping to
+    # the bracket stays exact
+    mu_min, mu_max = float(mu.min()), float(mu.max())
+    if not mu_min > 0.0:
+        raise ValueError(
+            f"the smoothed two-grid spectrum reaches mu = {mu_min:.3e} <= 0, "
+            "so no relaxation parameter converges"
+        )
+    alpha = min(max(2.0 / (mu_min + mu_max), lo), hi)
+    rho = max(abs(1.0 - alpha * mu_min), abs(1.0 - alpha * mu_max))
+    return RelaxationResult(alpha, rho, f"numeric-{mode}", [])
 
 
 def crossover_check(gamma: float = math.inf, width: float = 1e-3) -> tuple:

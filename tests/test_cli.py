@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgtwolevel
 from dgtwolevel.cli import main
 
 
@@ -185,3 +190,41 @@ def test_floats_round_trip(capsys):
     assert alpha == pytest.approx(9 / 13, abs=1e-12)
     assert row[1] == "inf"
     assert math.isinf(float(row[1]))
+
+
+def test_spectrum_rejects_bc(capsys):
+    # the closed-form spectrum does not depend on the boundary treatment
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--smoother", "cell", "--bc", "dirichlet", "--cells", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bc dirichlet" in err
+    assert "Traceback" not in err
+
+
+def test_closed_reader_ends_without_traceback():
+    src = str(Path(dgtwolevel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # about 700 kB of rows, far beyond a pipe buffer, so writes block
+    # until the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dgtwolevel.cli", "spectrum", "--smoother", "cell",
+         "--cells", "16384"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "k,c_k,lambda_plus,lambda_minus\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_optimize_stalled_penalty_is_an_error_line(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--smoother", "cell", "--delta0", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "mu" in err

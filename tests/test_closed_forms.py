@@ -23,6 +23,7 @@ from dgtwolevel.closed_forms import (
     poisson_cell_f,
     poisson_point_f,
 )
+from dgtwolevel.rd_coefficients import cell_coefficients, point_coefficients
 
 
 def block_reference(delta0, gamma, kind, alpha, ck):
@@ -175,3 +176,30 @@ def test_grid_scan_puts_minimum_at_formula_alpha():
     alphas = np.round(np.arange(0.80, 1.0001, 0.05), 10)
     rhos = [lfa_spectral_radius(cfg, CELL, a, dense=True) for a in alphas]
     assert alphas[int(np.argmin(rhos))] == pytest.approx(0.9)
+
+
+def power_sum_pair(x, delta0, gamma, alpha, kind):
+    """Reference pair with the radicand summed as ``sum c_i x**i``."""
+    if kind == POINT:
+        c = point_coefficients(delta0, gamma, alpha)
+        rad_coeffs, den = c[3:9], c[9] + c[10] * x + c[11] * x**2
+    else:
+        c = cell_coefficients(delta0, gamma, alpha)
+        rad_coeffs, den = c[3:8], c[8] + c[9] * x + c[10] * x**2
+    num = c[0] + c[1] * x + c[2] * x**2
+    rad = sum(ci * x**i for i, ci in enumerate(rad_coeffs))
+    root = np.sqrt(np.maximum(rad, 0.0))
+    hi, lo = (num + root) / den, (num - root) / den
+    return np.maximum(hi, lo), np.minimum(hi, lo)
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize("gamma", [1.0, 1 / 16, 0.05])
+def test_horner_radicand_matches_power_sum(kind, gamma):
+    x = np.linspace(-1.0, 1.0, 1001)
+    for delta0 in (1.2, 1.5, 2.0, 4.0):
+        for alpha in (0.7, 1.0):
+            hi, lo = eigenvalue_pair(x, delta0, gamma, alpha, kind)
+            ref_hi, ref_lo = power_sum_pair(x, delta0, gamma, alpha, kind)
+            assert np.abs(hi - ref_hi).max() <= 1e-14
+            assert np.abs(lo - ref_lo).max() <= 1e-14

@@ -16,13 +16,15 @@ from dgtwolevel import (
     alpha_opt_numeric,
     alpha_opt_poisson,
     alpha_opt_rd,
+    build_iteration_matrix,
     crossover_check,
     gamma_c_cell,
     gamma_c_point,
+    spectral_radius_dense,
     thresholds,
+    two_level_components,
 )
-from dgtwolevel.closed_forms import eigenvalue_pair
-from dgtwolevel.optimal import NonUnimodalError, _grid_minima
+from dgtwolevel.closed_forms import eigenvalue_pair, rho_on_ck_values
 
 
 def test_point_formula_values():
@@ -235,13 +237,103 @@ def test_numeric_bracket_validation():
         alpha_opt_numeric(cfg, POINT, mode="magic")
 
 
-def test_grid_minima_flags_double_well():
-    alphas = np.linspace(0.0, 1.0, 101)
-    values = (alphas - 0.25) ** 2 * (alphas - 0.75) ** 2 + 0.01
-    minima = _grid_minima(alphas, values)
-    assert len(minima) == 2
-    with pytest.raises(NonUnimodalError):
-        raise NonUnimodalError([(0.25, 0.01), (0.75, 0.01)])
+def scan_optimum(delta0, gamma, kind, grid_points=1001):
+    """Brute-force reference: minimize the sampled two-grid radius over
+    alpha on a 1e-3 grid of (0.01, 4), then twice on 1000x finer grids
+    around the best point."""
+    x = np.linspace(-1.0, 1.0, grid_points)
+    g = np.concatenate(eigenvalue_pair(x, delta0, gamma, 1.0, kind)) - 1.0
+
+    def radii(alphas):
+        return np.array([np.abs(1.0 + a * g).max() for a in alphas])
+
+    alphas = np.arange(0.01, 4.0 + 5e-4, 1e-3)
+    for step in (1e-3, 1e-6):
+        values = radii(alphas)
+        best = alphas[int(np.argmin(values))]
+        alphas = np.linspace(best - step, best + step, 2001)
+    values = radii(alphas)
+    best = int(np.argmin(values))
+    return float(alphas[best]), float(values[best])
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize("gamma", [math.inf, 1e4, 1.0, 1 / 16, 0.05])
+def test_numeric_lfa_matches_brute_force_scan(kind, gamma):
+    x = np.linspace(-1.0, 1.0, 1001)
+    for delta0 in (1.45, 1.47, 1.5, 1.55, 1.6, 2.0, 4.0):
+        res = alpha_opt_numeric(ProblemConfig(64, delta0, gamma), kind)
+        alpha, rho = scan_optimum(delta0, gamma, kind)
+        assert abs(res.alpha_opt - alpha) < 1e-6
+        assert res.rho_predicted <= rho + 1e-12
+        assert res.branch == "numeric-lfa"
+        # the closed forms evaluated at alpha* itself give the same radius
+        assert rho_on_ck_values(x, delta0, gamma, res.alpha_opt, kind) == pytest.approx(
+            res.rho_predicted, abs=1e-8
+        )
+
+
+@pytest.mark.parametrize("cells", [64, 192])
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize("gamma", [math.inf, 1.0, 0.05])
+def test_numeric_dense_is_the_assembled_optimum(cells, kind, gamma):
+    cfg = ProblemConfig(cells, 2.0, gamma, DIRICHLET)
+    res = alpha_opt_numeric(cfg, kind, mode="dense")
+
+    def rho(alpha):
+        return spectral_radius_dense(build_iteration_matrix(two_level_components(cfg, kind, alpha)))
+
+    at_opt = rho(res.alpha_opt)
+    assert res.rho_predicted == pytest.approx(at_opt, abs=1e-9)
+    assert rho(res.alpha_opt - 1e-4) >= at_opt
+    assert rho(res.alpha_opt + 1e-4) >= at_opt
+
+
+def test_numeric_clamps_to_bracket():
+    cfg = ProblemConfig(64, 2.0)
+    free = alpha_opt_numeric(cfg, POINT)
+    clamped = alpha_opt_numeric(cfg, POINT, bracket=(0.01, 0.5))
+    assert free.alpha_opt > 0.5
+    assert clamped.alpha_opt == 0.5
+    x = np.linspace(-1.0, 1.0, 1001)
+    assert clamped.rho_predicted == pytest.approx(
+        rho_on_ck_values(x, 2.0, math.inf, 0.5, POINT), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+def test_numeric_rejects_a_stalled_spectrum(kind):
+    # delta0 = 1 pure diffusion: some mu is exactly zero, rho = 1 for every alpha
+    with pytest.raises(ValueError, match="mu = 0.000e\\+00 <= 0"):
+        alpha_opt_numeric(ProblemConfig(64, 1.0), kind)
+
+
+def test_numeric_dense_rejects_singular_operator():
+    with pytest.raises(ValueError, match="singular"):
+        alpha_opt_numeric(ProblemConfig(16, 2.0, math.inf, PERIODIC), CELL, mode="dense")
+
+
+def test_thresholds_used_are_plain_floats():
+    th = thresholds(0.05)
+    cases = [(kind, d, math.inf) for kind in (POINT, CELL) for d in (1.2, 1.45, 2.0)]
+    cases += [
+        (POINT, 1.0, 0.05), (POINT, 5.0, 0.05), (POINT, 1.2, 0.5), (POINT, 5.0, 0.5),
+        (CELL, 1.0, 0.05), (CELL, 0.5 * (th.delta_c1 + th.delta_c2), 0.05), (CELL, 2.0, 0.05),
+        (CELL, 3.0, 0.05), (CELL, 1.45, 4.0), (CELL, 50.0, 0.05),
+    ]
+    branches = set()
+    for kind, delta0, gamma in cases:
+        res = alpha_opt(ProblemConfig(64, delta0, gamma), kind)
+        branches.add(res.branch)
+        assert res.thresholds_used
+        for name, value in res.thresholds_used:
+            assert type(name) is str and type(value) is float, (res.branch, name, value)
+        assert type(res.alpha_opt) is float and type(res.rho_predicted) is float
+    assert branches == {
+        "point", "cell-low", "cell-mid", "cell-high",
+        "rd-point-quarter", "rd-point-half", "rd-point-mixed",
+        "rd-cell-A", "rd-cell-B", "rd-cell-C", "rd-cell-D", "rd-cell-E",
+    }
 
 
 def test_best_penalty_is_three_halves():
