@@ -61,9 +61,15 @@ def assemble_operator(config: ProblemConfig) -> BlockTridiagonal:
     wraps block-circulantly.  In Dirichlet mode the boundary value is
     imposed weakly: jump and derivative average degenerate to the
     single-sided trace and the boundary face carries penalty weight
-    ``2 delta0 / h`` (the doubled weight keeps the form coercive down to
-    delta0 = 1 and reproduces the measured Dirichlet spectra; a one-sided
-    trace inequality needs twice the interior constant).
+    ``2 delta0 / h`` (the doubled weight reproduces the measured Dirichlet
+    spectra; a one-sided trace inequality needs twice the interior
+    constant).
+
+    The form is coercive for ``delta0 > 1``.  At ``delta0 = 1`` the pure
+    diffusion operator is singular for either boundary treatment: the
+    alternating mode lies in its kernel, next to the constants in
+    periodic mode.  Any finite ``gamma`` adds a mass term that removes
+    both.
     """
     J = config.cells
     d = config.delta0 + config.inv_gamma / 3.0

@@ -15,11 +15,17 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
-from .closed_forms import eigs_closed_form, lfa_spectral_radius
+import numpy as np
+
+from .closed_forms import eigenvalue_pair, mesh_ck, rho_on_ck_values
 from .config import BOUNDARY_MODES, DIRICHLET, SMOOTHERS, ProblemConfig
-from .optimal import alpha_opt, alpha_opt_numeric, crossover_check
+from .optimal import _alpha_formula, alpha_opt, alpha_opt_numeric, crossover_check
 from .twolevel import build_iteration_matrix, spectral_radius_dense, two_level_components
 from .validate import run_validation
+
+# Largest number of (row, c_k) points a sweep evaluates in one call, so
+# that memory stays bounded on long sweeps over fine meshes.
+_SWEEP_CHUNK = 1 << 16
 
 _OPTIMIZE_TOLERANCES = {
     "poisson": 1e-6,
@@ -80,7 +86,7 @@ def _add_common(sub, bc=True):
 
 def _resolve_alpha(text, parser, config, kind):
     if text.strip().lower() == "opt":
-        return [alpha_opt(config, kind).alpha_opt]
+        return [_alpha_formula(config, kind)]
     return _parse_grid(text, parser, "--alpha")
 
 
@@ -94,15 +100,12 @@ def cmd_spectrum(args, parser) -> int:
     alphas = _resolve_alpha(args.alpha, parser, config, args.smoother)
     if len(alphas) != 1:
         parser.error("spectrum expects a single --alpha")
-    alpha = alphas[0]
+    ck = mesh_ck(config.cells)
+    plus, minus = eigenvalue_pair(ck, config.delta0, config.gamma, alphas[0], args.smoother)
     with _output(args.out) as out:
         out.write("k,c_k,lambda_plus,lambda_minus\n")
-        for k in range(1, config.cells // 2 + 1):
-            ck = math.cos(4.0 * math.pi * k / config.cells)
-            pair = eigs_closed_form(ck, config, args.smoother, alpha)
-            out.write(
-                f"{k},{_fmt(ck)},{_fmt(pair.lambda_plus)},{_fmt(pair.lambda_minus)}\n"
-            )
+        for k, row in enumerate(zip(ck, plus, minus), start=1):
+            out.write(f"{k},{','.join(_fmt(v) for v in row)}\n")
     return 0
 
 
@@ -133,33 +136,44 @@ def cmd_sweep(args, parser) -> int:
     delta0 = _parse_grid(args.delta0, parser, "--delta0")
     gamma = _parse_grid(args.gamma, parser, "--gamma", allow_inf=True)
     kind = args.smoother
+    # rows in output order: delta0, then gamma, then alpha
+    rows = []
+    for d0 in delta0:
+        for g in gamma:
+            config = ProblemConfig(args.cells, d0, g, args.bc)
+            rows.extend((config, a) for a in _resolve_alpha(args.alpha, parser, config, kind))
 
-    def rows_for(point):
-        d0, g = point
-        config = ProblemConfig(args.cells, d0, g, args.bc)
-        alphas = _resolve_alpha(args.alpha, parser, config, kind)
-        rows = []
-        for a in alphas:
-            row = [d0, g, a, lfa_spectral_radius(config, kind, a)]
-            if args.dense:
-                E = build_iteration_matrix(two_level_components(config, kind, a))
-                row.append(spectral_radius_dense(E))
-            rows.append(row)
-        return rows
+    # one closed-form evaluation per reaction scaling over all its rows
+    ck = mesh_ck(args.cells)
+    step = max(1, _SWEEP_CHUNK // ck.size)
+    rho_lfa = [0.0] * len(rows)
+    for g in dict.fromkeys(gamma):
+        picked = [i for i, (config, _) in enumerate(rows) if config.gamma == g]
+        for start in range(0, len(picked), step):
+            chunk = picked[start : start + step]
+            d0s = np.array([[rows[i][0].delta0] for i in chunk])
+            alphas = np.array([[rows[i][1]] for i in chunk])
+            x = np.broadcast_to(ck, (len(chunk), ck.size))
+            for i, rho in zip(chunk, rho_on_ck_values(x, d0s, g, alphas, kind)):
+                rho_lfa[i] = rho
 
-    grid = [(d0, g) for d0 in delta0 for g in gamma]
+    table = [[c.delta0, c.gamma, a, rho] for (c, a), rho in zip(rows, rho_lfa)]
     if args.dense:
+
+        def rho_dense(row):
+            config, a = row
+            E = build_iteration_matrix(two_level_components(config, kind, a))
+            return spectral_radius_dense(E)
+
         # LAPACK releases the interpreter lock; closed-form rows would not gain
         with ThreadPoolExecutor() as pool:
-            blocks = list(pool.map(rows_for, grid))
-    else:
-        blocks = list(map(rows_for, grid))
+            for line, rho in zip(table, pool.map(rho_dense, rows)):
+                line.append(rho)
     with _output(args.out) as out:
         header = "delta0,gamma,alpha,rho_lfa"
         out.write(header + (",rho_dense\n" if args.dense else "\n"))
-        for block in blocks:
-            for row in block:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
+        for line in table:
+            out.write(",".join(_fmt(v) for v in line) + "\n")
     return 0
 
 

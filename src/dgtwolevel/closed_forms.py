@@ -80,28 +80,40 @@ def _guarded_sqrt(rad, scale):
     return np.sqrt(np.maximum(rad, 0.0))
 
 
+def _powers(d):
+    """``d**2, d**3, d**4`` elementwise by Python's ``pow``.
+
+    numpy's array ``power`` can differ from the scalar ``pow`` in the last
+    ulp, so a penalty gives the same pair whether it comes alone or in a
+    batch.
+    """
+    values = np.ravel(d).tolist()
+    return [np.reshape([v**p for v in values], np.shape(d)) for p in (2, 3, 4)]
+
+
 def _poisson_pair(x, delta0, alpha, kind):
-    d = delta0
+    d = np.asarray(delta0, dtype=float)
+    d2, d3, d4 = _powers(d)
     x = np.asarray(x, dtype=float)
     if kind == POINT:
-        base = -1 + 8 * d - 10 * d**2 - (2 * d**2 - 4 * d + 1) * x
+        base = -1 + 8 * d - 10 * d2 - (2 * d2 - 4 * d + 1) * x
         p2, p1, p0 = (
             1 - d,
-            4 * d**4 - 8 * d**3 + 8 * d**2 - 6 * d + 1,
-            d * (4 * d**3 - 8 * d**2 + 8 * d - 1),
+            4 * d4 - 8 * d3 + 8 * d2 - 6 * d + 1,
+            d * (4 * d3 - 8 * d2 + 8 * d - 1),
         )
         rad = (x + 1) * (p2 * x**2 + p1 * x + p0)
-        scale = 2.0 * (abs(p2) * x**2 + abs(p1) * np.abs(x) + abs(p0))
+        scale = 2.0 * (np.abs(p2) * x**2 + np.abs(p1) * np.abs(x) + np.abs(p0))
         den = (2 * d - 1) * (4 * d - x - 1)
     else:
         base = 2 + d * (x - 4 * d - 1)
         p2, p1, p0 = (
-            d**2 - 2,
-            -2 * d * (4 * d**2 - 7 * d + 2),
-            16 * d**4 - 56 * d**3 + 65 * d**2 - 28 * d + 6,
+            d2 - 2,
+            -2 * d * (4 * d2 - 7 * d + 2),
+            16 * d4 - 56 * d3 + 65 * d2 - 28 * d + 6,
         )
         rad = p2 * x**2 + p1 * x + p0
-        scale = abs(p2) * x**2 + abs(p1) * np.abs(x) + abs(p0)
+        scale = np.abs(p2) * x**2 + np.abs(p1) * np.abs(x) + np.abs(p0)
         den = d * (4 * d - x - 1)
     if np.any(np.abs(den) < 1e-14):
         raise ClosedFormDomainError("vanishing denominator 4*delta0 - c_k - 1")
@@ -128,7 +140,7 @@ def _rd_pair(x, delta0, gamma, alpha, kind):
         rad = rad * x + ci
         scale = scale * ax + abs(ci)
     den_scale = sum(abs(c[i]) for i in ((9, 10, 11) if kind == POINT else (8, 9, 10)))
-    if np.any(np.abs(den) < 1e-14 * max(1.0, den_scale)):
+    if np.any(np.abs(den) < 1e-14 * np.maximum(1.0, den_scale)):
         raise ClosedFormDomainError("vanishing eigenvalue-formula denominator")
     root = _guarded_sqrt(rad, scale)
     hi = (num + root) / den
@@ -136,13 +148,12 @@ def _rd_pair(x, delta0, gamma, alpha, kind):
     hi, lo = np.maximum(hi, lo), np.minimum(hi, lo)
     shaky = np.abs(rad) < _NOISE_BAND * np.maximum(scale, 1.0)
     if np.any(shaky):
-        for idx in np.argwhere(np.atleast_1d(shaky)):
-            xi = float(np.atleast_1d(x)[tuple(idx)])
-            bi, si = _block_pair(xi, delta0, gamma, alpha, kind)
-            if np.ndim(hi) == 0:
-                hi, lo = np.float64(bi), np.float64(si)
-            else:
-                hi[tuple(idx)], lo[tuple(idx)] = bi, si
+        hi, lo = np.array(hi), np.array(lo)
+        xs, ds, alphas = np.broadcast_arrays(x, delta0, alpha)
+        for idx in map(tuple, np.argwhere(shaky)):
+            hi[idx], lo[idx] = _block_pair(
+                float(xs[idx]), float(ds[idx]), gamma, float(alphas[idx]), kind
+            )
     return hi, lo
 
 
@@ -154,7 +165,13 @@ def _block_pair(ck, delta0, gamma, alpha, kind):
 
 
 def eigenvalue_pair(x, delta0, gamma, alpha, kind):
-    """Vectorized ``(lambda_+, lambda_-)`` over ``x = c_k`` values."""
+    """Vectorized ``(lambda_+, lambda_-)`` over ``x = c_k`` values.
+
+    ``delta0`` and ``alpha`` broadcast against ``x``: a column of ``m``
+    penalties or relaxations of shape ``(m, 1)`` against ``c_k`` of shape
+    ``(k,)`` or ``(m, k)`` gives ``(m, k)`` pairs, each equal to the pair
+    of its own scalar call.  ``gamma`` is a single value.
+    """
     check_smoother(kind)
     if math.isinf(gamma):
         return _poisson_pair(x, delta0, alpha, kind)
@@ -169,10 +186,23 @@ def eigs_closed_form(ck: float, config: ProblemConfig, kind: str, alpha: float) 
     return EigenPair(float(hi), float(lo))
 
 
-def rho_on_ck_values(x, delta0, gamma, alpha, kind) -> float:
-    """Largest eigenvalue modulus over the given ``c_k`` values."""
+def rho_on_ck_values(x, delta0, gamma, alpha, kind):
+    """Largest eigenvalue modulus over the given ``c_k`` values.
+
+    Reduces over the last axis of the broadcast pairs (see
+    :func:`eigenvalue_pair`): a ``float`` for scalar ``delta0`` and
+    ``alpha`` with one row of ``c_k``, an ``(m,)`` array for ``m`` rows.
+    """
     hi, lo = eigenvalue_pair(x, delta0, gamma, alpha, kind)
-    return float(np.maximum(np.abs(hi), np.abs(lo)).max())
+    rho = np.maximum(np.abs(hi), np.abs(lo))
+    rho = np.atleast_1d(rho).max(axis=-1)
+    return float(rho) if rho.ndim == 0 else rho
+
+
+def mesh_ck(cells: int) -> np.ndarray:
+    """The frequency values ``c_k = cos(4 pi k / J)``, ``k = 1 .. J/2``."""
+    k = np.arange(1, cells // 2 + 1)
+    return np.cos(4.0 * math.pi * k / cells)
 
 
 def lfa_spectral_radius(
@@ -184,13 +214,9 @@ def lfa_spectral_radius(
 ) -> float:
     """Two-grid convergence factor from the closed-form pairs.
 
-    Scans the integer frequencies ``k = 1 .. J/2``; with ``dense=True``
+    Scans the mesh frequencies of :func:`mesh_ck`; with ``dense=True``
     the frequency variable ``c_k`` is swept on a uniform grid in
     ``[-1, 1]`` instead, giving the mesh-size-free asymptotic value.
     """
-    if dense:
-        x = np.linspace(-1.0, 1.0, grid_points)
-    else:
-        k = np.arange(1, config.cells // 2 + 1)
-        x = np.cos(4.0 * math.pi * k / config.cells)
+    x = np.linspace(-1.0, 1.0, grid_points) if dense else mesh_ck(config.cells)
     return rho_on_ck_values(x, config.delta0, config.gamma, alpha, kind)

@@ -179,12 +179,8 @@ def _plain(used: list) -> list:
     return [(name, float(value)) for name, value in used]
 
 
-def alpha_opt_poisson(kind: str, delta0: float) -> RelaxationResult:
-    """Closed-form optimal relaxation for the pure diffusion problem."""
-    check_smoother(kind)
-    if not delta0 >= 1.0:
-        raise ValueError(f"delta0 must be >= 1, got {delta0}")
-    d = delta0
+def _alpha_poisson(kind: str, d: float) -> tuple:
+    """Branch formula of :func:`alpha_opt_poisson`: ``(alpha, branch, used)``."""
     used = [("delta_tilde_plus", DELTA0_TILDE_PLUS), ("delta_tilde_minus", DELTA0_TILDE_MINUS)]
     if kind == POINT:
         alpha = (2 * d - 1) ** 2 / (6 * d * d - 6 * d + 1)
@@ -201,7 +197,16 @@ def alpha_opt_poisson(kind: str, delta0: float) -> RelaxationResult:
     else:
         alpha = 2 * d * d / (2 * d * d + d - 1)
         branch = "cell-high"
-    rho = _rho_dense(d, math.inf, kind, alpha)
+    return alpha, branch, used
+
+
+def alpha_opt_poisson(kind: str, delta0: float) -> RelaxationResult:
+    """Closed-form optimal relaxation for the pure diffusion problem."""
+    check_smoother(kind)
+    if not delta0 >= 1.0:
+        raise ValueError(f"delta0 must be >= 1, got {delta0}")
+    alpha, branch, used = _alpha_poisson(kind, delta0)
+    rho = _rho_dense(delta0, math.inf, kind, alpha)
     return RelaxationResult(float(alpha), rho, branch, _plain(used))
 
 
@@ -298,6 +303,13 @@ def _alpha_rd_cell(delta0: float, gamma: float) -> tuple:
     return _cell_formula(tag, d, g), f"rd-cell-{tag}", used
 
 
+def _alpha_rd(kind: str, delta0: float, gamma: float) -> tuple:
+    """Branch formula of :func:`alpha_opt_rd`: ``(alpha, branch, used)``."""
+    if kind == POINT:
+        return _alpha_rd_point(delta0, gamma)
+    return _alpha_rd_cell(delta0, gamma)
+
+
 def alpha_opt_rd(kind: str, delta0: float, gamma: float) -> RelaxationResult:
     """Closed-form optimal relaxation for finite reaction scaling.
 
@@ -310,10 +322,7 @@ def alpha_opt_rd(kind: str, delta0: float, gamma: float) -> RelaxationResult:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError("alpha_opt_rd needs finite gamma > 0; use alpha_opt_poisson for inf")
-    if kind == POINT:
-        alpha, branch, used = _alpha_rd_point(delta0, gamma)
-    else:
-        alpha, branch, used = _alpha_rd_cell(delta0, gamma)
+    alpha, branch, used = _alpha_rd(kind, delta0, gamma)
     rho = _rho_dense(delta0, gamma, kind, alpha)
     return RelaxationResult(float(alpha), rho, branch, _plain(used))
 
@@ -323,6 +332,14 @@ def alpha_opt(config: ProblemConfig, kind: str) -> RelaxationResult:
     if config.is_poisson:
         return alpha_opt_poisson(kind, config.delta0)
     return alpha_opt_rd(kind, config.delta0, config.gamma)
+
+
+def _alpha_formula(config: ProblemConfig, kind: str) -> float:
+    """``alpha_opt(config, kind).alpha_opt`` without evaluating its rho."""
+    check_smoother(kind)
+    if config.is_poisson:
+        return float(_alpha_poisson(kind, config.delta0)[0])
+    return float(_alpha_rd(kind, config.delta0, config.gamma)[0])
 
 
 def _dense_mu(config: ProblemConfig, kind: str) -> np.ndarray:
@@ -408,9 +425,9 @@ def alpha_opt_numeric(
 def crossover_check(gamma: float = math.inf, width: float = 1e-3) -> tuple:
     """Bracket the penalty where cell and point smoothers perform equally.
 
-    Scans ``delta0 in [1, 10]`` for a sign change of
-    ``rho_cell(alpha_opt) - rho_point(alpha_opt)`` and bisects it down
-    to the requested width.
+    Scans ``delta0 in [1, 10]`` upward in steps of 0.05 for the first
+    sign change of ``rho_cell(alpha_opt) - rho_point(alpha_opt)`` and
+    bisects it down to the requested width.
     """
 
     def gap(d0):
@@ -424,11 +441,11 @@ def crossover_check(gamma: float = math.inf, width: float = 1e-3) -> tuple:
 
     # start just above 1: both smoothers stall exactly at delta0 = 1
     grid = np.arange(1.05, 10.0 + 1e-9, 0.05)
-    values = [gap(d) for d in grid]
-    for i in range(len(grid) - 1):
-        if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            flo = values[i]
+    flo = gap(grid[0])
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        fhi = gap(hi)
+        if (flo < 0.0) != (fhi < 0.0):
+            lo, hi = float(lo), float(hi)
             while hi - lo > width:
                 mid = 0.5 * (lo + hi)
                 fmid = gap(mid)
@@ -437,4 +454,5 @@ def crossover_check(gamma: float = math.inf, width: float = 1e-3) -> tuple:
                 else:
                     hi = mid
             return lo, hi
+        flo = fhi
     raise RuntimeError("no crossover: rho_cell - rho_point keeps its sign on [1, 10]")

@@ -91,6 +91,22 @@ def test_definiteness_lattice(delta0, gamma):
         assert smallest > 0.0
 
 
+@pytest.mark.parametrize(
+    "gamma,bc,delta0,zeros",
+    [
+        (math.inf, DIRICHLET, 1.0, 1),  # the alternating mode
+        (math.inf, DIRICHLET, 1.01, 0),
+        (math.inf, PERIODIC, 1.0, 2),  # the alternating mode and the constants
+        (math.inf, PERIODIC, 1.01, 1),  # the constants
+        (1.0, DIRICHLET, 1.0, 0),
+        (1.0, PERIODIC, 1.0, 0),
+    ],
+)
+def test_kernel_dimension_at_the_penalty_edge(gamma, bc, delta0, zeros):
+    ev = np.abs(np.linalg.eigvalsh(assemble_operator(ProblemConfig(16, delta0, gamma, bc)).toarray()))
+    assert np.count_nonzero(ev < 1e-10 * ev.max()) == zeros
+
+
 def test_cell_smoother_poisson_blocks():
     # every block equals (1/h^2) * [[2, 0], [0, 2]], under both boundary modes
     for bc in (PERIODIC, DIRICHLET):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import dgtwolevel
+from dgtwolevel import ProblemConfig, alpha_opt, lfa_spectral_radius
+from dgtwolevel import cli
 from dgtwolevel.cli import main
 
 
@@ -92,6 +94,41 @@ def test_sweep_alpha_curves_have_unique_interior_minimum(capsys):
         assert 0 < best < len(rho) - 1  # interior minimum
         assert np.all(np.diff(rho[: best + 1]) <= 1e-12)  # decreasing approach
         assert np.all(np.diff(rho[best:]) >= -1e-12)  # increasing departure
+
+
+# each smoother, boundary treatment and alpha mode once (the closed-form
+# rows do not depend on the boundary treatment, which is only validated),
+# in one evaluation per gamma and in chunks of 31 rows
+@pytest.mark.parametrize(
+    "kind,bc,alpha,chunk",
+    [
+        ("cell", "dirichlet", "opt", cli._SWEEP_CHUNK),
+        ("point", "periodic", "opt", 1000),
+        ("cell", "periodic", "0.6:1.2:0.3", 1000),
+        ("point", "dirichlet", "0.6:1.2:0.3", cli._SWEEP_CHUNK),
+    ],
+)
+def test_sweep_equals_row_by_row_reference(capsys, monkeypatch, kind, bc, alpha, chunk):
+    monkeypatch.setattr(cli, "_SWEEP_CHUNK", chunk)
+    gammas = [math.inf, 1e4, 1.0, 0.05]
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "--smoother", kind, "--delta0", "1:4:0.01", "--gamma", "inf,1e4,1,0.05",
+        "--alpha", alpha, "--cells", "64", "--bc", bc,
+    )
+    assert code == 0
+    lines = ["delta0,gamma,alpha,rho_lfa"]
+    for d0 in [1.0 + i * 0.01 for i in range(301)]:
+        for g in gammas:
+            config = ProblemConfig(64, d0, g, bc)
+            if alpha == "opt":
+                alphas = [alpha_opt(config, kind).alpha_opt]
+            else:
+                alphas = [0.6 + i * 0.3 for i in range(3)]
+            for a in alphas:
+                row = (d0, g, a, lfa_spectral_radius(config, kind, a))
+                lines.append(",".join(repr(float(v)) for v in row))
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_sweep_dense_column_matches_lfa(capsys):

@@ -17,11 +17,14 @@ from dgtwolevel import (
     symbols_at_ck,
     two_level_components,
 )
+from dgtwolevel import closed_forms
 from dgtwolevel.closed_forms import (
     ClosedFormDomainError,
     _guarded_sqrt,
+    mesh_ck,
     poisson_cell_f,
     poisson_point_f,
+    rho_on_ck_values,
 )
 from dgtwolevel.rd_coefficients import cell_coefficients, point_coefficients
 
@@ -203,3 +206,36 @@ def test_horner_radicand_matches_power_sum(kind, gamma):
             ref_hi, ref_lo = power_sum_pair(x, delta0, gamma, alpha, kind)
             assert np.abs(hi - ref_hi).max() <= 1e-14
             assert np.abs(lo - ref_lo).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize("gamma", [math.inf, 1e4, 1.0, 0.05])
+def test_broadcast_equals_scalar_loop(kind, gamma, monkeypatch):
+    # a column of (delta0, alpha) rows against one row of c_k, or one row
+    # each, gives exactly the pairs of one call per row and per point
+    fallbacks = []
+    block_pair = closed_forms._block_pair
+    monkeypatch.setattr(
+        closed_forms, "_block_pair", lambda *args: fallbacks.append(args) or block_pair(*args)
+    )
+    x = np.concatenate((mesh_ck(64), np.linspace(-1.0, 1.0, 101)))
+    delta0 = np.array([[1.0], [1.05], [1.45], [1.5], [2.0], [3.7]])
+    alpha = np.array([[0.6], [0.9], [1.0], [0.95], [1.1], [0.8]])
+    rows = np.array([np.roll(x, 3 * i) for i in range(len(delta0))])
+    for ck in (x, rows):
+        fallbacks.clear()
+        hi, lo = eigenvalue_pair(ck, delta0, gamma, alpha, kind)
+        # at gamma = 1e4 some points fall in the noise band and are
+        # re-evaluated one by one, each with its own (c_k, delta0, alpha)
+        assert fallbacks or gamma != 1e4
+        rho = rho_on_ck_values(ck, delta0, gamma, alpha, kind)
+        assert hi.shape == lo.shape == rows.shape and rho.shape == (len(delta0),)
+        for i, (d, a) in enumerate(zip(delta0[:, 0].tolist(), alpha[:, 0].tolist())):
+            xi = np.broadcast_to(ck, rows.shape)[i]
+            row_hi, row_lo = eigenvalue_pair(xi, d, gamma, a, kind)
+            assert np.array_equal(hi[i], row_hi) and np.array_equal(lo[i], row_lo)
+            for j in range(0, xi.size, 5):
+                point_hi, point_lo = eigenvalue_pair(float(xi[j]), d, gamma, a, kind)
+                assert point_hi == hi[i, j] and point_lo == lo[i, j]
+            row_rho = rho_on_ck_values(xi, d, gamma, a, kind)
+            assert type(row_rho) is float and row_rho == rho[i]

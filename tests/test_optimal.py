@@ -214,6 +214,35 @@ def test_crossover_bracket():
     )
 
 
+def full_scan_crossover(gamma, width=1e-3):
+    """Reference bracket: every scan penalty first, then the first sign change."""
+
+    def gap(d0):
+        if math.isinf(gamma):
+            return alpha_opt_poisson(CELL, d0).rho_predicted - alpha_opt_poisson(POINT, d0).rho_predicted
+        return alpha_opt_rd(CELL, d0, gamma).rho_predicted - alpha_opt_rd(POINT, d0, gamma).rho_predicted
+
+    grid = np.arange(1.05, 10.0 + 1e-9, 0.05)
+    values = [gap(d) for d in grid]
+    for i in range(len(grid) - 1):
+        if (values[i] < 0.0) != (values[i + 1] < 0.0):
+            lo, hi, flo = float(grid[i]), float(grid[i + 1]), values[i]
+            while hi - lo > width:
+                mid = 0.5 * (lo + hi)
+                fmid = gap(mid)
+                if (fmid < 0.0) == (flo < 0.0):
+                    lo, flo = mid, fmid
+                else:
+                    hi = mid
+            return lo, hi
+    raise RuntimeError("no crossover")
+
+
+@pytest.mark.parametrize("gamma", [math.inf, 1e4, 10.0, 1.0, 0.2, 0.05])
+def test_crossover_equals_full_scan(gamma):
+    assert crossover_check(gamma) == full_scan_crossover(gamma)
+
+
 def test_rho_matches_at_crossover():
     d = DELTA_C_CROSSOVER
     assert alpha_opt_poisson(CELL, d).rho_predicted == pytest.approx(
