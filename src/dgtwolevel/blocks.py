@@ -24,9 +24,9 @@ import numpy as np
 _DENSE_CELLS = 64
 
 
-def _as_blocks(x: np.ndarray, width: int) -> np.ndarray:
-    """View a vector or column stack as ``(groups, width, columns)``."""
-    return x.reshape(x.shape[0] // width, width, -1)
+def _as_blocks(x: np.ndarray, size: int) -> np.ndarray:
+    """View a vector or column stack as ``(groups, size, columns)``."""
+    return x.reshape(x.shape[0] // size, size, -1)
 
 
 def _mul(M: np.ndarray, X: np.ndarray) -> np.ndarray:

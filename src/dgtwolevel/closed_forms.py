@@ -205,18 +205,20 @@ def mesh_ck(cells: int) -> np.ndarray:
     return np.cos(4.0 * math.pi * k / cells)
 
 
+#: Uniform 1001-point grid of ``c_k`` in ``[-1, 1]``: the mesh-size-free
+#: frequency set of the asymptotic radius, the optima and their checks.
+ASYMPTOTIC_CK = np.linspace(-1.0, 1.0, 1001)
+ASYMPTOTIC_CK.flags.writeable = False
+
+
 def lfa_spectral_radius(
-    config: ProblemConfig,
-    kind: str,
-    alpha: float,
-    dense: bool = False,
-    grid_points: int = 1001,
+    config: ProblemConfig, kind: str, alpha: float, dense: bool = False
 ) -> float:
     """Two-grid convergence factor from the closed-form pairs.
 
     Scans the mesh frequencies of :func:`mesh_ck`; with ``dense=True``
-    the frequency variable ``c_k`` is swept on a uniform grid in
-    ``[-1, 1]`` instead, giving the mesh-size-free asymptotic value.
+    it scans :data:`ASYMPTOTIC_CK` instead, giving the mesh-size-free
+    asymptotic value.
     """
-    x = np.linspace(-1.0, 1.0, grid_points) if dense else mesh_ck(config.cells)
+    x = ASYMPTOTIC_CK if dense else mesh_ck(config.cells)
     return rho_on_ck_values(x, config.delta0, config.gamma, alpha, kind)

@@ -11,12 +11,11 @@ from sampled closed-form pairs or from the assembled operators.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .assembly import assemble_operator, assemble_smoother, assemble_transfer
-from .closed_forms import eigenvalue_pair, rho_on_ck_values
+from .closed_forms import ASYMPTOTIC_CK, eigenvalue_pair, rho_on_ck_values
 from .config import CELL, PERIODIC, POINT, ProblemConfig, check_smoother
 
 #: Penalty where the middle cell branch begins: real root of
@@ -38,6 +37,9 @@ DELTA_C_CROSSOVER = float(
 #: Relaxation from a smoothing-only analysis (reference data, not used here).
 SMOOTHING_ONLY_ALPHA = {POINT: 4.0 / 5.0, CELL: 2.0 / 3.0}
 
+# Width of the interval ``crossover_check`` returns.
+_CROSSOVER_WIDTH = 1e-3
+
 
 @dataclass(frozen=True)
 class RelaxationResult:
@@ -49,21 +51,22 @@ class RelaxationResult:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Every regime boundary, evaluated at one reaction scaling."""
+    """The penalty boundaries of the branch tables at one reaction scaling.
+
+    ``delta_c_plus`` and ``delta_c_minus`` split the point branches,
+    ``delta_c1 .. delta_c4`` the cell branches.  The boundaries that do
+    not depend on ``gamma`` are module constants or functions:
+    ``DELTA0_TILDE_PLUS``, ``DELTA0_TILDE_MINUS``, ``DELTA_C_CROSSOVER``,
+    ``gamma_c_cell()`` and ``gamma_c_point(delta0)``.
+    """
 
     gamma: float
-    delta_tilde_plus: float
-    delta_tilde_minus: float
-    delta_c_crossover: float
-    gamma_c_cell: float
-    gamma_c_point: Callable[[float], float]
     delta_c_plus: float
     delta_c_minus: float
     delta_c1: float
     delta_c2: float
     delta_c3: float
     delta_c4: float
-    xi: float
 
 
 def gamma_c_point(delta0: float) -> float:
@@ -114,6 +117,11 @@ def _delta_c2(g: float) -> float:
     return (-3.0 + 36.0 * g * g + 2.0 * g + math.sqrt(disc)) / (16.0 * g * (3.0 * g + 1.0))
 
 
+def _cell_thresholds(g: float) -> tuple:
+    """``delta_c1 .. delta_c4`` at a finite reaction scaling ``g``."""
+    return _delta_c1(g), _delta_c2(g), 2.0 * g + 2.0, 3.0 * (6.0 * g * g + 4.0 * g + 1.0)
+
+
 @lru_cache(maxsize=1)
 def gamma_c_cell() -> float:
     """Reaction scaling where the first two cell thresholds cross.
@@ -133,45 +141,19 @@ def gamma_c_cell() -> float:
 
 
 def thresholds(gamma: float) -> Thresholds:
-    """Evaluate every regime threshold at reaction scaling ``gamma``."""
+    """Evaluate the ``gamma``-dependent regime thresholds.
+
+    At ``gamma = inf`` the cell boundaries reduce to the pure-diffusion
+    breakpoints ``DELTA0_TILDE_PLUS`` and ``DELTA0_TILDE_MINUS``, and the
+    others to ``inf``.
+    """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive (or inf), got {gamma}")
     if math.isinf(gamma):
         return Thresholds(
-            gamma=gamma,
-            delta_tilde_plus=DELTA0_TILDE_PLUS,
-            delta_tilde_minus=DELTA0_TILDE_MINUS,
-            delta_c_crossover=DELTA_C_CROSSOVER,
-            gamma_c_cell=gamma_c_cell(),
-            gamma_c_point=gamma_c_point,
-            delta_c_plus=math.inf,
-            delta_c_minus=math.inf,
-            delta_c1=DELTA0_TILDE_PLUS,
-            delta_c2=DELTA0_TILDE_MINUS,
-            delta_c3=math.inf,
-            delta_c4=math.inf,
-            xi=math.nan,
+            gamma, math.inf, math.inf, DELTA0_TILDE_PLUS, DELTA0_TILDE_MINUS, math.inf, math.inf
         )
-    return Thresholds(
-        gamma=gamma,
-        delta_tilde_plus=DELTA0_TILDE_PLUS,
-        delta_tilde_minus=DELTA0_TILDE_MINUS,
-        delta_c_crossover=DELTA_C_CROSSOVER,
-        gamma_c_cell=gamma_c_cell(),
-        gamma_c_point=gamma_c_point,
-        delta_c_plus=_delta_c_plus(gamma),
-        delta_c_minus=_delta_c_minus(gamma),
-        delta_c1=_delta_c1(gamma),
-        delta_c2=_delta_c2(gamma),
-        delta_c3=2.0 * gamma + 2.0,
-        delta_c4=3.0 * (6.0 * gamma * gamma + 4.0 * gamma + 1.0),
-        xi=xi_cell(gamma),
-    )
-
-
-def _rho_dense(delta0, gamma, kind, alpha, grid_points=1001):
-    x = np.linspace(-1.0, 1.0, grid_points)
-    return rho_on_ck_values(x, delta0, gamma, alpha, kind)
+    return Thresholds(gamma, _delta_c_plus(gamma), _delta_c_minus(gamma), *_cell_thresholds(gamma))
 
 
 def _plain(used: list) -> list:
@@ -206,7 +188,7 @@ def alpha_opt_poisson(kind: str, delta0: float) -> RelaxationResult:
     if not delta0 >= 1.0:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
     alpha, branch, used = _alpha_poisson(kind, delta0)
-    rho = _rho_dense(delta0, math.inf, kind, alpha)
+    rho = rho_on_ck_values(ASYMPTOTIC_CK, delta0, math.inf, alpha, kind)
     return RelaxationResult(float(alpha), rho, branch, _plain(used))
 
 
@@ -279,27 +261,21 @@ def _cell_formula(tag: str, d: float, g: float) -> float:
 def _alpha_rd_cell(delta0: float, gamma: float) -> tuple:
     d, g = delta0, gamma
     gc = gamma_c_cell()
-    th = thresholds(g)
+    c1, c2, c3, c4 = _cell_thresholds(g)
     used = [
-        ("gamma_c_cell", gc),
-        ("delta_c1", th.delta_c1),
-        ("delta_c2", th.delta_c2),
-        ("delta_c3", th.delta_c3),
-        ("delta_c4", th.delta_c4),
+        ("gamma_c_cell", gc), ("delta_c1", c1), ("delta_c2", c2), ("delta_c3", c3), ("delta_c4", c4)
     ]
-    # Branch windows in increasing delta0; the middle window swaps with
+    # Branch intervals in increasing delta0; the middle one swaps with
     # the regime ordering of delta_c1 and delta_c2 at gamma_c.
     if g >= gc:
-        windows = [(th.delta_c1, "A"), (th.delta_c2, "B"), (th.delta_c3, "D"), (th.delta_c4, "E")]
+        intervals = [(c1, "A"), (c2, "B"), (c3, "D"), (c4, "E")]
     else:
-        windows = [(th.delta_c2, "A"), (th.delta_c1, "C"), (th.delta_c3, "D"), (th.delta_c4, "E")]
+        intervals = [(c2, "A"), (c1, "C"), (c3, "D"), (c4, "E")]
     tag = "A"
-    for bound, candidate in windows:
+    for bound, candidate in intervals:
         if d <= bound:
             tag = candidate
             break
-    else:
-        tag = "A"
     return _cell_formula(tag, d, g), f"rd-cell-{tag}", used
 
 
@@ -323,7 +299,7 @@ def alpha_opt_rd(kind: str, delta0: float, gamma: float) -> RelaxationResult:
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError("alpha_opt_rd needs finite gamma > 0; use alpha_opt_poisson for inf")
     alpha, branch, used = _alpha_rd(kind, delta0, gamma)
-    rho = _rho_dense(delta0, gamma, kind, alpha)
+    rho = rho_on_ck_values(ASYMPTOTIC_CK, delta0, gamma, alpha, kind)
     return RelaxationResult(float(alpha), rho, branch, _plain(used))
 
 
@@ -371,63 +347,53 @@ def _dense_mu(config: ProblemConfig, kind: str) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (C + C.T))
 
 
-def alpha_opt_numeric(
-    config: ProblemConfig,
-    kind: str,
-    bracket: tuple = (0.01, 4.0),
-    mode: str = "lfa",
-    grid_points: int = 1001,
-) -> RelaxationResult:
+def alpha_opt_numeric(config: ProblemConfig, kind: str, mode: str = "lfa") -> RelaxationResult:
     """Exact minimizer of the two-grid spectral radius over ``alpha``.
 
     The spectrum is ``1 - alpha * mu``, so the optimum is
-    ``alpha* = 2 / (mu_min + mu_max)``, clamped to ``bracket``, with
+    ``alpha* = 2 / (mu_min + mu_max)`` with
     ``rho* = max |1 - alpha* mu|``.  ``mode`` selects where ``mu`` comes
     from, independently of the branch tables: ``"lfa"`` takes
     ``mu = 1 - lambda_{+-}`` from the closed-form pairs at ``alpha = 1``
-    on a uniform ``c_k`` grid of ``grid_points`` (the default);
+    on :data:`~dgtwolevel.closed_forms.ASYMPTOTIC_CK` (the default);
     ``"dense"`` solves the symmetric-definite pencil of the assembled
     operators (:func:`_dense_mu`), for Dirichlet validation.
 
     Raises
     ------
     ValueError
-        On a bad ``bracket`` or ``mode``, if some ``mu <= 0`` (no
-        relaxation converges), or in dense mode if the operator is
-        singular (periodic pure diffusion).
+        On a bad ``mode``, if some ``mu <= 0`` (no relaxation converges),
+        or in dense mode if the operator is singular (periodic pure
+        diffusion).
     """
     check_smoother(kind)
-    lo, hi = bracket
-    if not (0.0 < lo < hi <= 4.0):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi <= 4, got {bracket}")
     if mode == "lfa":
-        x = np.linspace(-1.0, 1.0, grid_points)
-        plus, minus = eigenvalue_pair(x, config.delta0, config.gamma, 1.0, kind)
+        plus, minus = eigenvalue_pair(ASYMPTOTIC_CK, config.delta0, config.gamma, 1.0, kind)
         mu = 1.0 - np.concatenate((plus, minus))
     elif mode == "dense":
         mu = _dense_mu(config, kind)
     else:
         raise ValueError(f"mode must be 'lfa' or 'dense', got {mode!r}")
     # rho(alpha) = max |1 - alpha * mu| is convex in alpha: for mu > 0 it is
-    # least where the extreme eigenvalues equioscillate, and clamping to
-    # the bracket stays exact
+    # least where the extreme eigenvalues equioscillate
     mu_min, mu_max = float(mu.min()), float(mu.max())
     if not mu_min > 0.0:
         raise ValueError(
             f"the smoothed two-grid spectrum reaches mu = {mu_min:.3e} <= 0, "
             "so no relaxation parameter converges"
         )
-    alpha = min(max(2.0 / (mu_min + mu_max), lo), hi)
+    alpha = 2.0 / (mu_min + mu_max)
     rho = max(abs(1.0 - alpha * mu_min), abs(1.0 - alpha * mu_max))
     return RelaxationResult(alpha, rho, f"numeric-{mode}", [])
 
 
-def crossover_check(gamma: float = math.inf, width: float = 1e-3) -> tuple:
-    """Bracket the penalty where cell and point smoothers perform equally.
+def crossover_check(gamma: float = math.inf) -> tuple:
+    """Locate the penalty where cell and point smoothers perform equally.
 
     Scans ``delta0 in [1, 10]`` upward in steps of 0.05 for the first
     sign change of ``rho_cell(alpha_opt) - rho_point(alpha_opt)`` and
-    bisects it down to the requested width.
+    bisects it to an interval ``(lo, hi)`` no wider than 1e-3.
+    Raises ``RuntimeError`` if the sign never changes.
     """
 
     def gap(d0):
@@ -446,7 +412,7 @@ def crossover_check(gamma: float = math.inf, width: float = 1e-3) -> tuple:
         fhi = gap(hi)
         if (flo < 0.0) != (fhi < 0.0):
             lo, hi = float(lo), float(hi)
-            while hi - lo > width:
+            while hi - lo > _CROSSOVER_WIDTH:
                 mid = 0.5 * (lo + hi)
                 fmid = gap(mid)
                 if (fmid < 0.0) == (flo < 0.0):

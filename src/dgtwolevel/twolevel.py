@@ -14,6 +14,9 @@ from .assembly import (
 from .blocks import BlockDiagonal, BlockTridiagonal, CellStencil, CyclicReduction
 from .config import PERIODIC, ProblemConfig
 
+# Residual ratios averaged by ``convergence_factor``.
+_RATE_STEPS = 10
+
 
 class EigenSolverError(RuntimeError):
     """The dense eigenvalue iteration did not converge."""
@@ -159,11 +162,11 @@ def stationary_solve(
     return IterationHistory(norms, maxit, False, solution=u)
 
 
-def convergence_factor(history: IterationHistory, window: int = 10) -> float:
+def convergence_factor(history: IterationHistory) -> float:
     """Asymptotic residual reduction per step, as the geometric mean of
-    the last ``window`` recorded ratios (damps transient effects)."""
+    the last ``_RATE_STEPS`` recorded ratios (damps transient effects)."""
     norms = [n for n in history.residual_norms if n > 0.0]
     if len(norms) < 2:
         return 0.0
-    w = min(window, len(norms) - 1)
+    w = min(_RATE_STEPS, len(norms) - 1)
     return (norms[-1] / norms[-1 - w]) ** (1.0 / w)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_operator
-from .closed_forms import eigenvalue_pair, eigs_closed_form
+from .closed_forms import ASYMPTOTIC_CK, ClosedFormDomainError, eigenvalue_pair, eigs_closed_form
 from .config import CELL, PERIODIC, POINT, ProblemConfig
 from .fourier import symbols_at_ck, two_grid_eigenvalues, verify_block_diagonalization
 from .optimal import (
@@ -21,9 +21,9 @@ from .optimal import (
     alpha_opt_poisson,
     alpha_opt_rd,
     gamma_c_cell,
+    gamma_c_point,
     thresholds,
 )
-from .rd_coefficients import cell_coefficients, point_coefficients
 from .twolevel import build_iteration_matrix, two_level_components
 
 
@@ -34,59 +34,23 @@ class CheckResult:
     passed: bool
     observed: float
     expected: str
-    parameters: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        extra = f" [{self.parameters}]" if self.parameters else ""
         return (
             f"{status} {self.module}.{self.name}: observed {self.observed:.3e},"
-            f" expected {self.expected}{extra}"
+            f" expected {self.expected}"
         )
 
 
-def _perturbed_tables(perturbation):
-    """Coefficient tables, optionally with one entry shifted (test hook)."""
-    if perturbation is None:
-        return point_coefficients, cell_coefficients
-    kind, index, amount = perturbation
-
-    def wrap(fn):
-        def inner(delta0, gamma, alpha):
-            coeffs = list(fn(delta0, gamma, alpha))
-            coeffs[index - 1] += amount * max(1.0, abs(coeffs[index - 1]))
-            return tuple(coeffs)
-
-        return inner
-
-    if kind == POINT:
-        return wrap(point_coefficients), cell_coefficients
-    return point_coefficients, wrap(cell_coefficients)
-
-
-def _rd_pair_from_tables(tables, kind, delta0, gamma, alpha, x):
-    point_fn, cell_fn = tables
-    if kind == POINT:
-        c = point_fn(delta0, gamma, alpha)
-        num = c[0] + c[1] * x + c[2] * x**2
-        rad = sum(ci * x**i for i, ci in enumerate(c[3:9]))
-        den = c[9] + c[10] * x + c[11] * x**2
-    else:
-        c = cell_fn(delta0, gamma, alpha)
-        num = c[0] + c[1] * x + c[2] * x**2
-        rad = sum(ci * x**i for i, ci in enumerate(c[3:8]))
-        den = c[8] + c[9] * x + c[10] * x**2
-    root = math.sqrt(max(rad, 0.0))
-    pair = ((num + root) / den, (num - root) / den)
-    return max(pair), min(pair)
-
-
-def run_validation(cells: int = 64, appendix_perturbation=None) -> list:
+def run_validation(cells: int = 64) -> list:
     """Run the full invariant suite; returns a list of check results.
 
-    ``appendix_perturbation = (kind, index, relative_amount)`` is a test
-    hook that shifts one reaction-diffusion coefficient to prove the
-    table-vs-blocks check would catch a transcription slip.
+    The two checks that read the reaction-diffusion coefficient tables
+    (``appendix_vs_blocks`` and ``poisson_degeneration``) go through
+    :func:`~dgtwolevel.closed_forms.eigenvalue_pair`.  A table slip that
+    drives a radicand or denominator out of range there is a failed
+    check with observed ``inf``, not an error.
     """
     checks = []
     rng = np.random.default_rng(2024)
@@ -132,7 +96,6 @@ def run_validation(cells: int = 64, appendix_perturbation=None) -> list:
     checks.append(CheckResult("fourier", "block_vs_dense_spectrum", worst < 1e-9, worst, "< 1e-9"))
 
     # Closed forms against block eigen-decompositions (appendix fidelity).
-    tables = _perturbed_tables(appendix_perturbation)
     worst = 0.0
     for _ in range(50):
         delta0 = rng.uniform(1.0, 10.0)
@@ -140,14 +103,18 @@ def run_validation(cells: int = 64, appendix_perturbation=None) -> list:
         alpha = rng.uniform(0.3, 2.0)
         x = rng.uniform(-1.0, 1.0)
         for kind in (POINT, CELL):
-            hi, lo = _rd_pair_from_tables(tables, kind, delta0, gamma, alpha, x)
+            try:
+                hi, lo = eigenvalue_pair(x, delta0, gamma, alpha, kind)
+            except ClosedFormDomainError:
+                worst = math.inf
+                continue
             ev = np.sort(np.linalg.eigvals(symbols_at_ck(delta0, gamma, kind, alpha, x).Ehat).real)
-            ref = np.sort([0.0, 0.0, hi, lo])
+            ref = np.sort([0.0, 0.0, float(hi), float(lo)])
             worst = max(worst, np.abs(ev - ref).max() / max(1.0, np.abs(ref).max()))
     checks.append(CheckResult("lfa", "appendix_vs_blocks", worst < 1e-8, worst, "< 1e-8"))
 
     # Equioscillation of the pure-diffusion spectrum at the optimum.
-    x = np.linspace(-1.0, 1.0, 1001)
+    x = ASYMPTOTIC_CK
     worst = 0.0
     for kind in (POINT, CELL):
         for delta0 in (1.1, 1.3, DELTA0_TILDE_PLUS, 1.5, 2.0, 4.0, 10.0):
@@ -174,7 +141,7 @@ def run_validation(cells: int = 64, appendix_perturbation=None) -> list:
     # reaction-dominated corner.  That gap is tracked separately.
     worst = 0.0
     for delta0 in (1.2, 2.0, 4.0):
-        gamma = 1.1 * thresholds(math.inf).gamma_c_point(delta0)
+        gamma = 1.1 * gamma_c_point(delta0)
         edge = thresholds(gamma).delta_c_plus
         if math.isfinite(edge) and edge >= 1.0:
             left = alpha_opt_rd(POINT, edge * (1 - 1e-9), gamma).alpha_opt
@@ -190,7 +157,7 @@ def run_validation(cells: int = 64, appendix_perturbation=None) -> list:
     checks.append(CheckResult("optimal_params", "branch_continuity", worst < 1e-6, worst, "< 1e-6"))
     worst = 0.0
     for delta0 in (2.0, 4.0):
-        gamma = 0.9 * thresholds(math.inf).gamma_c_point(delta0)
+        gamma = 0.9 * gamma_c_point(delta0)
         edge = thresholds(gamma).delta_c_minus
         left = alpha_opt_rd(POINT, edge * (1 - 1e-9), gamma).alpha_opt
         right = alpha_opt_rd(POINT, edge * (1 + 1e-9), gamma).alpha_opt
@@ -203,7 +170,11 @@ def run_validation(cells: int = 64, appendix_perturbation=None) -> list:
     worst = 0.0
     for kind in (POINT, CELL):
         for delta0 in (1.2, 2.0, 5.0):
-            hi_rd, lo_rd = eigenvalue_pair(x, delta0, 1e10, 1.0, kind)
+            try:
+                hi_rd, lo_rd = eigenvalue_pair(x, delta0, 1e10, 1.0, kind)
+            except ClosedFormDomainError:
+                worst = math.inf
+                continue
             hi_p, lo_p = eigenvalue_pair(x, delta0, math.inf, 1.0, kind)
             worst = max(worst, np.abs(hi_rd - hi_p).max(), np.abs(lo_rd - lo_p).max())
     checks.append(CheckResult("lfa", "poisson_degeneration", worst < 1e-5, worst, "< 1e-5"))

@@ -201,6 +201,18 @@ def test_crossover_output(capsys):
     assert 2.19 <= lo <= 2.19149 <= hi <= 2.20
 
 
+def test_no_crossover_is_an_error_line():
+    src = str(Path(dgtwolevel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dgtwolevel.cli", "crossover", "--gamma", "0.001"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: no crossover: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "spec.csv"
     code, out, _ = run_cli(

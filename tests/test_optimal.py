@@ -256,14 +256,9 @@ def test_numeric_dense_mode_close_to_formula():
     assert res.branch == "numeric-dense"
 
 
-def test_numeric_bracket_validation():
-    cfg = ProblemConfig(64, 2.0)
-    with pytest.raises(ValueError):
-        alpha_opt_numeric(cfg, POINT, bracket=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        alpha_opt_numeric(cfg, POINT, bracket=(1.0, 5.0))
-    with pytest.raises(ValueError):
-        alpha_opt_numeric(cfg, POINT, mode="magic")
+def test_numeric_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be"):
+        alpha_opt_numeric(ProblemConfig(64, 2.0), POINT, mode="magic")
 
 
 def scan_optimum(delta0, gamma, kind, grid_points=1001):
@@ -318,18 +313,6 @@ def test_numeric_dense_is_the_assembled_optimum(cells, kind, gamma):
     assert rho(res.alpha_opt + 1e-4) >= at_opt
 
 
-def test_numeric_clamps_to_bracket():
-    cfg = ProblemConfig(64, 2.0)
-    free = alpha_opt_numeric(cfg, POINT)
-    clamped = alpha_opt_numeric(cfg, POINT, bracket=(0.01, 0.5))
-    assert free.alpha_opt > 0.5
-    assert clamped.alpha_opt == 0.5
-    x = np.linspace(-1.0, 1.0, 1001)
-    assert clamped.rho_predicted == pytest.approx(
-        rho_on_ck_values(x, 2.0, math.inf, 0.5, POINT), abs=1e-12
-    )
-
-
 @pytest.mark.parametrize("kind", [POINT, CELL])
 def test_numeric_rejects_a_stalled_spectrum(kind):
     # delta0 = 1 pure diffusion: some mu is exactly zero, rho = 1 for every alpha
@@ -370,3 +353,20 @@ def test_best_penalty_is_three_halves():
     rhos = [alpha_opt_poisson(CELL, d).rho_predicted for d in grid]
     best = grid[int(np.argmin(rhos))]
     assert abs(best - 1.5) <= 2e-3
+
+
+@pytest.mark.parametrize(
+    "branch, delta0, gamma",
+    [
+        ("A", 1.0, 0.05), ("A", 50.0, 0.05), ("B", 1.45, 4.0), ("B", 1.5, 1.0),
+        ("C", 1.66, 0.05), ("D", 2.0, 0.05), ("D", 1.55, 1.0), ("E", 3.0, 0.05),
+    ],
+)
+def test_cell_thresholds_used_equal_the_record(branch, delta0, gamma):
+    # the branch formula and the public record read the same threshold helpers
+    res = alpha_opt_rd(CELL, delta0, gamma)
+    assert res.branch == f"rd-cell-{branch}"
+    th = thresholds(gamma)
+    expected = {"gamma_c_cell": gamma_c_cell()}
+    expected.update((name, getattr(th, name)) for name in ("delta_c1", "delta_c2", "delta_c3", "delta_c4"))
+    assert dict(res.thresholds_used) == expected
