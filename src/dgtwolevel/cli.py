@@ -39,7 +39,21 @@ def _fmt(value) -> str:
 
 
 def _parse_grid(text: str, parser, flag: str, allow_inf: bool = False):
-    """Parse ``value``, ``v1,v2,...`` or ``lo:hi:step`` into a float list."""
+    """Parse ``value``, ``v1,v2,...`` or ``lo:hi:step`` into a float list.
+
+    Every value must be finite; ``allow_inf`` also admits ``inf`` as a
+    list entry (not as a range bound).
+    """
+
+    def number(piece, inf_ok=False):
+        try:
+            value = float(piece)
+        except ValueError:
+            parser.error(f"{flag}: cannot parse {piece!r}")
+        if not (math.isfinite(value) or (inf_ok and value == math.inf)):
+            parser.error(f"{flag}: {piece.strip()!r} is not a finite number")
+        return value
+
     values = []
     for part in text.split(","):
         part = part.strip()
@@ -47,18 +61,13 @@ def _parse_grid(text: str, parser, flag: str, allow_inf: bool = False):
             pieces = part.split(":")
             if len(pieces) != 3:
                 parser.error(f"{flag}: range must be lo:hi:step, got {part!r}")
-            lo, hi, step = (float(p) for p in pieces)
+            lo, hi, step = (number(p) for p in pieces)
             if step <= 0.0 or hi < lo:
                 parser.error(f"{flag}: bad range {part!r}")
             n = int(math.floor((hi - lo) / step + 0.5))
             values.extend(lo + i * step for i in range(n + 1) if lo + i * step <= hi + step / 2)
-        elif allow_inf and part.lower() == "inf":
-            values.append(math.inf)
         else:
-            try:
-                values.append(float(part))
-            except ValueError:
-                parser.error(f"{flag}: cannot parse {part!r}")
+            values.append(number(part, allow_inf))
     if not values:
         parser.error(f"{flag}: empty grid")
     return values
@@ -102,6 +111,12 @@ def cmd_spectrum(args, parser) -> int:
         parser.error("spectrum expects a single --alpha")
     ck = mesh_ck(config.cells)
     plus, minus = eigenvalue_pair(ck, config.delta0, config.gamma, alphas[0], args.smoother)
+    bad = np.flatnonzero(~(np.isfinite(plus) & np.isfinite(minus)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"spectrum row k={i + 1}: lambda pair {_fmt(plus[i])}, {_fmt(minus[i])} is not finite"
+        )
     with _output(args.out) as out:
         out.write("k,c_k,lambda_plus,lambda_minus\n")
         for k, row in enumerate(zip(ck, plus, minus), start=1):
@@ -169,6 +184,12 @@ def cmd_sweep(args, parser) -> int:
         with ThreadPoolExecutor() as pool:
             for line, rho in zip(table, pool.map(rho_dense, rows)):
                 line.append(rho)
+    for line in table:
+        if not all(map(math.isfinite, line[2:])):
+            raise ValueError(
+                f"sweep row delta0={_fmt(line[0])}, gamma={_fmt(line[1])}: "
+                f"alpha={_fmt(line[2])}, rho={', '.join(_fmt(v) for v in line[3:])} is not finite"
+            )
     with _output(args.out) as out:
         header = "delta0,gamma,alpha,rho_lfa"
         out.write(header + (",rho_dense\n" if args.dense else "\n"))
@@ -242,6 +263,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except OverflowError as exc:
+        print(f"error: floating-point overflow: {exc.args[-1]}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

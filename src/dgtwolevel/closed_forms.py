@@ -9,6 +9,13 @@ use the polynomial coefficient tables of :mod:`dgtwolevel.rd_coefficients`.
 Radicands are evaluated as expanded real polynomials in ``c_k`` (exact
 even where the quadratic's roots form a complex pair) and clamped to
 zero within a relative roundoff band around double roots.
+
+Where a reaction-diffusion radicand drowns in the rounding noise of its
+coefficients, the pair is taken another way.  At ``c_k = +-1`` the block
+splits, and both eigenvalues are ``1 - alpha*mu`` with ``mu`` rational
+in ``delta0`` and ``tau = 1/gamma``: no square root, no cancellation at
+any ``gamma``.  The few such points strictly inside the interval are
+re-evaluated from the 4x4 block.
 """
 
 import math
@@ -22,9 +29,11 @@ from .rd_coefficients import cell_coefficients, point_coefficients
 
 _CLAMP = 1e-12
 # Below this fraction of the coefficient scale the expanded radicand is
-# dominated by rounding noise (the polynomial loses one gamma order near
-# c_k = 1 for large gamma); those isolated points are re-evaluated from
-# the frequency block itself, which stays perfectly conditioned.
+# dominated by rounding noise: for large gamma it cancels by orders of
+# gamma at c_k = +-1.  Those points take the exact endpoint forms; the
+# rare band points inside the interval (near a double root of the cell
+# radicand) are re-evaluated from the 4x4 block, whose eigensolve also
+# loses digits where the pair coalesces.
 _NOISE_BAND = 1e-8
 
 
@@ -150,11 +159,54 @@ def _rd_pair(x, delta0, gamma, alpha, kind):
     if np.any(shaky):
         hi, lo = np.array(hi), np.array(lo)
         xs, ds, alphas = np.broadcast_arrays(x, delta0, alpha)
-        for idx in map(tuple, np.argwhere(shaky)):
+        ends = shaky & (np.abs(xs) == 1.0)
+        if np.any(ends):
+            hi[ends], lo[ends] = _endpoint_pair(
+                xs[ends], ds[ends], 1.0 / gamma, alphas[ends], kind
+            )
+        for idx in map(tuple, np.argwhere(shaky & ~ends)):
             hi[idx], lo[idx] = _block_pair(
                 float(xs[idx]), float(ds[idx]), gamma, float(alphas[idx]), kind
             )
     return hi, lo
+
+
+def _endpoint_mu(delta0, tau, kind):
+    """The four ``mu`` of the pairs ``1 - alpha*mu`` at ``c_k = +1, -1``.
+
+    Returns ``(plus_1, plus_2, minus_1, minus_2)``, rational in ``delta0``
+    and ``tau = 1/gamma``.  Plain arithmetic only, so the same expressions
+    evaluate floats, arrays or exact rationals.
+    """
+    d, t = delta0, tau
+    s2, s3, s6 = 2 * d + t, 3 * d + t, 6 * d + t
+    q = 8 * d * t + 24 * d + t * t - 12
+    if kind == POINT:
+        w = s6 - 3
+        return (
+            (t + 12) / (2 * (t + 3)),
+            3 * (4 * d + t) * (12 * d + t - 12) / (4 * w * w),
+            3 * q / (4 * (t + 3) * w),
+            s3 * q / (2 * s2 * (t + 3) * w),
+        )
+    return (
+        (t + 12) / s6,
+        s3 * (4 * d + t) * (12 * d + t - 12) / (s2 * s6 * (s6 - 3)),
+        q / (s2 * s6),
+        s3 * q / (s2 * s6 * (t + 3)),
+    )
+
+
+def _endpoint_pair(x, delta0, tau, alpha, kind):
+    """Exact pair at ``c_k = +-1``, where the 4x4 block splits.
+
+    No square root enters, so no digits cancel at any ``gamma``.
+    """
+    plus_1, plus_2, minus_1, minus_2 = _endpoint_mu(delta0, tau, kind)
+    plus = x > 0
+    a = 1 - alpha * np.where(plus, plus_1, minus_1)
+    b = 1 - alpha * np.where(plus, plus_2, minus_2)
+    return np.maximum(a, b), np.minimum(a, b)
 
 
 def _block_pair(ck, delta0, gamma, alpha, kind):

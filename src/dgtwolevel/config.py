@@ -24,7 +24,7 @@ class ProblemConfig:
         coarse mesh of paired cells exists.
     delta0 : float
         Dimensionless jump-penalization parameter; the face penalty is
-        ``delta0 / h``.  Must be >= 1.
+        ``delta0 / h``.  Must be finite and >= 1.
     gamma : float
         Reaction scaling ``eps / h**2``.  ``math.inf`` selects the pure
         diffusion (Poisson) problem; every ``1/gamma`` term is then
@@ -44,8 +44,8 @@ class ProblemConfig:
             raise ValueError(f"cells must be an integer, got {self.cells!r}")
         if self.cells < 4 or self.cells % 2 != 0:
             raise ValueError(f"cells must be even and >= 4, got {self.cells}")
-        if not self.delta0 >= 1.0:
-            raise ValueError(f"delta0 must be >= 1, got {self.delta0}")
+        if not 1.0 <= self.delta0 < math.inf:
+            raise ValueError(f"delta0 must be finite and >= 1, got {self.delta0}")
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive (or inf), got {self.gamma}")
         if self.bc not in BOUNDARY_MODES:

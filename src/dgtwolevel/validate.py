@@ -177,7 +177,7 @@ def run_validation(cells: int = 64) -> list:
                 continue
             hi_p, lo_p = eigenvalue_pair(x, delta0, math.inf, 1.0, kind)
             worst = max(worst, np.abs(hi_rd - hi_p).max(), np.abs(lo_rd - lo_p).max())
-    checks.append(CheckResult("lfa", "poisson_degeneration", worst < 1e-5, worst, "< 1e-5"))
+    checks.append(CheckResult("lfa", "poisson_degeneration", worst < 1e-8, worst, "< 1e-8"))
 
     # Touching eigenvalue curves at k = J/4 for delta0 = 1 (point smoother).
     if not quarter_skipped:

@@ -53,6 +53,8 @@ def test_row_sums_vanish_only_where_stencil_complete():
         (5, 2.0, 1.0, PERIODIC),
         (2, 2.0, 1.0, PERIODIC),
         (8, 0.9, 1.0, PERIODIC),
+        (8, math.inf, 1.0, PERIODIC),
+        (8, math.nan, 1.0, PERIODIC),
         (8, 2.0, 0.0, PERIODIC),
         (8, 2.0, -1.0, PERIODIC),
         (8, 2.0, 1.0, "neumann"),

@@ -277,3 +277,49 @@ def test_optimize_stalled_penalty_is_an_error_line(capsys):
     code, out, err = run_cli(capsys, "optimize", "--smoother", "cell", "--delta0", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "mu" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--delta0", "inf"), ("--delta0", "1:inf:1"), ("--alpha", "nan"), ("--alpha", "inf"),
+     ("--gamma", "nan")],
+)
+def test_non_finite_grid_value_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--smoother", "cell", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a finite number" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--smoother", "cell", "--delta0", "1e200"],
+        ["optimize", "--smoother", "cell", "--delta0", "1e300"],
+    ],
+)
+def test_overflow_is_an_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: floating-point overflow: Numerical result out of range\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_non_finite_sweep_row_is_an_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--smoother", "point", "--delta0", "2,1e200", "--gamma", "1"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: sweep row delta0=1e+200, gamma=1.0: alpha=nan, rho=nan ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_non_finite_spectrum_row_is_an_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--smoother", "point", "--delta0", "1e200", "--gamma", "1"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: spectrum row k=1: lambda pair nan, nan is not finite\n"

@@ -19,6 +19,7 @@ from dgtwolevel import (
 )
 from dgtwolevel import closed_forms
 from dgtwolevel.closed_forms import (
+    ASYMPTOTIC_CK,
     ClosedFormDomainError,
     _guarded_sqrt,
     mesh_ck,
@@ -208,34 +209,66 @@ def test_horner_radicand_matches_power_sum(kind, gamma):
             assert np.abs(lo - ref_lo).max() <= 1e-14
 
 
-@pytest.mark.parametrize("kind", [POINT, CELL])
-@pytest.mark.parametrize("gamma", [math.inf, 1e4, 1.0, 0.05])
-def test_broadcast_equals_scalar_loop(kind, gamma, monkeypatch):
-    # a column of (delta0, alpha) rows against one row of c_k, or one row
-    # each, gives exactly the pairs of one call per row and per point
-    fallbacks = []
-    block_pair = closed_forms._block_pair
-    monkeypatch.setattr(
-        closed_forms, "_block_pair", lambda *args: fallbacks.append(args) or block_pair(*args)
-    )
-    x = np.concatenate((mesh_ck(64), np.linspace(-1.0, 1.0, 101)))
-    delta0 = np.array([[1.0], [1.05], [1.45], [1.5], [2.0], [3.7]])
-    alpha = np.array([[0.6], [0.9], [1.0], [0.95], [1.1], [0.8]])
+def count_noise_band_routes(monkeypatch):
+    """Record the arguments of every exact-endpoint and 4x4-block
+    re-evaluation of noise-band points."""
+    routes = {"endpoint": [], "block": []}
+    for key, name in (("endpoint", "_endpoint_pair"), ("block", "_block_pair")):
+        original = getattr(closed_forms, name)
+        monkeypatch.setattr(
+            closed_forms, name,
+            lambda *args, key=key, f=original: routes[key].append(args) or f(*args),
+        )
+    return routes
+
+
+def broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, routes, stride):
+    """Check that a column of (delta0, alpha) rows against one row of c_k,
+    or one row each, gives exactly the pairs of one call per row and per
+    point (every ``stride``-th).  Returns the noise-band route hits of
+    each broadcast call."""
+    hits = []
     rows = np.array([np.roll(x, 3 * i) for i in range(len(delta0))])
     for ck in (x, rows):
-        fallbacks.clear()
+        for calls in routes.values():
+            calls.clear()
         hi, lo = eigenvalue_pair(ck, delta0, gamma, alpha, kind)
-        # at gamma = 1e4 some points fall in the noise band and are
-        # re-evaluated one by one, each with its own (c_k, delta0, alpha)
-        assert fallbacks or gamma != 1e4
+        hits.append({key: len(calls) for key, calls in routes.items()})
         rho = rho_on_ck_values(ck, delta0, gamma, alpha, kind)
         assert hi.shape == lo.shape == rows.shape and rho.shape == (len(delta0),)
         for i, (d, a) in enumerate(zip(delta0[:, 0].tolist(), alpha[:, 0].tolist())):
             xi = np.broadcast_to(ck, rows.shape)[i]
             row_hi, row_lo = eigenvalue_pair(xi, d, gamma, a, kind)
             assert np.array_equal(hi[i], row_hi) and np.array_equal(lo[i], row_lo)
-            for j in range(0, xi.size, 5):
+            for j in range(0, xi.size, stride):
                 point_hi, point_lo = eigenvalue_pair(float(xi[j]), d, gamma, a, kind)
                 assert point_hi == hi[i, j] and point_lo == lo[i, j]
             row_rho = rho_on_ck_values(xi, d, gamma, a, kind)
             assert type(row_rho) is float and row_rho == rho[i]
+    return hits
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize("gamma", [math.inf, 1e4, 1.0, 0.05])
+def test_broadcast_equals_scalar_loop(kind, gamma, monkeypatch):
+    routes = count_noise_band_routes(monkeypatch)
+    x = np.concatenate((mesh_ck(64), np.linspace(-1.0, 1.0, 101)))
+    delta0 = np.array([[1.0], [1.05], [1.45], [1.5], [2.0], [3.7]])
+    alpha = np.array([[0.6], [0.9], [1.0], [0.95], [1.1], [0.8]])
+    for hits in broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, routes, stride=5):
+        # at gamma = 1e4 the radicand drowns in rounding noise at c_k = +-1,
+        # and those points take the exact endpoint pairs
+        assert hits["endpoint"] or gamma != 1e4
+
+
+def test_broadcast_equals_scalar_loop_through_block_fallback(monkeypatch):
+    # near the cell radicand's double root at c_k = 0.998 the band points
+    # inside the interval are still re-evaluated one by one from the
+    # 4x4 block, each with its own (c_k, delta0, alpha)
+    routes = count_noise_band_routes(monkeypatch)
+    x = ASYMPTOTIC_CK[-12:]
+    assert x[-2] == 0.998
+    delta0 = np.array([[1.7], [1.75], [2.0]])
+    alpha = np.array([[0.6], [1.0], [1.2]])
+    for hits in broadcast_equals_scalar_loop(CELL, 1e4, x, delta0, alpha, routes, stride=1):
+        assert hits["block"] and hits["endpoint"]
