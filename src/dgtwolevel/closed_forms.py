@@ -2,20 +2,23 @@
 
 For every frequency the 4x4 two-grid block has two structural zero
 eigenvalues (rank-2 coarse correction) and two real nonzero ones,
-``lambda_+ >= lambda_-``.  The pure-diffusion pairs are rational in
-``c_k`` with a quadratic/cubic radicand; the reaction-diffusion pairs
-use the polynomial coefficient tables of :mod:`dgtwolevel.rd_coefficients`.
+``lambda_+ >= lambda_-``.  The spectrum is affine in the relaxation,
+``lambda = 1 - alpha*mu``, so every route below computes the two ``mu``
+and :func:`eigenvalue_pair` applies ``alpha`` once.  The ``mu`` are
+ratios of polynomials in ``c_k`` with a square root: for pure diffusion
+``mu = -(b +- sqrt(r)) / den`` with a quadratic/cubic radicand, for
+reaction-diffusion ``1 - mu = (k -+ sqrt(r)) / den`` with the
+coefficient tables of :mod:`dgtwolevel.rd_coefficients`.
 
 Radicands are evaluated as expanded real polynomials in ``c_k`` (exact
 even where the quadratic's roots form a complex pair) and clamped to
 zero within a relative roundoff band around double roots.
 
-Where a reaction-diffusion radicand drowns in the rounding noise of its
-coefficients, the pair is taken another way.  At ``c_k = +-1`` the block
-splits, and both eigenvalues are ``1 - alpha*mu`` with ``mu`` rational
-in ``delta0`` and ``tau = 1/gamma``: no square root, no cancellation at
-any ``gamma``.  The few such points strictly inside the interval are
-re-evaluated from the 4x4 block.
+At ``c_k = +-1`` and finite ``gamma`` the block splits, and the ``mu``
+are rational in ``delta0`` and ``tau = 1/gamma``: no square root, no
+cancellation at any ``gamma``.  The few reaction-diffusion points
+strictly inside the interval whose radicand drowns in the rounding noise
+of its coefficients are re-evaluated from the 4x4 block.
 """
 
 import math
@@ -29,11 +32,9 @@ from .rd_coefficients import cell_coefficients, point_coefficients
 
 _CLAMP = 1e-12
 # Below this fraction of the coefficient scale the expanded radicand is
-# dominated by rounding noise: for large gamma it cancels by orders of
-# gamma at c_k = +-1.  Those points take the exact endpoint forms; the
-# rare band points inside the interval (near a double root of the cell
-# radicand) are re-evaluated from the 4x4 block, whose eigensolve also
-# loses digits where the pair coalesces.
+# dominated by rounding noise.  The rare such points inside the interval
+# (near a double root of the cell radicand) are re-evaluated from the
+# 4x4 block, whose eigensolve also loses digits where the pair coalesces.
 _NOISE_BAND = 1e-8
 
 
@@ -100,7 +101,7 @@ def _powers(d):
     return [np.reshape([v**p for v in values], np.shape(d)) for p in (2, 3, 4)]
 
 
-def _poisson_pair(x, delta0, alpha, kind):
+def _poisson_pair(x, delta0, kind):
     d = np.asarray(delta0, dtype=float)
     d2, d3, d4 = _powers(d)
     x = np.asarray(x, dtype=float)
@@ -127,56 +128,55 @@ def _poisson_pair(x, delta0, alpha, kind):
     if np.any(np.abs(den) < 1e-14):
         raise ClosedFormDomainError("vanishing denominator 4*delta0 - c_k - 1")
     root = _guarded_sqrt(rad, scale)
-    return 1 + alpha * (base + root) / den, 1 + alpha * (base - root) / den
+    return (-base - root) / den, (root - base) / den
 
 
-def _rd_pair(x, delta0, gamma, alpha, kind):
+def _rd_pair(x, delta0, gamma, kind):
     x = np.asarray(x, dtype=float)
     if kind == POINT:
-        c = point_coefficients(delta0, gamma, alpha)
-        num = c[0] + c[1] * x + c[2] * x**2
-        rad_coeffs = c[3:9]
-        den = c[9] + c[10] * x + c[11] * x**2
+        c = point_coefficients(delta0, gamma)
+        rad_coeffs, den_coeffs = c[3:9], c[9:12]
     else:
-        c = cell_coefficients(delta0, gamma, alpha)
-        num = c[0] + c[1] * x + c[2] * x**2
-        rad_coeffs = c[3:8]
-        den = c[8] + c[9] * x + c[10] * x**2
+        c = cell_coefficients(delta0, gamma)
+        rad_coeffs, den_coeffs = c[3:8], c[8:11]
+    x2 = x**2
+    k = c[0] + c[1] * x + c[2] * x2
+    den = den_coeffs[0] + den_coeffs[1] * x + den_coeffs[2] * x2
     # Horner's rule: powers x**i of negative entries take a slow libm path
     ax = np.abs(x)
-    rad = scale = 0.0
-    for ci in reversed(rad_coeffs):
+    *rest, rad = rad_coeffs
+    scale = abs(rad)
+    for ci in reversed(rest):
         rad = rad * x + ci
         scale = scale * ax + abs(ci)
-    den_scale = sum(abs(c[i]) for i in ((9, 10, 11) if kind == POINT else (8, 9, 10)))
+    den_scale = sum(abs(ci) for ci in den_coeffs)
     if np.any(np.abs(den) < 1e-14 * np.maximum(1.0, den_scale)):
         raise ClosedFormDomainError("vanishing eigenvalue-formula denominator")
     root = _guarded_sqrt(rad, scale)
-    hi = (num + root) / den
-    lo = (num - root) / den
-    hi, lo = np.maximum(hi, lo), np.minimum(hi, lo)
-    shaky = np.abs(rad) < _NOISE_BAND * np.maximum(scale, 1.0)
-    if np.any(shaky):
-        hi, lo = np.array(hi), np.array(lo)
-        xs, ds, alphas = np.broadcast_arrays(x, delta0, alpha)
-        ends = shaky & (np.abs(xs) == 1.0)
-        if np.any(ends):
-            hi[ends], lo[ends] = _endpoint_pair(
-                xs[ends], ds[ends], 1.0 / gamma, alphas[ends], kind
-            )
-        for idx in map(tuple, np.argwhere(shaky & ~ends)):
-            hi[idx], lo[idx] = _block_pair(
-                float(xs[idx]), float(ds[idx]), gamma, float(alphas[idx]), kind
-            )
-    return hi, lo
+    lo, hi = np.asarray(1 - (k + root) / den), np.asarray(1 - (k - root) / den)
+    plus, minus = x == 1.0, x == -1.0
+    ends = plus | minus
+    if ends.any():
+        # extended precision where the platform has it, so that each mu
+        # comes within about half an ulp of its exact rational value
+        mus = _endpoint_mu(np.longdouble(delta0), 1 / np.longdouble(gamma), kind)
+        for dst, mu, where in zip((lo, hi, lo, hi), mus, (plus, plus, minus, minus)):
+            np.copyto(dst, np.float64(mu), where=where)
+    shaky = (np.abs(rad) < _NOISE_BAND * np.maximum(scale, 1.0)) & ~ends
+    if shaky.any():
+        xs, ds = np.broadcast_arrays(x, delta0)
+        for idx in map(tuple, np.argwhere(shaky)):
+            lo[idx], hi[idx] = _block_pair(float(xs[idx]), float(ds[idx]), gamma, kind)
+    return lo, hi
 
 
 def _endpoint_mu(delta0, tau, kind):
-    """The four ``mu`` of the pairs ``1 - alpha*mu`` at ``c_k = +1, -1``.
+    """The four ``mu`` of the pairs at ``c_k = +1, -1``.
 
     Returns ``(plus_1, plus_2, minus_1, minus_2)``, rational in ``delta0``
-    and ``tau = 1/gamma``.  Plain arithmetic only, so the same expressions
-    evaluate floats, arrays or exact rationals.
+    and ``tau = 1/gamma``: the block splits there, so no square root
+    enters and no digits cancel at any ``gamma``.  Plain arithmetic only,
+    so the same expressions evaluate floats, arrays or exact rationals.
     """
     d, t = delta0, tau
     s2, s3, s6 = 2 * d + t, 3 * d + t, 6 * d + t
@@ -197,37 +197,30 @@ def _endpoint_mu(delta0, tau, kind):
     )
 
 
-def _endpoint_pair(x, delta0, tau, alpha, kind):
-    """Exact pair at ``c_k = +-1``, where the 4x4 block splits.
-
-    No square root enters, so no digits cancel at any ``gamma``.
-    """
-    plus_1, plus_2, minus_1, minus_2 = _endpoint_mu(delta0, tau, kind)
-    plus = x > 0
-    a = 1 - alpha * np.where(plus, plus_1, minus_1)
-    b = 1 - alpha * np.where(plus, plus_2, minus_2)
-    return np.maximum(a, b), np.minimum(a, b)
-
-
-def _block_pair(ck, delta0, gamma, alpha, kind):
-    """Nonzero eigenvalue pair straight from the 4x4 frequency block."""
-    ev = np.linalg.eigvals(symbols_at_ck(delta0, gamma, kind, alpha, ck).Ehat)
+def _block_pair(ck, delta0, gamma, kind):
+    """``mu = 1 - lambda`` straight from the 4x4 frequency block at alpha = 1."""
+    ev = np.linalg.eigvals(symbols_at_ck(delta0, gamma, kind, 1.0, ck).Ehat)
     ev = ev[np.argsort(-np.abs(ev))][:2].real
-    return float(ev.max()), float(ev.min())
+    return 1.0 - float(ev.max()), 1.0 - float(ev.min())
 
 
 def eigenvalue_pair(x, delta0, gamma, alpha, kind):
     """Vectorized ``(lambda_+, lambda_-)`` over ``x = c_k`` values.
 
-    ``delta0`` and ``alpha`` broadcast against ``x``: a column of ``m``
-    penalties or relaxations of shape ``(m, 1)`` against ``c_k`` of shape
-    ``(k,)`` or ``(m, k)`` gives ``(m, k)`` pairs, each equal to the pair
-    of its own scalar call.  ``gamma`` is a single value.
+    Each route gives the two ``mu`` of ``lambda = 1 - alpha*mu``; this is
+    the one place the relaxation enters.  ``delta0`` and ``alpha``
+    broadcast against ``x``: a column of ``m`` penalties or relaxations of
+    shape ``(m, 1)`` against ``c_k`` of shape ``(k,)`` or ``(m, k)`` gives
+    ``(m, k)`` pairs, each equal to the pair of its own scalar call.
+    ``gamma`` is a single value.
     """
     check_smoother(kind)
     if math.isinf(gamma):
-        return _poisson_pair(x, delta0, alpha, kind)
-    return _rd_pair(x, delta0, gamma, alpha, kind)
+        mus = _poisson_pair(x, delta0, kind)
+    else:
+        mus = _rd_pair(x, delta0, gamma, kind)
+    a, b = (1 - alpha * mu for mu in mus)
+    return np.maximum(a, b), np.minimum(a, b)
 
 
 def eigs_closed_form(ck: float, config: ProblemConfig, kind: str, alpha: float) -> EigenPair:
@@ -263,14 +256,7 @@ ASYMPTOTIC_CK = np.linspace(-1.0, 1.0, 1001)
 ASYMPTOTIC_CK.flags.writeable = False
 
 
-def lfa_spectral_radius(
-    config: ProblemConfig, kind: str, alpha: float, dense: bool = False
-) -> float:
-    """Two-grid convergence factor from the closed-form pairs.
-
-    Scans the mesh frequencies of :func:`mesh_ck`; with ``dense=True``
-    it scans :data:`ASYMPTOTIC_CK` instead, giving the mesh-size-free
-    asymptotic value.
-    """
-    x = ASYMPTOTIC_CK if dense else mesh_ck(config.cells)
-    return rho_on_ck_values(x, config.delta0, config.gamma, alpha, kind)
+def lfa_spectral_radius(config: ProblemConfig, kind: str, alpha: float) -> float:
+    """Two-grid convergence factor from the closed-form pairs on the mesh
+    frequencies of :func:`mesh_ck`."""
+    return rho_on_ck_values(mesh_ck(config.cells), config.delta0, config.gamma, alpha, kind)

@@ -44,8 +44,7 @@ class ProblemConfig:
             raise ValueError(f"cells must be an integer, got {self.cells!r}")
         if self.cells < 4 or self.cells % 2 != 0:
             raise ValueError(f"cells must be even and >= 4, got {self.cells}")
-        if not 1.0 <= self.delta0 < math.inf:
-            raise ValueError(f"delta0 must be finite and >= 1, got {self.delta0}")
+        check_penalty(self.delta0)
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive (or inf), got {self.gamma}")
         if self.bc not in BOUNDARY_MODES:
@@ -69,3 +68,8 @@ def check_smoother(kind: str) -> str:
     if kind not in SMOOTHERS:
         raise ValueError(f"smoother must be one of {SMOOTHERS}, got {kind!r}")
     return kind
+
+
+def check_penalty(delta0: float) -> None:
+    if not 1.0 <= delta0 < math.inf:
+        raise ValueError(f"delta0 must be finite and >= 1, got {delta0}")

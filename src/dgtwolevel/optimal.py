@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembly import assemble_operator, assemble_smoother, assemble_transfer
 from .closed_forms import ASYMPTOTIC_CK, eigenvalue_pair, rho_on_ck_values
-from .config import CELL, PERIODIC, POINT, ProblemConfig, check_smoother
+from .config import CELL, PERIODIC, POINT, ProblemConfig, check_penalty, check_smoother
 
 #: Penalty where the middle cell branch begins: real root of
 #: 4 d^3 - 8 d^2 + 4 d - 1.
@@ -185,8 +185,7 @@ def _alpha_poisson(kind: str, d: float) -> tuple:
 def alpha_opt_poisson(kind: str, delta0: float) -> RelaxationResult:
     """Closed-form optimal relaxation for the pure diffusion problem."""
     check_smoother(kind)
-    if not delta0 >= 1.0:
-        raise ValueError(f"delta0 must be >= 1, got {delta0}")
+    check_penalty(delta0)
     alpha, branch, used = _alpha_poisson(kind, delta0)
     rho = rho_on_ck_values(ASYMPTOTIC_CK, delta0, math.inf, alpha, kind)
     return RelaxationResult(float(alpha), rho, branch, _plain(used))
@@ -294,8 +293,7 @@ def alpha_opt_rd(kind: str, delta0: float, gamma: float) -> RelaxationResult:
     than the exact minimizer.
     """
     check_smoother(kind)
-    if not delta0 >= 1.0:
-        raise ValueError(f"delta0 must be >= 1, got {delta0}")
+    check_penalty(delta0)
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError("alpha_opt_rd needs finite gamma > 0; use alpha_opt_poisson for inf")
     alpha, branch, used = _alpha_rd(kind, delta0, gamma)

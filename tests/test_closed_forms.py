@@ -46,16 +46,23 @@ def test_point_curves_touch_at_quarter_frequency():
     assert pair.lambda_plus > pair.lambda_minus
 
 
-def test_alpha_zero_gives_unit_pair():
+def test_alpha_zero_gives_unit_pair(monkeypatch):
     cfg = ProblemConfig(16, 2.0, math.inf, PERIODIC)
     for kind in (POINT, CELL):
         pair = eigs_closed_form(0.3, cfg, kind, 0.0)
         assert pair.lambda_plus == 1.0 and pair.lambda_minus == 1.0
-    cfg = ProblemConfig(16, 2.0, 0.5, PERIODIC)
-    for kind in (POINT, CELL):
-        pair = eigs_closed_form(0.3, cfg, kind, 0.0)
-        assert pair.lambda_plus == pytest.approx(1.0, abs=1e-13)
-        assert pair.lambda_minus == pytest.approx(1.0, abs=1e-13)
+    for gamma in (0.5, 1.0):
+        cfg = ProblemConfig(16, 2.0, gamma, PERIODIC)
+        for kind in (POINT, CELL):
+            pair = eigs_closed_form(0.3, cfg, kind, 0.0)
+            assert pair.lambda_plus == 1.0 and pair.lambda_minus == 1.0
+    # the noise band is a property of mu, not of alpha: at alpha = 0 no
+    # point is re-evaluated from the 4x4 block
+    routes = count_noise_band_routes(monkeypatch)
+    hi, lo = eigenvalue_pair(mesh_ck(256), 2.0, 1.0, 0.0, CELL)
+    assert hi.shape == lo.shape == (128,)
+    assert np.all(hi == 1.0) and np.all(lo == 1.0)
+    assert routes["block"] == []
 
 
 def test_rd_point_example_against_block():
@@ -159,7 +166,7 @@ def test_spectral_radius_alpha_zero_is_one():
     for delta0 in (1.0, 2.0, 7.0):
         cfg = ProblemConfig(64, delta0, math.inf, PERIODIC)
         assert lfa_spectral_radius(cfg, CELL, 0.0) == 1.0
-        assert lfa_spectral_radius(cfg, CELL, 0.0, dense=True) == 1.0
+        assert rho_on_ck_values(ASYMPTOTIC_CK, delta0, math.inf, 0.0, CELL) == 1.0
 
 
 def test_formula_rho_matches_dense_eigensolver():
@@ -178,22 +185,22 @@ def test_grid_scan_puts_minimum_at_formula_alpha():
     # 0.9 minimizes the spectral radius among the sampled relaxations
     cfg = ProblemConfig(64, 1.5, math.inf, PERIODIC)
     alphas = np.round(np.arange(0.80, 1.0001, 0.05), 10)
-    rhos = [lfa_spectral_radius(cfg, CELL, a, dense=True) for a in alphas]
+    rhos = [rho_on_ck_values(ASYMPTOTIC_CK, cfg.delta0, cfg.gamma, a, CELL) for a in alphas]
     assert alphas[int(np.argmin(rhos))] == pytest.approx(0.9)
 
 
 def power_sum_pair(x, delta0, gamma, alpha, kind):
-    """Reference pair with the radicand summed as ``sum c_i x**i``."""
+    """Reference pair with the radicand summed as ``sum r_i x**i``."""
     if kind == POINT:
-        c = point_coefficients(delta0, gamma, alpha)
+        c = point_coefficients(delta0, gamma)
         rad_coeffs, den = c[3:9], c[9] + c[10] * x + c[11] * x**2
     else:
-        c = cell_coefficients(delta0, gamma, alpha)
+        c = cell_coefficients(delta0, gamma)
         rad_coeffs, den = c[3:8], c[8] + c[9] * x + c[10] * x**2
-    num = c[0] + c[1] * x + c[2] * x**2
+    k = c[0] + c[1] * x + c[2] * x**2
     rad = sum(ci * x**i for i, ci in enumerate(rad_coeffs))
     root = np.sqrt(np.maximum(rad, 0.0))
-    hi, lo = (num + root) / den, (num - root) / den
+    hi, lo = (1 - alpha * (1 - (k + sign * root) / den) for sign in (1, -1))
     return np.maximum(hi, lo), np.minimum(hi, lo)
 
 
@@ -210,10 +217,10 @@ def test_horner_radicand_matches_power_sum(kind, gamma):
 
 
 def count_noise_band_routes(monkeypatch):
-    """Record the arguments of every exact-endpoint and 4x4-block
-    re-evaluation of noise-band points."""
+    """Record the arguments of every exact-endpoint evaluation and every
+    4x4-block re-evaluation of noise-band points."""
     routes = {"endpoint": [], "block": []}
-    for key, name in (("endpoint", "_endpoint_pair"), ("block", "_block_pair")):
+    for key, name in (("endpoint", "_endpoint_mu"), ("block", "_block_pair")):
         original = getattr(closed_forms, name)
         monkeypatch.setattr(
             closed_forms, name,
@@ -256,9 +263,10 @@ def test_broadcast_equals_scalar_loop(kind, gamma, monkeypatch):
     delta0 = np.array([[1.0], [1.05], [1.45], [1.5], [2.0], [3.7]])
     alpha = np.array([[0.6], [0.9], [1.0], [0.95], [1.1], [0.8]])
     for hits in broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, routes, stride=5):
-        # at gamma = 1e4 the radicand drowns in rounding noise at c_k = +-1,
-        # and those points take the exact endpoint pairs
-        assert hits["endpoint"] or gamma != 1e4
+        # at every finite gamma the points c_k = +-1 take the exact endpoint
+        # forms, also at gamma = 1e4 where the radicand drowns in rounding
+        # noise there
+        assert bool(hits["endpoint"]) == (gamma != math.inf)
 
 
 def test_broadcast_equals_scalar_loop_through_block_fallback(monkeypatch):

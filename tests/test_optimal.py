@@ -52,6 +52,12 @@ def test_poisson_rejects_low_delta0():
         alpha_opt_poisson(POINT, 0.99)
 
 
+@pytest.mark.parametrize("delta0", [math.inf, math.nan])
+def test_poisson_rejects_non_finite_delta0(delta0):
+    with pytest.raises(ValueError, match="delta0 must be finite and >= 1"):
+        alpha_opt_poisson(CELL, delta0)
+
+
 def test_smoothing_only_reference_constants():
     # reference values from optimizing the smoother alone; the two-level
     # optima differ from these, which is the whole point
@@ -123,6 +129,12 @@ def test_rd_rejects_bad_arguments():
         alpha_opt_rd(POINT, 2.0, math.inf)
     with pytest.raises(ValueError):
         alpha_opt_rd(CELL, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("delta0", [math.inf, math.nan])
+def test_rd_rejects_non_finite_delta0(delta0):
+    with pytest.raises(ValueError, match="delta0 must be finite and >= 1"):
+        alpha_opt_rd(POINT, delta0, 1.0)
 
 
 def test_alpha_opt_dispatch():

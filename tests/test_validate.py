@@ -16,8 +16,8 @@ def shift_table(monkeypatch, table, index, amount):
     relative, where the closed forms read it."""
     original = {"point_coefficients": point_coefficients, "cell_coefficients": cell_coefficients}[table]
 
-    def shifted(delta0, gamma, alpha):
-        coeffs = list(original(delta0, gamma, alpha))
+    def shifted(delta0, gamma):
+        coeffs = list(original(delta0, gamma))
         coeffs[index - 1] += amount * max(1.0, abs(coeffs[index - 1]))
         return tuple(coeffs)
 
