@@ -13,9 +13,15 @@ unknowns are grouped in pairs, one pair per cell:
   cells (the transfers).
 
 Each applies to a vector or to an ``(n, k)`` column stack with ``@`` in
-O(n k) work, and ``toarray()`` gives the dense matrix, meant as a test
-oracle at desk scale.  ``CyclicReduction`` factors a ``BlockTridiagonal``
-once and solves with it in O(n) work per right-hand side.
+O(n k) work.  A vector goes through the operator's bands, the few
+nonzero diagonals of the matrix, stored as contiguous arrays when the
+operator is built: an apply is one wrap-padded copy of the vector, one
+product with all bands at once and a sum over the bands.  A column
+stack goes through numpy's stacked 2x2 products, whose per-block cost
+many columns amortize.  ``toarray()`` gives the dense matrix, meant as
+a test oracle at desk scale.  ``CyclicReduction`` factors a
+``BlockTridiagonal`` once and solves with it in O(n) work per
+right-hand side.
 """
 
 import numpy as np
@@ -29,22 +35,73 @@ def _as_blocks(x: np.ndarray, size: int) -> np.ndarray:
     return x.reshape(x.shape[0] // size, size, -1)
 
 
-def _mul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``M[j] @ X[j]`` for 2x2 blocks ``M`` and a ``(J, 2, k)`` stack ``X``.
-
-    numpy's stacked matmul pays a per-block cost that dominates for a
-    single column (about 4x the written-out product at J = 1024), and
-    wins for many columns.
-    """
-    if X.shape[2] == 1:
-        return M[:, :, :1] * X[:, :1] + M[:, :, 1:] * X[:, 1:]
-    return M @ X
+def _cells(x: np.ndarray) -> np.ndarray:
+    """A contiguous vector as one complex item per cell (its two unknowns),
+    so that whole cells are picked or placed one 16-byte copy each."""
+    return x.view(np.complex128)
 
 
 def _rotate(X: np.ndarray, shift: int) -> np.ndarray:
     """``X`` with its leading axis rotated up by ``shift`` (``np.roll(X,
     -shift, axis=0)`` at a fraction of its call cost)."""
     return np.concatenate((X[shift:], X[:shift]))
+
+
+class _Bands:
+    """A square matrix on a cycle of 2x2 blocks, applied to vectors by its
+    diagonals.
+
+    ``couplings[s][q]`` is the block in row block ``q`` and column block
+    ``q + s``, modulo the block count.  Entry ``(a, b)`` of it lies on
+    diagonal ``2 s + b - a`` of the matrix, and ``shift`` moves every
+    block down and right by that many unknowns (the point smoother).  The
+    product pads the vector with its wrap values, so couplings that land
+    on the same entry (cycles of one or two blocks) add up.
+    """
+
+    def __init__(self, couplings: dict, shift: int = 0):
+        self.first = 2 * min(couplings) - 1
+        last = 2 * max(couplings) + 1
+        cells = len(couplings[0])  # every operator has diagonal blocks
+        bands = np.zeros((last - self.first + 1, cells, 2))
+        for s, blocks in couplings.items():
+            for a in (0, 1):
+                for b in (0, 1):
+                    bands[2 * s + b - a - self.first, :, a] = blocks[:, a, b]
+        n = 2 * cells
+        self.bands = bands.reshape(-1, n)
+        if shift:
+            self.bands = np.roll(self.bands, shift, axis=1)
+        self.last = last
+        # cycles shorter than the reach wrap more than once
+        self._pad = np.arange(self.first, n + last) % n if n < max(-self.first, last) else None
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.bands.shape[1]
+        if len(x) != n:
+            raise ValueError(f"cannot apply a ({n}, {n}) operator to shape {np.shape(x)}")
+        if self._pad is None:
+            x = np.concatenate((x[n + self.first :], x, x[: self.last]))
+        else:
+            x = x[self._pad]
+        # row k of the window is x[k : k + n]; rows add up in band order
+        window = np.ndarray(self.bands.shape, x.dtype, x, strides=2 * x.strides)
+        return (self.bands * window).sum(axis=0)
+
+
+def _cycle_toarray(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Dense matrix of the block-tridiagonal cycle ``(diag, upper)``."""
+    J = len(diag)
+    dense = np.zeros((J, 2, J, 2))
+    cells = np.arange(J)
+    nxt = (cells + 1) % J
+    dense[cells, :, cells, :] += diag
+    # += on fancy indices does not accumulate repeated indices, so the
+    # two couplings go in one at a time (they land in the same block
+    # when J is 1 or 2)
+    dense[cells, :, nxt, :] += upper
+    dense[nxt, :, cells, :] += np.swapaxes(upper, 1, 2)
+    return dense.reshape(2 * J, 2 * J)
 
 
 class BlockTridiagonal:
@@ -54,7 +111,8 @@ class BlockTridiagonal:
     column block ``j + 1`` and ``upper[j - 1].T`` in column block
     ``j - 1``, indices taken modulo the number of cells: ``upper[-1]``
     couples the last cell to the first (periodic meshes) and is zero on
-    Dirichlet meshes.
+    Dirichlet meshes.  A vector is applied through the seven diagonals
+    ``-3 .. 3`` of the matrix.
     """
 
     def __init__(self, diag: np.ndarray, upper: np.ndarray):
@@ -68,6 +126,7 @@ class BlockTridiagonal:
         self.upper = upper
         # lower[j] = upper[j - 1].T couples cell j to cell j - 1
         self._lower = _rotate(np.swapaxes(upper, 1, 2), -1)
+        self._bands = _Bands({-1: self._lower, 0: diag, 1: upper})
 
     @property
     def cells(self) -> int:
@@ -79,23 +138,15 @@ class BlockTridiagonal:
         return (n, n)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            return self._bands @ x
         X = _as_blocks(x, 2)
         wrapped = np.concatenate((X[-1:], X, X[:1]))
-        Y = _mul(self.diag, X) + _mul(self.upper, wrapped[2:]) + _mul(self._lower, wrapped[:-2])
+        Y = self.diag @ X + self.upper @ wrapped[2:] + self._lower @ wrapped[:-2]
         return Y.reshape(x.shape)
 
     def toarray(self) -> np.ndarray:
-        J = self.cells
-        dense = np.zeros((J, 2, J, 2))
-        cells = np.arange(J)
-        nxt = (cells + 1) % J
-        dense[cells, :, cells, :] += self.diag
-        # += on fancy indices does not accumulate repeated indices, so the
-        # two couplings go in one at a time (they land in the same block
-        # when J is 1 or 2)
-        dense[cells, :, nxt, :] += self.upper
-        dense[nxt, :, cells, :] += np.swapaxes(self.upper, 1, 2)
-        return dense.reshape(2 * J, 2 * J)
+        return _cycle_toarray(self.diag, self.upper)
 
 
 class BlockDiagonal:
@@ -103,7 +154,9 @@ class BlockDiagonal:
 
     Block ``j`` acts on unknowns ``(2j + shift, 2j + 1 + shift)``, taken
     modulo ``n``: with ``shift = 1`` the last block pairs the last
-    unknown with the first.
+    unknown with the first.  A vector is applied through three diagonals,
+    whose products add up in each row exactly as the written-out 2x2
+    product does.
     """
 
     def __init__(self, blocks: np.ndarray, shift: int = 0):
@@ -114,6 +167,7 @@ class BlockDiagonal:
             raise ValueError(f"shift must be 0 or 1, got {shift}")
         self.blocks = blocks
         self.shift = shift
+        self._bands = _Bands({0: blocks}, shift)
 
     @property
     def shape(self) -> tuple:
@@ -124,9 +178,11 @@ class BlockDiagonal:
         return BlockDiagonal(np.linalg.inv(self.blocks), self.shift)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            return self._bands @ x
         if self.shift:
             x = _rotate(x, self.shift)
-        Y = _mul(self.blocks, _as_blocks(x, 2)).reshape(x.shape)
+        Y = (self.blocks @ _as_blocks(x, 2)).reshape(x.shape)
         return _rotate(Y, -self.shift) if self.shift else Y
 
     def toarray(self) -> np.ndarray:
@@ -169,32 +225,47 @@ class _Reduction:
     Odd cells ``1, 3, ...`` (all but the last cell when the count is odd)
     have only kept neighbours, so their unknowns are eliminated in one
     batched step.  The kept cells ``0, 2, ...`` form a block-tridiagonal
-    cycle again; when the count is odd the last kept cell keeps its
-    original wrap block to the first.  Odd cell ``2p + 1`` sits between
-    kept cells ``p`` and ``p + 1`` (modulo the kept count).
+    cycle ``(diag, upper)`` again; when the count is odd the last kept
+    cell keeps its original wrap block to the first.  Odd cell ``2p + 1``
+    sits between kept cells ``p`` and ``p + 1`` (modulo the kept count).
+
+    A vector is reduced on the pairs ``(kept p, odd p)``, with a zero odd
+    cell after the last kept one when the count is odd, so that both
+    halves have the same cell count and each coupling between them is
+    one band operator on a cycle.
     """
 
-    def __init__(self, op: BlockTridiagonal):
-        m = op.cells
+    def __init__(self, diag: np.ndarray, upper: np.ndarray):
+        m = len(diag)
         self.cells = m
         self.odd = slice(1, m - m % 2, 2)
-        to_odd = op.upper[0 : m - m % 2 : 2]  # kept cell p -> odd cell
-        from_odd = op.upper[self.odd]  # odd cell -> kept cell p + 1
-        self.odd_inverse = np.linalg.inv(op.diag[self.odd])
+        to_odd = upper[0 : m - m % 2 : 2]  # kept cell p -> odd cell
+        from_odd = upper[self.odd]  # odd cell -> kept cell p + 1
+        self.odd_inverse = np.linalg.inv(diag[self.odd])
         self.to_odd_T = np.swapaxes(to_odd, 1, 2)
         self.from_odd = from_odd
         self.left_gain = to_odd @ self.odd_inverse
         self.right_gain = np.swapaxes(from_odd, 1, 2) @ self.odd_inverse
 
         pairs = m // 2
-        diag = op.diag[0::2].copy()
-        diag[:pairs] -= self.left_gain @ self.to_odd_T
-        self._subtract_right(diag, self.right_gain @ from_odd)
-        upper = np.zeros_like(diag)
-        upper[:pairs] = -self.left_gain @ from_odd
+        self.diag = diag[0::2].copy()
+        self.diag[:pairs] -= self.left_gain @ self.to_odd_T
+        self._subtract_right(self.diag, self.right_gain @ from_odd)
+        self.upper = np.zeros_like(self.diag)
+        self.upper[:pairs] = -self.left_gain @ from_odd
         if m % 2:
-            upper[-1] = op.upper[-1]
-        self.reduced = BlockTridiagonal(diag, upper)
+            self.upper[-1] = upper[-1]
+
+        def paired(blocks):  # one block per kept cell
+            return np.concatenate((blocks, np.zeros((m % 2, 2, 2))))
+
+        # kept p -= left_gain[p] odd[p] + right_gain[p - 1] odd[p - 1]
+        self._restrict = _Bands(
+            {-1: np.roll(paired(self.right_gain), 1, axis=0), 0: paired(self.left_gain)}
+        )
+        # odd p = odd_inverse[p] (odd[p] - to_odd_T[p] kept[p] - from_odd[p] kept[p + 1])
+        self._couple = _Bands({0: paired(self.to_odd_T), 1: paired(self.from_odd)})
+        self._odd_inverse = _Bands({0: paired(self.odd_inverse)})
 
     def _subtract_right(self, kept: np.ndarray, C: np.ndarray):
         """``kept[p + 1] -= C[p]`` for every odd cell ``2p + 1``."""
@@ -204,22 +275,32 @@ class _Reduction:
 
     def restrict(self, B: np.ndarray) -> tuple:
         """Right-hand side of the reduced system, and the odd cells' part."""
+        if B.ndim == 1:
+            if self.cells % 2:
+                B = np.concatenate((B, (0.0, 0.0)))
+            cells = _cells(B)
+            odd = cells[1::2].copy().view(float)
+            return cells[0::2].copy().view(float) - self._restrict @ odd, odd
         odd = B[self.odd]
         kept = B[0::2].copy()
-        kept[: len(odd)] -= _mul(self.left_gain, odd)
-        self._subtract_right(kept, _mul(self.right_gain, odd))
+        kept[: len(odd)] -= self.left_gain @ odd
+        self._subtract_right(kept, self.right_gain @ odd)
         return kept, odd
 
     def expand(self, kept: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """Full solution from the kept cells' solution (back substitution)."""
+        if kept.ndim == 1:
+            X = np.empty(2 * len(kept))
+            _cells(X)[0::2] = _cells(kept)
+            _cells(X)[1::2] = _cells(self._odd_inverse @ (odd - self._couple @ kept))
+            return X[: 2 * self.cells]
         n_odd = len(odd)
         X = np.empty((self.cells,) + kept.shape[1:])
         X[0::2] = kept
-        X[self.odd] = _mul(
-            self.odd_inverse,
+        X[self.odd] = self.odd_inverse @ (
             odd
-            - _mul(self.to_odd_T, kept[:n_odd])
-            - _mul(self.from_odd, _rotate(kept, 1)[:n_odd]),
+            - self.to_odd_T @ kept[:n_odd]
+            - self.from_odd @ _rotate(kept, 1)[:n_odd]
         )
         return X
 
@@ -242,26 +323,31 @@ class CyclicReduction:
     def __init__(self, op: BlockTridiagonal, constant_kernel: bool = False):
         self.constant_kernel = constant_kernel
         self.levels = []
-        while op.cells > _DENSE_CELLS:
-            level = _Reduction(op)
+        diag, upper = op.diag, op.upper
+        while len(diag) > _DENSE_CELLS:
+            level = _Reduction(diag, upper)
             self.levels.append(level)
-            op = level.reduced
-        remainder = op.toarray()
+            diag, upper = level.diag, level.upper
+        remainder = _cycle_toarray(diag, upper)
         if constant_kernel:
             remainder += np.abs(remainder).max() / remainder.shape[0]
         self.remainder_inverse = np.linalg.inv(remainder)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        B = _as_blocks(np.asarray(b, dtype=float), 2)
+        b = np.asarray(b, dtype=float)
+        if b.ndim == 1:  # flat, for the band products
+            B, axes = np.ascontiguousarray(b), 0
+        else:  # grouped by cell, for the stacked 2x2 products
+            B, axes = _as_blocks(b, 2), (0, 1)
         if self.constant_kernel:
-            B = B - B.mean(axis=(0, 1))
+            B = B - B.mean(axis=axes)
         odd_parts = []
         for level in self.levels:
             B, odd = level.restrict(B)
             odd_parts.append(odd)
-        X = _as_blocks(self.remainder_inverse @ B.reshape(-1, B.shape[2]), 2)
+        X = (self.remainder_inverse @ B.reshape(len(self.remainder_inverse), -1)).reshape(B.shape)
         for level, odd in zip(reversed(self.levels), reversed(odd_parts)):
             X = level.expand(X, odd)
         if self.constant_kernel:
-            X -= X.mean(axis=(0, 1))
-        return X.reshape(np.shape(b))
+            X -= X.mean(axis=axes)
+        return X.reshape(b.shape)

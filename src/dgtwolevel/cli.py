@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -180,10 +179,8 @@ def cmd_sweep(args, parser) -> int:
             E = build_iteration_matrix(two_level_components(config, kind, a))
             return spectral_radius_dense(E)
 
-        # LAPACK releases the interpreter lock; closed-form rows would not gain
-        with ThreadPoolExecutor() as pool:
-            for line, rho in zip(table, pool.map(rho_dense, rows)):
-                line.append(rho)
+        for line, rho in zip(table, map(rho_dense, rows)):
+            line.append(rho)
     for line in table:
         if not all(map(math.isfinite, line[2:])):
             raise ValueError(

@@ -16,6 +16,8 @@ from .config import PERIODIC, ProblemConfig
 
 # Residual ratios averaged by ``convergence_factor``.
 _RATE_STEPS = 10
+# Steps without a new smallest residual after which a solve has stagnated.
+_STAGNATION_STEPS = 50
 
 
 class EigenSolverError(RuntimeError):
@@ -28,6 +30,7 @@ class IterationHistory:
     iterations: int
     converged: bool
     diverged: bool = False
+    stagnated: bool = False
     solution: np.ndarray = field(default=None, repr=False)
 
 
@@ -138,8 +141,11 @@ def stationary_solve(
 
     Converged when the 2-norm residual drops below ``tol`` relative to
     the initial one; flagged as diverged when it grows beyond 1e8 times
-    the initial residual or stops being finite.  The final iterate is
-    returned as ``solution``.
+    the initial residual or stops being finite, and as stagnated when
+    ``_STAGNATION_STEPS`` steps in a row bring no new smallest residual
+    (data outside the range of a singular operator, or a tolerance below
+    the rounding floor).  Each of the three stops the iteration.  The
+    final iterate is returned as ``solution``.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -151,6 +157,7 @@ def stationary_solve(
     norms = [float(np.linalg.norm(r))]
     if norms[0] == 0.0:
         return IterationHistory(norms, 0, True, solution=u)
+    best = 0  # step of the smallest residual so far
     for it in range(1, maxit + 1):
         u += apply_preconditioner(tl, r)
         r = f - tl.A @ u
@@ -159,6 +166,10 @@ def stationary_solve(
             return IterationHistory(norms, it, True, solution=u)
         if not math.isfinite(norms[-1]) or norms[-1] > 1e8 * norms[0]:
             return IterationHistory(norms, it, False, diverged=True, solution=u)
+        if norms[-1] < norms[best]:
+            best = it
+        elif it - best >= _STAGNATION_STEPS:
+            return IterationHistory(norms, it, False, stagnated=True, solution=u)
     return IterationHistory(norms, maxit, False, solution=u)
 
 

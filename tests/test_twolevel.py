@@ -171,7 +171,30 @@ def test_stationary_returns_its_solution(bc):
 
 def test_iteration_history_positional_fields_unchanged():
     hist = IterationHistory([1.0, 0.5], 1, False, True)
-    assert hist.diverged and hist.solution is None
+    assert hist.diverged and not hist.stagnated and hist.solution is None
+
+
+def test_constant_component_stagnates_on_periodic_pure_diffusion():
+    # A u is mean-zero, so the constant part of f stays in the residual
+    cfg = ProblemConfig(64, 1.5, math.inf, PERIODIC)
+    tl = two_level_components(cfg, CELL, alpha_opt_poisson(CELL, 1.5).alpha_opt)
+    f = np.random.default_rng(1).standard_normal(128)
+    hist = stationary_solve(tl, f, tol=1e-10, maxit=1000)
+    assert hist.stagnated and not hist.converged and not hist.diverged
+    norms = hist.residual_norms
+    assert hist.iterations == int(np.argmin(norms)) + 50 < 1000
+    assert norms[-1] == pytest.approx(abs(f.mean()) * math.sqrt(128), rel=1e-10)
+
+
+def test_tolerance_below_the_rounding_floor_stagnates():
+    cfg = ProblemConfig(64, 3.0, math.inf, DIRICHLET)
+    tl = two_level_components(cfg, POINT, alpha_opt_poisson(POINT, 3.0).alpha_opt)
+    f = np.random.default_rng(1).standard_normal(128)
+    hist = stationary_solve(tl, f, tol=1e-18, maxit=1000)
+    assert hist.stagnated and not hist.converged and not hist.diverged
+    norms = hist.residual_norms
+    assert hist.iterations == int(np.argmin(norms)) + 50 < 1000
+    assert min(norms) < 1e-12 * norms[0]
 
 
 def test_non_finite_residual_stops_as_diverged():
