@@ -130,15 +130,16 @@ def assemble_smoother(config: ProblemConfig, kind: str) -> BlockDiagonal:
         corner = 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
         blocks[-1] = [[corner, 0.0], [0.0, corner]]
     blocks /= config.h**2
+    D = BlockDiagonal(blocks, shift=0 if kind == CELL else 1)
     scale = np.maximum(1.0, np.abs(blocks).max(axis=(1, 2)) ** 2)
-    singular = np.flatnonzero(np.abs(np.linalg.det(blocks)) < 1e-14 * scale)
+    singular = np.flatnonzero(np.abs(D.determinants()) < 1e-14 * scale)
     if singular.size:
         j = int(singular[0])
         # shifted Dirichlet point blocks: block j is group j + 1, and the
         # last block holds the corner groups 0 and J
         index = (j + 1) % J if corners else j
         raise SingularBlockError(index, f"singular smoother block {blocks[j].tolist()}")
-    return BlockDiagonal(blocks, shift=0 if kind == CELL else 1)
+    return D
 
 
 def assemble_transfer(cells: int) -> tuple:

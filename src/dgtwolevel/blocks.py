@@ -14,18 +14,24 @@ unknowns are grouped in pairs, one pair per cell:
 
 Each applies to a vector or to an ``(n, k)`` column stack with ``@`` in
 O(n k) work.  A vector goes through the operator's bands, the few
-nonzero diagonals of the matrix, stored as contiguous arrays when the
-operator is built: an apply is one wrap-padded copy of the vector, one
-product with all bands at once and a sum over the bands.  A column
-stack goes through numpy's stacked 2x2 products, whose per-block cost
-many columns amortize.  ``toarray()`` gives the dense matrix, meant as
-a test oracle at desk scale.  ``CyclicReduction`` factors a
-``BlockTridiagonal`` once and solves with it in O(n) work per
-right-hand side.
+nonzero diagonals of the matrix, stored as contiguous arrays on the
+first vector apply (operators that only meet column stacks, or only
+feed a factorization, never build them): an apply is one wrap-padded
+copy of the vector, one product with all bands at once and a sum over
+the bands.  A column stack goes through numpy's stacked 2x2 products,
+whose per-block cost many columns amortize.  ``toarray()`` gives the
+dense matrix, meant as a test oracle at desk scale.
+``CyclicReduction`` factors a ``BlockTridiagonal`` once, by batched
+Schur complements over chains of ``_CHUNK`` cells, and solves with it in
+O(n) work per right-hand side.
 """
+
+from functools import cached_property
 
 import numpy as np
 
+# Each reduction level keeps one cell in this many and eliminates the rest.
+_CHUNK = 16
 # Cyclic reduction stops at this many cells and inverts the rest densely.
 _DENSE_CELLS = 64
 
@@ -33,12 +39,6 @@ _DENSE_CELLS = 64
 def _as_blocks(x: np.ndarray, size: int) -> np.ndarray:
     """View a vector or column stack as ``(groups, size, columns)``."""
     return x.reshape(x.shape[0] // size, size, -1)
-
-
-def _cells(x: np.ndarray) -> np.ndarray:
-    """A contiguous vector as one complex item per cell (its two unknowns),
-    so that whole cells are picked or placed one 16-byte copy each."""
-    return x.view(np.complex128)
 
 
 def _rotate(X: np.ndarray, shift: int) -> np.ndarray:
@@ -126,7 +126,10 @@ class BlockTridiagonal:
         self.upper = upper
         # lower[j] = upper[j - 1].T couples cell j to cell j - 1
         self._lower = _rotate(np.swapaxes(upper, 1, 2), -1)
-        self._bands = _Bands({-1: self._lower, 0: diag, 1: upper})
+
+    @cached_property
+    def _bands(self) -> _Bands:
+        return _Bands({-1: self._lower, 0: self.diag, 1: self.upper})
 
     @property
     def cells(self) -> int:
@@ -167,15 +170,30 @@ class BlockDiagonal:
             raise ValueError(f"shift must be 0 or 1, got {shift}")
         self.blocks = blocks
         self.shift = shift
-        self._bands = _Bands({0: blocks}, shift)
+
+    @cached_property
+    def _bands(self) -> _Bands:
+        return _Bands({0: self.blocks}, self.shift)
 
     @property
     def shape(self) -> tuple:
         n = 2 * self.blocks.shape[0]
         return (n, n)
 
+    def determinants(self) -> np.ndarray:
+        """``ad - bc`` of every block."""
+        b = self.blocks
+        return b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+
     def inverse(self) -> "BlockDiagonal":
-        return BlockDiagonal(np.linalg.inv(self.blocks), self.shift)
+        """Every block inverted by its adjugate; raises
+        ``numpy.linalg.LinAlgError`` when a block is exactly singular."""
+        det = self.determinants()
+        if not det.all():
+            raise np.linalg.LinAlgError(f"singular block {int(np.flatnonzero(det == 0)[0])}")
+        (a, b), (c, d) = np.moveaxis(self.blocks, 0, -1)
+        adjugate = np.stack((d, -b, -c, a), axis=-1).reshape(-1, 2, 2)
+        return BlockDiagonal(adjugate / det[:, None, None], self.shift)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
@@ -219,105 +237,105 @@ class CellStencil:
         return np.kron(np.eye(self.groups), self.stencil)
 
 
-class _Reduction:
-    """One step of cyclic reduction: eliminate the odd cells of a cycle.
+class _SchurLevel:
+    """One level of the reduction: keep every ``_CHUNK``-th cell of a
+    cycle and eliminate the cells between, in one batched step.
 
-    Odd cells ``1, 3, ...`` (all but the last cell when the count is odd)
-    have only kept neighbours, so their unknowns are eliminated in one
-    batched step.  The kept cells ``0, 2, ...`` form a block-tridiagonal
-    cycle ``(diag, upper)`` again; when the count is odd the last kept
-    cell keeps its original wrap block to the first.  Odd cell ``2p + 1``
-    sits between kept cells ``p`` and ``p + 1`` (modulo the kept count).
+    The ``m`` cells are cut into ``c = ceil(m / _CHUNK)`` chunks of nearly
+    equal length.  The first cell of chunk ``q`` is separator ``q``; the
+    other cells form an interior chain that couples only to separators
+    ``q`` and ``q + 1`` (modulo ``c``), through its first and its last
+    cell.  The chains are padded with identity cells to one length ``w``
+    and inverted as one ``(c, 2w, 2w)`` stack.  With ``A_II`` the chains,
+    ``A_IS`` their couplings to the two separators of each chunk and
+    ``W = A_II^{-1} A_IS``, the separators' Schur complement ``A_SS -
+    A_IS^T W`` is again a block-tridiagonal cycle ``(diag, upper)``.
 
-    A vector is reduced on the pairs ``(kept p, odd p)``, with a zero odd
-    cell after the last kept one when the count is odd, so that both
-    halves have the same cell count and each coupling between them is
-    one band operator on a cycle.
+    Right-hand sides are ``(cells, 2, columns)`` arrays.  A padded
+    position reads a copy of a real cell; it meets only zero couplings
+    and is never written back.
     """
 
     def __init__(self, diag: np.ndarray, upper: np.ndarray):
         m = len(diag)
-        self.cells = m
-        self.odd = slice(1, m - m % 2, 2)
-        to_odd = upper[0 : m - m % 2 : 2]  # kept cell p -> odd cell
-        from_odd = upper[self.odd]  # odd cell -> kept cell p + 1
-        self.odd_inverse = np.linalg.inv(diag[self.odd])
-        self.to_odd_T = np.swapaxes(to_odd, 1, 2)
-        self.from_odd = from_odd
-        self.left_gain = to_odd @ self.odd_inverse
-        self.right_gain = np.swapaxes(from_odd, 1, 2) @ self.odd_inverse
+        c = -(-m // _CHUNK)
+        starts = np.arange(c + 1) * m // c
+        length = np.diff(starts) - 1  # interior cells per chunk, at least 1
+        w = int(length.max())
+        real = np.arange(w) < length[:, None]
+        self.separators = starts[:-1]
+        self.interior = np.minimum(starts[:-1, None] + 1 + np.arange(w), starts[1:, None] - 1)
 
-        pairs = m // 2
-        self.diag = diag[0::2].copy()
-        self.diag[:pairs] -= self.left_gain @ self.to_odd_T
-        self._subtract_right(self.diag, self.right_gain @ from_odd)
-        self.upper = np.zeros_like(self.diag)
-        self.upper[:pairs] = -self.left_gain @ from_odd
-        if m % 2:
-            self.upper[-1] = upper[-1]
+        chains = np.zeros((c, w, 2, w, 2))
+        q, i = np.nonzero(real)
+        chains[q, i, :, i, :] = diag[self.interior[q, i]]
+        q, i = np.nonzero(~real)
+        chains[q, i, :, i, :] = np.eye(2)
+        q, i = np.nonzero(real[:, 1:])
+        link = upper[self.interior[q, i]]
+        chains[q, i, :, i + 1, :] = link
+        chains[q, i + 1, :, i, :] = np.swapaxes(link, 1, 2)
+        inverse = np.linalg.inv(chains.reshape(c, 2 * w, 2 * w))
+        del chains  # keeps the build's peak memory at two stacks of chains
 
-        def paired(blocks):  # one block per kept cell
-            return np.concatenate((blocks, np.zeros((m % 2, 2, 2))))
-
-        # kept p -= left_gain[p] odd[p] + right_gain[p - 1] odd[p - 1]
-        self._restrict = _Bands(
-            {-1: np.roll(paired(self.right_gain), 1, axis=0), 0: paired(self.left_gain)}
-        )
-        # odd p = odd_inverse[p] (odd[p] - to_odd_T[p] kept[p] - from_odd[p] kept[p + 1])
-        self._couple = _Bands({0: paired(self.to_odd_T), 1: paired(self.from_odd)})
-        self._odd_inverse = _Bands({0: paired(self.odd_inverse)})
-
-    def _subtract_right(self, kept: np.ndarray, C: np.ndarray):
-        """``kept[p + 1] -= C[p]`` for every odd cell ``2p + 1``."""
-        kept[1:] -= C[: len(kept) - 1]
-        if self.cells % 2 == 0:
-            kept[0] -= C[-1]
+        # A_IS: the first cell couples back to separator q, the last real
+        # cell forward to separator q + 1
+        coupling = np.zeros((c, w, 2, 4))
+        coupling[:, 0, :, :2] = np.swapaxes(upper[starts[:-1]], 1, 2)
+        coupling[np.arange(c), length - 1, :, 2:] = upper[starts[1:] - 1]
+        coupling = coupling.reshape(c, 2 * w, 4)
+        to_separators = np.swapaxes(coupling, 1, 2) @ inverse  # A_IS^T A_II^{-1}
+        self.W = inverse @ coupling
+        # one product gives A_II^{-1} b_I and A_IS^T A_II^{-1} b_I
+        self.gain = np.concatenate((inverse, to_separators), axis=1)
+        K = to_separators @ coupling
+        self.diag = diag[starts[:-1]] - K[:, :2, :2] - np.roll(K[:, 2:, 2:], 1, axis=0)
+        self.upper = -K[:, :2, 2:]
+        # row of each cell in (interior positions, separators)
+        self.place = np.empty(m, dtype=np.intp)
+        self.place[self.interior[real]] = np.flatnonzero(real)
+        self.place[starts[:-1]] = c * w + np.arange(c)
 
     def restrict(self, B: np.ndarray) -> tuple:
-        """Right-hand side of the reduced system, and the odd cells' part."""
-        if B.ndim == 1:
-            if self.cells % 2:
-                B = np.concatenate((B, (0.0, 0.0)))
-            cells = _cells(B)
-            odd = cells[1::2].copy().view(float)
-            return cells[0::2].copy().view(float) - self._restrict @ odd, odd
-        odd = B[self.odd]
-        kept = B[0::2].copy()
-        kept[: len(odd)] -= self.left_gain @ odd
-        self._subtract_right(kept, self.right_gain @ odd)
-        return kept, odd
+        """Separators' right-hand side, and ``A_II^{-1} b_I`` per chunk."""
+        # np.take and concatenate cost a fraction of fancy indexing and
+        # np.roll on these small arrays
+        c, w = self.interior.shape
+        Z = self.gain @ np.take(B, self.interior, axis=0).reshape(c, 2 * w, -1)
+        y, h = Z[:, : 2 * w], Z[:, 2 * w :]
+        from_previous = np.concatenate((h[-1:, 2:], h[:-1, 2:]))
+        return np.take(B, self.separators, axis=0) - h[:, :2] - from_previous, y
 
-    def expand(self, kept: np.ndarray, odd: np.ndarray) -> np.ndarray:
-        """Full solution from the kept cells' solution (back substitution)."""
-        if kept.ndim == 1:
-            X = np.empty(2 * len(kept))
-            _cells(X)[0::2] = _cells(kept)
-            _cells(X)[1::2] = _cells(self._odd_inverse @ (odd - self._couple @ kept))
-            return X[: 2 * self.cells]
-        n_odd = len(odd)
-        X = np.empty((self.cells,) + kept.shape[1:])
-        X[0::2] = kept
-        X[self.odd] = self.odd_inverse @ (
-            odd
-            - self.to_odd_T @ kept[:n_odd]
-            - self.from_odd @ _rotate(kept, 1)[:n_odd]
-        )
-        return X
+    def expand(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Every cell's solution from the separators' ``t``:
+        ``x_I = y - W [t_q; t_{q+1}]``."""
+        c, k = len(t), t.shape[2]
+        ends = np.concatenate((t, t[:1]))
+        # chunk q reads the four unknowns of separators q and q + 1
+        pairs = np.ndarray((c, 4, k), ends.dtype, ends, strides=ends.strides)
+        x = (y - self.W @ pairs).reshape(-1, 2, k)
+        return np.take(np.concatenate((x, t)), self.place, axis=0)
 
 
 class CyclicReduction:
     """Factorization of a symmetric ``BlockTridiagonal`` for repeated solves.
 
-    Halves the cell count by cyclic reduction until at most
-    ``_DENSE_CELLS`` cells remain, then inverts that remainder densely, so
-    a solve costs O(n) work and no array grows with n squared.
+    Each level keeps every ``_CHUNK``-th cell and eliminates the chains
+    between them at once (``_SchurLevel``), until at most ``_DENSE_CELLS``
+    cells remain; that remainder is inverted densely.  A solve is about a
+    dozen batched numpy calls per level, the same for a vector and for an
+    ``(n, k)`` column stack; it costs O(n k) work, and the factor holds
+    O(n) numbers (a little over ``2 _CHUNK`` per unknown, mostly the
+    chain inverses).
 
     ``constant_kernel=True`` declares the operator singular on the
     constant vector (periodic pure diffusion): right-hand sides and
     solutions are projected onto mean zero, the solution is the one a
     pseudo-inverse gives, and the remainder is made invertible by adding
     a multiple of the all-ones matrix (which leaves mean-zero solutions
-    unchanged) instead of cutting small singular values.
+    unchanged) instead of cutting small singular values.  The separators'
+    Schur complement is singular on their constants again, and mean-zero
+    data stays orthogonal to them, so the shift acts on that mode only.
     """
 
     def __init__(self, op: BlockTridiagonal, constant_kernel: bool = False):
@@ -325,7 +343,7 @@ class CyclicReduction:
         self.levels = []
         diag, upper = op.diag, op.upper
         while len(diag) > _DENSE_CELLS:
-            level = _Reduction(diag, upper)
+            level = _SchurLevel(diag, upper)
             self.levels.append(level)
             diag, upper = level.diag, level.upper
         remainder = _cycle_toarray(diag, upper)
@@ -335,19 +353,16 @@ class CyclicReduction:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if b.ndim == 1:  # flat, for the band products
-            B, axes = np.ascontiguousarray(b), 0
-        else:  # grouped by cell, for the stacked 2x2 products
-            B, axes = _as_blocks(b, 2), (0, 1)
+        B = _as_blocks(b, 2)
         if self.constant_kernel:
-            B = B - B.mean(axis=axes)
-        odd_parts = []
+            B = B - B.mean(axis=(0, 1))
+        interiors = []
         for level in self.levels:
-            B, odd = level.restrict(B)
-            odd_parts.append(odd)
+            B, y = level.restrict(B)
+            interiors.append(y)
         X = (self.remainder_inverse @ B.reshape(len(self.remainder_inverse), -1)).reshape(B.shape)
-        for level, odd in zip(reversed(self.levels), reversed(odd_parts)):
-            X = level.expand(X, odd)
+        for level, y in zip(reversed(self.levels), reversed(interiors)):
+            X = level.expand(X, y)
         if self.constant_kernel:
-            X -= X.mean(axis=axes)
+            X -= X.mean(axis=(0, 1))
         return X.reshape(b.shape)

@@ -307,6 +307,17 @@ def test_overflow_is_an_error_line(capsys, argv):
     assert err == "error: floating-point overflow: Numerical result out of range\n"
 
 
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+def test_sweep_dense_rejects_singular_pure_diffusion(capsys, bc):
+    argv = ["sweep", "--smoother", "cell", "--delta0", "1", "--gamma", "inf", "--bc", bc]
+    code, out, err = run_cli(capsys, *argv, "--dense")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the two-level method needs delta0 > 1 at gamma = inf")
+    # the closed forms still answer there
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[1].endswith(",1.0")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_non_finite_sweep_row_is_an_error_line(capsys):
     code, out, err = run_cli(

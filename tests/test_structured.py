@@ -178,6 +178,24 @@ def random_cycle(rng, cells, wrap):
     return BlockTridiagonal(diag, upper)
 
 
+def sparse_solve(op, b):
+    """Direct sparse LU solve with the cycle ``op`` (three or more cells)."""
+    sparse = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    cells = np.arange(op.cells)
+    nxt = (cells + 1) % op.cells
+    rows, cols, values = [], [], []
+    for r, c, blocks in ((cells, cells, op.diag), (cells, nxt, op.upper), (nxt, cells, np.swapaxes(op.upper, 1, 2))):
+        for i in (0, 1):
+            for j in (0, 1):
+                rows.append(2 * r + i)
+                cols.append(2 * c + j)
+                values.append(blocks[:, i, j])
+    n = 2 * op.cells
+    A = sparse.csc_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return linalg.spsolve(A, b)
+
+
 @pytest.mark.parametrize("cells", [1, 2, 3, 64])
 @pytest.mark.parametrize("wrap", [False, True])
 def test_block_tridiagonal_vector_apply_matches_dense(cells, wrap):
@@ -217,37 +235,63 @@ def test_block_diagonal_vector_apply_is_the_written_out_product(cells, shift):
 @pytest.mark.parametrize("kind", [CELL, POINT])
 @pytest.mark.parametrize("gamma", [math.inf, 1.0, 0.05])
 def test_vector_preconditioner_equals_stacked_column(cells, bc, kind, gamma):
-    # 130 and 260 fine cells reduce odd coarse counts (65 cells) by the
-    # band route, 512 reduces 256 -> 128 -> 64
+    # the coarse counts 65 (from 130 fine cells), 130 and 256 are reduced
+    # to 5, 9 and 16 separators, with chains of 12, 13-14 and 15 cells
+    # between them; 4 is solved densely
     tl = two_level_components(ProblemConfig(cells, 1.7, gamma, bc), kind, 0.8)
     G = np.random.default_rng(cells).standard_normal((2 * cells, 2))
     for j in range(2):
         assert gap(apply_preconditioner(tl, G[:, j]), apply_preconditioner(tl, G)[:, j]) < 1e-14
 
 
-# The remainder is inverted densely at 64 cells or fewer; above that the
-# counts reduce 65 -> 33, 97 -> 49, 130 -> 65 -> 33, 258 -> 129 -> 65 -> 33
-# and 260 -> 130 -> 65 -> 33, so both parities are eliminated at every
-# depth, and 3 takes the dense path alone.
-@pytest.mark.parametrize("cells", [3, 65, 97, 130, 258, 260])
+# The remainder is inverted densely at 64 cells or fewer; above that a
+# level keeps one cell in 16 and eliminates the chains between.  65
+# reduces to 5 separators, 97 -> 7 (chains of 12 and 13 cells, so the
+# short ones are padded), 130 -> 9, 258 -> 17 and 260 -> 17 (chains of 14
+# and 15), 1000 -> 63, and 1100 -> 69 -> 5 and 4100 -> 257 -> 17 take two
+# levels; 3 takes the dense path alone.
+@pytest.mark.parametrize("cells", [3, 65, 97, 130, 258, 260, 1000, 1100, 4100])
 @pytest.mark.parametrize("wrap", [False, True])
 def test_cyclic_reduction_odd_and_even_counts(cells, wrap):
     rng = np.random.default_rng(cells)
     op = random_cycle(rng, cells, wrap)
-    dense = op.toarray()
-    assert np.array_equal(dense, dense.T)
     b = rng.standard_normal((2 * cells, 4))
     x = CyclicReduction(op).solve(b)
-    assert gap(x, np.linalg.solve(dense, b)) < 1e-12
     assert gap(op @ x, b) < 1e-12
-    # a vector takes the band route through the same levels
+    if cells <= 1100:
+        dense = op.toarray()
+        assert np.array_equal(dense, dense.T)
+        assert gap(x, np.linalg.solve(dense, b)) < 1e-12
+    else:  # a dense matrix of 4100 cells takes 0.5 GiB: sparse LU instead
+        assert gap(x, sparse_solve(op, b)) < 1e-12
+    # a vector goes through the same levels as a column stack
     assert gap(CyclicReduction(op).solve(b[:, 1]), x[:, 1]) < 1e-14
 
 
-@pytest.mark.parametrize("cells", [260, 516])
+def test_cyclic_reduction_stores_linear_memory():
+    # 32768 cells reduce to 2048, 128 and 8 separators.  Every chunk of 16
+    # cells stores its 30x30 chain inverse with 4 rows more and W (30 x
+    # 4): about 39 float64 per unknown in all levels, bounded here by 48,
+    # where a square array would hold 65536 per unknown.  The build's
+    # peak adds one more chain stack.
+    cells = 32768
+    n = 2 * cells
+    op = random_cycle(np.random.default_rng(0), cells, wrap=True)
+    tracemalloc.start()
+    try:
+        factor = CyclicReduction(op)
+        stored, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(factor.levels) == 3
+    assert stored < 48 * 8 * n
+    assert peak < 96 * 8 * n
+
+
+@pytest.mark.parametrize("cells", [260, 516, 2100])
 def test_cyclic_reduction_constant_kernel_matches_pseudo_inverse(cells):
-    # periodic pure diffusion on 130 and 258 coarse cells, reduced to an
-    # odd count below the dense limit
+    # periodic pure diffusion on 130, 258 and 1050 coarse cells, reduced
+    # to 9, 17 and 66 -> 5 separators
     tl = two_level_components(ProblemConfig(cells, 2.0, math.inf, PERIODIC), CELL, 1.0)
     assert tl.constant_kernel
     A0 = tl.A0.toarray()
@@ -271,6 +315,26 @@ def test_weak_reaction_keeps_the_constant_mode(cells, gamma):
     assert gap(tl.coarse_solve(g), np.linalg.solve(A0, g)) < max(1e-12, 10.0 * EPS * kappa)
 
 
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("gamma,cells", [(1e9, 192), (1e12, 64)])
+def test_nearly_singular_periodic_coarse_solve_is_refined(capsys, kind, gamma, cells):
+    # A0 has condition number about 4 gamma; without refinement rho_dense
+    # was 7.7e-7 off LFA at gamma = 1e12 (cell smoother, J = 64, delta0 =
+    # 2) and 2.8e-12 off at gamma = 1e9 (J = 192, delta0 = 1.2); with one
+    # step only, 1.1e-10 off at gamma = 1e12 and delta0 = 1.2
+    code = main([
+        "sweep", "--smoother", kind, "--dense", "--bc", PERIODIC, "--gamma", str(gamma),
+        "--delta0", "1.2,2", "--alpha", "opt", "--cells", str(cells),
+    ])
+    assert code == 0
+    for row in capsys.readouterr().out.splitlines()[1:]:
+        *_, rho_lfa, rho_dense = (float(v) for v in row.split(","))
+        assert abs(rho_dense - rho_lfa) <= 1e-12
+    assert two_level_components(ProblemConfig(64, 2.0, gamma, PERIODIC), kind, 1.0).refine_coarse
+    for config in (ProblemConfig(64, 2.0, 1e8, PERIODIC), ProblemConfig(64, 2.0, gamma, DIRICHLET)):
+        assert not two_level_components(config, kind, 1.0).refine_coarse
+
+
 @pytest.mark.parametrize("kind,rho", [(CELL, 0.35), (POINT, 0.8)])
 def test_weak_reaction_dense_spectrum_matches_lfa(kind, rho):
     # LFA is exact on periodic meshes with finite gamma
@@ -286,15 +350,19 @@ def test_weak_reaction_dense_spectrum_matches_lfa(kind, rho):
 def test_sweep_dense_column_matches_dense_reference(capsys, bc, kind):
     # The structured route changes rounding, so the rho_dense column is
     # not byte-identical to a dense computation; it is held to 1e-12
-    # absolute (about 5e-14 seen at J = 16 and 64).
+    # absolute (about 5e-14 seen at J = 16 and 64).  The two-level method
+    # rejects delta0 = 1 at gamma = inf, so that penalty runs at finite
+    # gamma only.
     cells = 16
-    code = main([
-        "sweep", "--smoother", kind, "--delta0", "1,1.5,2.5", "--gamma", "inf,1,0.05",
-        "--alpha", "opt", "--cells", str(cells), "--bc", bc, "--dense",
-    ])
-    assert code == 0
-    rows = capsys.readouterr().out.strip().splitlines()[1:]
-    assert len(rows) == 9
+    rows = []
+    for delta0, gamma in (("1,1.5,2.5", "1,0.05"), ("1.5,2.5", "inf")):
+        code = main([
+            "sweep", "--smoother", kind, "--delta0", delta0, "--gamma", gamma,
+            "--alpha", "opt", "--cells", str(cells), "--bc", bc, "--dense",
+        ])
+        assert code == 0
+        rows += capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 8
     R, P = dense_transfer(cells)
     n = 2 * cells
     for row in rows:
@@ -363,6 +431,20 @@ def test_import_pulls_in_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_block_diagonal_inverse_is_the_adjugate():
+    rng = np.random.default_rng(5)
+    blocks = rng.uniform(-1.0, 1.0, (1000, 2, 2))
+    D = BlockDiagonal(blocks, shift=1)
+    assert np.array_equal(D.determinants(), blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0])
+    assert np.abs(D.determinants() - np.linalg.det(blocks)).max() < 1e-15
+    reference = np.linalg.inv(blocks)
+    error = np.abs(D.inverse().blocks - reference).max(axis=(1, 2)) / np.abs(reference).max(axis=(1, 2))
+    assert (error < 2.0 * EPS * np.linalg.cond(blocks)).all()
+    blocks[7] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(np.linalg.LinAlgError, match="singular block 7"):
+        BlockDiagonal(blocks).inverse()
 
 
 def test_operators_reject_mismatched_columns():

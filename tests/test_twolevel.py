@@ -30,6 +30,18 @@ def explicit_preconditioner(tl):
     return tl.alpha * Dinv + P @ A0inv @ R @ (np.eye(len(A)) - tl.alpha * A @ Dinv)
 
 
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+def test_components_reject_singular_pure_diffusion(bc):
+    with pytest.raises(ValueError, match="singular on the alternating mode"):
+        two_level_components(ProblemConfig(16, 1.0, math.inf, bc), CELL, 0.9)
+    # any finite gamma makes the operator definite again
+    hist = stationary_solve(
+        two_level_components(ProblemConfig(16, 1.0, 1.0, bc), CELL, 0.9),
+        np.random.default_rng(1).standard_normal(32), 1e-10, 500,
+    )
+    assert hist.converged
+
+
 def test_apply_zero_residual():
     tl = two_level_components(ProblemConfig(8, 2.0, 1.0, PERIODIC), CELL, 0.7)
     assert np.array_equal(apply_preconditioner(tl, np.zeros(16)), np.zeros(16))
