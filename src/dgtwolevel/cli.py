@@ -26,6 +26,10 @@ from .validate import run_validation
 # that memory stays bounded on long sweeps over fine meshes.
 _SWEEP_CHUNK = 1 << 16
 
+# Most values one grid option may ask for; a range is counted before its
+# list is built.
+_MAX_GRID = 10**6
+
 _OPTIMIZE_TOLERANCES = {
     "poisson": 1e-6,
     "rd-point": 1e-4,
@@ -41,7 +45,8 @@ def _parse_grid(text: str, parser, flag: str, allow_inf: bool = False):
     """Parse ``value``, ``v1,v2,...`` or ``lo:hi:step`` into a float list.
 
     Every value must be finite; ``allow_inf`` also admits ``inf`` as a
-    list entry (not as a range bound).
+    list entry (not as a range bound).  More than ``_MAX_GRID`` values
+    are a usage error.
     """
 
     def number(piece, inf_ok=False):
@@ -63,10 +68,16 @@ def _parse_grid(text: str, parser, flag: str, allow_inf: bool = False):
             lo, hi, step = (number(p) for p in pieces)
             if step <= 0.0 or hi < lo:
                 parser.error(f"{flag}: bad range {part!r}")
-            n = int(math.floor((hi - lo) / step + 0.5))
+            # the range has n + 1 values; n is inf when the step underflows
+            n = (hi - lo) / step + 0.5
+            if not n < _MAX_GRID - len(values):
+                parser.error(f"{flag}: more than {_MAX_GRID} values in {text!r}")
+            n = int(n)
             values.extend(lo + i * step for i in range(n + 1) if lo + i * step <= hi + step / 2)
         else:
             values.append(number(part, allow_inf))
+        if len(values) > _MAX_GRID:
+            parser.error(f"{flag}: more than {_MAX_GRID} values in {text!r}")
     if not values:
         parser.error(f"{flag}: empty grid")
     return values

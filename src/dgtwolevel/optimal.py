@@ -8,7 +8,9 @@ check, computes the exact optimum ``alpha* = 2 / (mu_min + mu_max)``
 from sampled closed-form pairs or from the assembled operators.
 """
 
+import errno
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -179,6 +181,10 @@ def _alpha_poisson(kind: str, d: float) -> tuple:
     else:
         alpha = 2 * d * d / (2 * d * d + d - 1)
         branch = "cell-high"
+    if not math.isfinite(alpha):
+        # Python's float power raises this in the point branch; the cell
+        # branches overflow to inf / inf without a word
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
     return alpha, branch, used
 
 

@@ -1,257 +1,153 @@
-"""Coefficient tables of the reaction-diffusion eigenvalue formulas.
+"""Coefficient tables of the two-grid eigenvalue formulas.
 
 The two nonzero eigenvalues of the two-grid block are ``1 - w*mu`` for
 the relaxation parameter ``w``, so the tables hold no relaxation:
-:func:`dgtwolevel.closed_forms.eigenvalue_pair` applies it.  At finite
-reaction scaling the tables give the pair at ``w = 1``, ``1 - mu``, as a
-ratio of polynomials in ``x = c_k`` whose coefficients are polynomials in
-``(delta0, gamma)``, evaluated Horner-style in ``gamma``.  The test suite
-checks them exactly against the 4x4 block at ``c_k`` = 1/2, 0 and -1/2.
+:func:`dgtwolevel.closed_forms.eigenvalue_pair` applies it.  The tables
+give ``1 - mu`` as a ratio of polynomials in ``s = 1 - c_k``,
 
-For the point smoother
+    1 - mu_{-+} = (k0 + k1 s + k2 s^2 +- sqrt(rad)) / (den0 + den1 s + den2 s^2),
+    rad = e s^n + (1 + c_k) (a0 + a1 s + ... + a_{n-1} s^{n-1}),
 
-    1 - mu_{-+} = (k0 + k1 x + k2 x^2 +- sqrt(r0 + r1 x + ... + r5 x^5)) /
-        (den0 + den1 x + den2 x^2)
+with ``n = 5`` for the point smoother and ``n = 4`` for the cell
+smoother.  ``2^n e`` is the radicand at ``c_k = -1``.  Each of the two
+terms vanishes at one end of the interval, and ``1 + c_k`` is exact in
+floating point where it is small, so no digits cancel near either end.
 
-and for the cell smoother
+Every coefficient is a polynomial in ``tau = 1/gamma``: the polynomials
+in ``(c_k, gamma)`` of the paper's appendix multiplied by ``tau^4``
+(``k``, ``den``) or ``tau^8`` (the radicand), so pure diffusion is
+``tau = 0`` and no leading orders cancel as ``gamma`` grows.  The parts
+in ``delta0`` stay factored.  Both denominators share the factor
+``3 s^2 + (12 delta0 - 6 + (12 - 8 delta0) tau) s + 4 tau (6 delta0 +
+tau - 3)``, which is positive for ``delta0 >= 1``, ``tau >= 0`` and
+``0 <= s <= 2`` except at ``s = tau = 0``: there the
+formula is ``0/0``, and :mod:`dgtwolevel.closed_forms` takes
+``c_k = +-1`` from exact endpoint forms instead.
 
-    1 - mu_{-+} = (k0 + k1 x + k2 x^2 +- sqrt(r0 + r1 x + ... + r4 x^4)) /
-        (den0 + den1 x + den2 x^2).
-
-The numerator ``k`` is tabulated rather than ``den - k``: near
-``c_k = 1`` at large ``gamma`` its entries are several times smaller, and
-so is its rounding error.  Each function returns the numerator, radicand
-and denominator coefficients in that order.
+The test suite checks the tables exactly against the 4x4 block at
+``c_k`` = 1/2, 0 and -1/2.  Each function returns the numerator,
+radicand and denominator coefficients in that order.
 """
 
 
+def horner(coeffs, u):
+    """``coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ...`` by Horner's rule."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * u + c
+    return acc
+
+
+def _in_tau(rows, n, gamma):
+    """Each row ``(c_0, c_1, ...)`` of coefficients of ``tau^j`` as its
+    polynomial in ``tau = 1/gamma``, times ``min(1, gamma)**n``.
+
+    The factor is the same for every row of one call and cancels in the
+    eigenvalue formulas.  The polynomial runs in ``tau`` for
+    ``gamma >= 1`` (``tau = 0`` at ``gamma = inf``) and in ``gamma``, with
+    the row reversed, below 1, so no power of a number above 1 is formed:
+    every ``gamma > 0`` stays in range.
+    """
+    if gamma >= 1:
+        tau = 1 / gamma
+        return [horner(row, tau) for row in rows]
+    return [horner((0,) * (n + 1 - len(row)) + row[::-1], gamma) for row in rows]
+
+
 def point_coefficients(delta0: float, gamma: float) -> tuple:
-    """Return (k0, k1, k2, r0, ..., r5, den0, den1, den2) of the point smoother."""
-    d, g = delta0, gamma
+    """Return (k0, k1, k2, e, a0, ..., a4, den0, den1, den2) of the point smoother."""
+    d = delta0
     d2 = d * d
-    d3 = d2 * d
-    d4 = d2 * d2
-    k0 = 48 * (
-        (
-            (
-                ((-36 * d2 + 36 * d) * g + (-60 * d2 + 54 * d + 6)) * g + (11 * d2 - 22 * d + 20)
-            ) * g
-            + 6 * d
-        ) * g
-        + 1
+    f1 = 2 * d - 1  # 2d - 1
+    f2 = 2 * d - 3  # 2d - 3
+    f3 = 4 * d - 1  # 4d - 1
+    f4 = 8 * d + 3  # 8d + 3
+    f5 = d - 1  # d - 1
+    f6 = (16 * d + 5) * d - 3  # 16d^2 + 5d - 3
+    f7 = (2 * d - 2) * d + 1  # 2d^2 - 2d + 1
+    f8 = (48 * d - 18) * d - 1  # 48d^2 - 18d - 1
+    f9 = (64 * d + 144) * d - 15  # 64d^2 + 144d - 15
+    k = (
+        (0, -6912 * d * f5, 288 * f2 * f2, 48 * (8 * d - 3), 48),
+        (-3456 * d * f5, 288 * ((16 * d - 20) * d + 3), -48 * ((14 * d - 54) * d + 39), -48 * f2),
+        (1728 * d * f5, -288 * f1 * (d - 2), 48 * ((d - 4) * d + 5)),
     )
-    k1 = 48 * (((-72 * d2 + 60 * d + 6) * g + (12 * d2 - 46 * d + 29)) * g + (2 * d - 3)) * g
-    k2 = 48 * (((36 * d2 - 36 * d) * g + (-12 * d2 + 30 * d - 12)) * g + (d2 - 4 * d + 5)) * g**2
-    r0 = (
-        (
-            (
-                (
-                    (
-                        (
-                            (
-                                (
-                                    (2985984 * d4 - 5971968 * d3 + 5971968 * d2 - 746496 * d) * g
-                                    + (9953280 * d4 - 18911232 * d3 + 18911232 * d2 + 248832 * d - 248832)
-                                ) * g
-                                + (6469632 * d4 - 9123840 * d3 + 8957952 * d2 + 10368000 * d - 829440)
-                            ) * g
-                            + (-3041280 * d4 + 8487936 * d3 - 8543232 * d2 + 13906944 * d + 359424)
-                        ) * g
-                        + (278784 * d4 - 2442240 * d3 + 1833984 * d2 + 2062080 * d + 2062080)
-                    ) * g
-                    + (353280 * d3 - 1373184 * d2 + 856320 * d + 734976)
-                ) * g
-                + (100864 * d2 - 276480 * d + 195072)
-            ) * g
-            + (8192 * d - 9216)
-        ) * g
-        + 256
+    rad = (
+        (0, 0, 10368 * f1 * f1, 6912 * f1 * f3, 576 * f8, 384 * f6, 8 * f9, 16 * f4, 8),
+        (0, 0, 5971968 * f7 * f7, -995328 * f7 * ((4 * d - 12) * d + 1),
+            41472 * ((((16 * d - 160) * d + 320) * d - 160) * d + 53),
+            13824 * (((32 * d - 156) * d + 172) * d - 17), 1152 * ((80 * d - 256) * d + 173),
+            768 * (8 * d - 13), 128),
+        (0, 5971968 * f7 * f7, -497664 * ((((48 * d - 128) * d + 130) * d - 90) * d + 25),
+            165888 * ((((36 * d - 180) * d + 193) * d - 17) * d - 11),
+            -6912 * ((((64 * d - 704) * d + 2068) * d - 1860) * d + 323),
+            -4608 * (((16 * d - 141) * d + 302) * d - 196), 192 * ((24 * d + 48) * d - 17),
+            128 * f4, 64),
+        (1492992 * f7 * f7, -497664 * ((((32 * d - 72) * d + 74) * d - 62) * d + 21),
+            41472 * ((((168 * d - 664) * d + 704) * d - 244) * d + 91),
+            -27648 * ((((40 * d - 248) * d + 429) * d - 151) * d - 93),
+            2304 * ((((26 * d - 300) * d + 1214) * d - 1811) * d + 920),
+            -768 * (((20 * d - 142) * d + 179) * d - 93), 32 * f9, 64 * f4, 32),
+        (-746496 * ((((4 * d - 8) * d + 8) * d - 8) * d + 3),
+            497664 * ((((4 * d - 14) * d + 16) * d - 13) * d + 8),
+            -20736 * ((((24 * d - 120) * d + 164) * d + 16) * d - 89),
+            13824 * ((((4 * d - 26) * d + 76) * d - 94) * d + 43),
+            -1152 * ((((2 * d - 16) * d - 4) * d - 30) * d + 19), 768 * f6, 16 * f9, 32 * f4, 16),
+        (-746496 * f5, -248832 * f5, 10368 * f1 * f1, 6912 * f1 * f3, 576 * f8, 384 * f6, 8 * f9,
+            16 * f4, 8),
     )
-    r1 = (
-        (
-            (
-                (
-                    (
-                        (
-                            (
-                                (-3732480 * d + 746496) * g
-                                + (11943936 * d4 - 21897216 * d3 + 20901888 * d2 - 17169408 * d + 1741824)
-                            ) * g
-                            + (17915904 * d4 - 25214976 * d3 + 25049088 * d2 - 12773376 * d - 1575936)
-                        ) * g
-                        + (-6967296 * d4 + 25712640 * d3 - 20542464 * d2 + 12690432 * d - 4810752)
-                    ) * g
-                    + (608256 * d4 - 5981184 * d3 + 10243584 * d2 - 2449152 * d + 126720)
-                ) * g
-                + (457728 * d3 - 2339328 * d2 + 2492160 * d - 292608)
-            ) * g
-            + (83968 * d2 - 313344 * d + 201216)
-        ) * g
-        + (4096 * d - 10752)
-    ) * g
-    r2 = (
-        (
-            (
-                (
-                    (
-                        (
-                            (-5971968 * d4 + 11943936 * d3 - 11943936 * d2 + 4478976 * d) * g
-                            + (-7962624 * d4 + 11943936 * d3 - 10948608 * d2 - 7464960 * d + 4976640)
-                        ) * g
-                        + (16920576 * d4 - 36163584 * d3 + 35997696 * d2 - 35168256 * d + 8792064)
-                    ) * g
-                    + (-4866048 * d4 + 23003136 * d3 - 19491840 * d2 - 1852416 * d - 663552)
-                ) * g
-                + (382464 * d4 - 4174848 * d3 + 11828736 * d2 - 8808192 * d + 105984)
-            ) * g
-            + (89088 * d3 - 685056 * d2 + 1552128 * d - 988416)
-        ) * g
-        + (-512 * d2 + 2304)
-    ) * g**2
-    r3 = (
-        (
-            (
-                (
-                    (
-                        (4478976 * d - 1492992) * g
-                        + (-11943936 * d4 + 21897216 * d3 - 20901888 * d2 + 17418240 * d - 1990656)
-                    ) * g
-                    + (5971968 * d4 - 22560768 * d3 + 22063104 * d2 - 10450944 * d + 7382016)
-                ) * g
-                + (-995328 * d4 + 6137856 * d3 - 10202112 * d2 + 1907712 * d + 3704832)
-            ) * g
-            + (55296 * d4 - 654336 * d3 + 2585088 * d2 - 4020480 * d + 2080512)
-        ) * g
-        + (-15360 * d3 + 84480 * d2 - 145152 * d + 76032)
-    ) * g**3
-    r4 = (
-        (
-            (
-                (
-                    (2985984 * d4 - 5971968 * d3 + 5971968 * d2 - 3732480 * d) * g
-                    + (-1990656 * d4 + 6967296 * d3 - 7962624 * d2 + 7216128 * d - 4727808)
-                ) * g
-                + (497664 * d4 - 2488320 * d3 + 3483648 * d2 + 248832 * d - 1824768)
-            ) * g
-            + (-55296 * d4 + 359424 * d3 - 940032 * d2 + 1216512 * d - 580608)
-        ) * g
-        + (2304 * d4 - 18432 * d3 + 50688 * d2 - 55296 * d + 20736)
-    ) * g**4
-    r5 = 248832 * (1 - d) * (3 * g + 1) * g**7
-    den0 = (
-        (
-            ((6912 * d2 - 5184 * d + 864) * g + (11520 * d2 - 5184 * d)) * g
-            + (3072 * d2 + 2688 * d - 1248)
-        )
-        * g
-        + 1280 * d
-    ) * g + 128
-    den1 = (
-        ((-6912 * d2 + 3456 * d) * g + (2304 * d2 - 9216 * d + 3456)) * g
-        + (1536 * d2 - 2688 * d)
-    ) * g**2 + (256 * d - 384) * g
-    den2 = ((1728 * d - 864) * g + 576 * d) * g**3 + 96 * g**2
-    return (k0, k1, k2, r0, r1, r2, r3, r4, r5, den0, den1, den2)
+    den = (
+        (0, 3456 * f1 * f1, 1152 * (2 * d + 1) * f1, 384 * f3, 128),
+        (1728 * f1 * f1, -1152 * f1 * (d - 3), -192 * ((8 * d - 14) * d + 1), -128 * f2),
+        (864 * f1, 576 * d, 96),
+    )
+    return (*_in_tau(k, 4, gamma), *_in_tau(rad, 8, gamma), *_in_tau(den, 4, gamma))
 
 
 def cell_coefficients(delta0: float, gamma: float) -> tuple:
-    """Return (k0, k1, k2, r0, ..., r4, den0, den1, den2) of the cell smoother."""
-    d, g = delta0, gamma
+    """Return (k0, k1, k2, e, a0, ..., a3, den0, den1, den2) of the cell smoother."""
+    d = delta0
     d2 = d * d
-    d3 = d2 * d
-    d4 = d2 * d2
-    d5 = d4 * d
-    d6 = d3 * d3
-    k0 = 16 * (
-        (
-            ((-72 * d2 + 72 * d) * g + (-120 * d2 + 72 * d + 36)) * g + (6 * d2 - 72 * d + 57)
-        ) * g
-        - 2 * d
-    ) * g
-    k1 = 32 * (
-        (
-            ((36 * d2 - 36 * d) * g + (-12 * d2 + 30 * d - 18)) * g + (9 * d2 - 18 * d + 6)
-        ) * g
-        + (2 * d - 3)
-    ) * g
-    k2 = 48 * (4 * d * g + 1) * g**2
-    # common factor of the radicand entries
-    g2 = 1024 * g * g
-    r0 = g2 * (
-        (
-            (
-                (
-                    (
-                        (
-                            (5184 * d6 - 18144 * d5 + 21060 * d4 - 9072 * d3 + 1944 * d2) * g
-                            + (13824 * d6 - 43200 * d5 + 36720 * d4 - 864 * d3 - 3672 * d2 + 1836 * d)
-                        ) * g
-                        + (9216 * d6 - 17136 * d5 - 16236 * d4 + 41760 * d3 - 12384 * d2 + 2592 * d + 432)
-                    ) * g
-                    + (10944 * d5 - 33624 * d4 + 23292 * d3 + 7524 * d2 - 2340 * d + 1080)
-                ) * g
-                + (4665 * d4 - 16140 * d3 + 15018 * d2 - 1116 * d + 504)
-            ) * g
-            + (858 * d3 - 3096 * d2 + 2931 * d - 72)
-        ) * g
-        + (61 * d2 - 228 * d + 219)
+    f1 = 11 * d - 21  # 11d - 21
+    f2 = 2 * d - 1  # 2d - 1
+    f3 = 2 * d - 3  # 2d - 3
+    f4 = d - 1  # d - 1
+    f5 = d - 3  # d - 3
+    f6 = (10 * d + 18) * d - 9  # 10d^2 + 18d - 9
+    f7 = (11 * d + 4) * d - 2  # 11d^2 + 4d - 2
+    f8 = (14 * d - 29) * d + 6  # 14d^2 - 29d + 6
+    f9 = (2 * d - 4) * d + 1  # 2d^2 - 4d + 1
+    k = (
+        (0, -2304 * d * f4, 192 * ((2 * d - 9) * d + 6), 32 * f5),
+        (-1152 * d * f4, 192 * f2 * f5, -288 * f4 * f4, -32 * f3),
+        (0, 192 * d, 48),
     )
-    r1 = g2 * (
-        (
-            (
-                (
-                    (
-                        (
-                            (-10368 * d6 + 33696 * d5 - 37584 * d4 + 16848 * d3 - 3888 * d2) * g
-                            + (-6912 * d6 + 5184 * d5 + 23760 * d4 - 34776 * d3 + 14040 * d2 - 3672 * d)
-                        ) * g
-                        + (9216 * d6 - 46944 * d5 + 65988 * d4 - 23616 * d3 - 4752 * d2 + 1944 * d - 864)
-                    ) * g
-                    + (10656 * d5 - 48960 * d4 + 65916 * d3 - 26532 * d2 + 2772 * d - 432)
-                ) * g
-                + (4518 * d4 - 19836 * d3 + 24900 * d2 - 8028 * d + 576)
-            ) * g
-            + (834 * d3 - 3498 * d2 + 3960 * d - 756)
-        ) * g
-        + (56 * d2 - 222 * d + 216)
+    rad = (
+        (331776 * f2 * f2 * d2 * f4 * f4, 110592 * f2 * d * f4 * f4 * ((4 * d + 6) * d - 3),
+            9216 * f4 * f4 * ((((16 * d + 108) * d - 18) * d - 36) * d + 9),
+            18432 * d * f4 * f4 * f6, 6912 * f4 * f4 * f7, 11520 * d * f4 * f4, 576 * f4 * f4),
+        (0, 0, 2654208 * d2 * f9 * f9, 442368 * d * f8 * f9,
+            18432 * ((((284 * d - 1156) * d + 1389) * d - 432) * d + 36), 6144 * f1 * f8,
+            512 * f1 * f1),
+        (0, 2654208 * d2 * f9 * f9,
+            -221184 * d * (((((8 * d - 100) * d + 286) * d - 294) * d + 93) * d - 12),
+            -73728 * (((((26 * d - 219) * d + 500) * d - 408) * d + 75) * d - 9),
+            -3072 * ((((248 * d - 1718) * d + 3353) * d - 2208) * d + 90),
+            -3072 * (((37 * d - 224) * d + 388) * d - 228), -256 * ((7 * d - 30) * d + 15)),
+        (663552 * d2 * f9 * f9, 221184 * d * ((((8 * d * d - 50) * d + 58) * d - 11) * d + 3),
+            18432 * ((((((16 * d + 76) * d - 132) * d - 164) * d + 223) * d + 54) * d + 9),
+            36864 * (((((10 * d - 2) * d - 22) * d - 7) * d + 22) * d + 12),
+            1536 * ((((99 * d - 162) * d + 41) * d - 48) * d + 102), 23040 * d * f4 * f4,
+            1152 * f4 * f4),
+        (331776 * d2 * ((((4 * d - 12) * d + 12) * d - 6) * d + 3),
+            110592 * d * (((((8 * d - 8) * d - 20) * d + 33) * d - 18) * d + 8),
+            9216 * ((((((16 * d + 76) * d - 218) * d + 108) * d + 59) * d - 54) * d + 21),
+            18432 * d * f4 * f4 * f6, 6912 * f4 * f4 * f7, 11520 * d * f4 * f4, 576 * f4 * f4),
     )
-    r2 = g2 * (
-        (
-            (
-                (
-                    (
-                        (
-                            (5184 * d6 - 12960 * d5 + 12312 * d4 - 6480 * d3 + 1296 * d2) * g
-                            + (-6912 * d6 + 36288 * d5 - 54000 * d4 + 30888 * d3 - 11880 * d2 + 1296 * d)
-                        ) * g
-                        + (2304 * d6 - 18864 * d5 + 52380 * d4 - 54720 * d3 + 19476 * d2 - 6480 * d + 324)
-                    ) * g
-                    + (2592 * d5 - 15912 * d4 + 33012 * d3 - 25236 * d2 + 3636 * d - 1080)
-                ) * g
-                + (1041 * d4 - 5640 * d3 + 10038 * d2 - 6228 * d + 36)
-            ) * g
-            + (156 * d3 - 762 * d2 + 1209 * d - 684)
-        ) * g
-        + (4 * d2 - 12 * d + 6)
+    den = (
+        (0, 2304 * f2 * d2, 768 * (5 * d - 2) * d, 64 * (14 * d - 3), 64),
+        (1152 * f2 * d2, -768 * d * ((2 * d - 5) * d + 1), -32 * ((32 * d - 54) * d + 3),
+            -64 * f3),
+        (576 * d2, 384 * d, 48),
     )
-    r3 = g2 * (
-        (
-            (
-                (
-                    (-2592 * d5 + 3888 * d4 - 1296 * d3 + 1296 * d2) * g
-                    + (1728 * d5 - 6480 * d4 + 4536 * d3 + 1512 * d2 + 1080 * d)
-                ) * g
-                + (1548 * d4 - 4896 * d3 + 2808 * d2 + 1944 * d + 216)
-            ) * g
-            + (468 * d3 - 1548 * d2 + 1116 * d + 432)
-        ) * g
-        + (48 * d2 - 180 * d + 180)
-    ) * g**2
-    r4 = g2 * (
-        ((324 * d4 - 648 * d2) * g + (216 * d3 - 540 * d)) * g + (36 * d2 - 108)
-    ) * g**4
-    q = (2 * d * g + 1) * (6 * d * g + 1)
-    den0 = 8 * q * ((24 * d - 6) * g * g + 32 * d * g + 8)
-    den1 = -64 * g * q * (d * (3 * g - 2) + 3)
-    den2 = 48 * g * g * q
-    return (k0, k1, k2, r0, r1, r2, r3, r4, den0, den1, den2)
+    return (*_in_tau(k, 4, gamma), *_in_tau(rad, 8, gamma), *_in_tau(den, 4, gamma))

@@ -46,11 +46,13 @@ class CheckResult:
 def run_validation(cells: int = 64) -> list:
     """Run the full invariant suite; returns a list of check results.
 
-    The two checks that read the reaction-diffusion coefficient tables
-    (``appendix_vs_blocks`` and ``poisson_degeneration``) go through
-    :func:`~dgtwolevel.closed_forms.eigenvalue_pair`.  A table slip that
-    drives a radicand or denominator out of range there is a failed
-    check with observed ``inf``, not an error.
+    The checks of closed-form pairs (``appendix_vs_blocks``,
+    ``equioscillation``, ``poisson_degeneration`` and
+    ``quarter_frequency_touch``) read the coefficient tables through
+    :func:`~dgtwolevel.closed_forms.eigenvalue_pair`, pure diffusion
+    (``tau = 0``) included.  A table slip that drives a radicand or
+    denominator out of range there is a failed check with observed
+    ``inf``, not an error.
     """
     checks = []
     rng = np.random.default_rng(2024)
@@ -118,8 +120,12 @@ def run_validation(cells: int = 64) -> list:
     worst = 0.0
     for kind in (POINT, CELL):
         for delta0 in (1.1, 1.3, DELTA0_TILDE_PLUS, 1.5, 2.0, 4.0, 10.0):
-            alpha = alpha_opt_poisson(kind, delta0).alpha_opt
-            hi, lo = eigenvalue_pair(x, delta0, math.inf, alpha, kind)
+            try:
+                alpha = alpha_opt_poisson(kind, delta0).alpha_opt
+                hi, lo = eigenvalue_pair(x, delta0, math.inf, alpha, kind)
+            except ClosedFormDomainError:
+                worst = math.inf
+                continue
             worst = max(worst, abs(hi.max() + lo.min()))
     checks.append(CheckResult("optimal_params", "equioscillation", worst < 1e-8, worst, "< 1e-8"))
 
@@ -172,18 +178,22 @@ def run_validation(cells: int = 64) -> list:
         for delta0 in (1.2, 2.0, 5.0):
             try:
                 hi_rd, lo_rd = eigenvalue_pair(x, delta0, 1e10, 1.0, kind)
+                hi_p, lo_p = eigenvalue_pair(x, delta0, math.inf, 1.0, kind)
             except ClosedFormDomainError:
                 worst = math.inf
                 continue
-            hi_p, lo_p = eigenvalue_pair(x, delta0, math.inf, 1.0, kind)
             worst = max(worst, np.abs(hi_rd - hi_p).max(), np.abs(lo_rd - lo_p).max())
     checks.append(CheckResult("lfa", "poisson_degeneration", worst < 1e-8, worst, "< 1e-8"))
 
     # Touching eigenvalue curves at k = J/4 for delta0 = 1 (point smoother).
     if not quarter_skipped:
         cfg = ProblemConfig(cells, 1.0, math.inf, PERIODIC)
-        pair = eigs_closed_form(math.cos(math.pi), cfg, POINT, alpha_opt_poisson(POINT, 1.0).alpha_opt)
-        gap = abs(pair.lambda_plus - pair.lambda_minus)
+        try:
+            alpha = alpha_opt_poisson(POINT, 1.0).alpha_opt
+            pair = eigs_closed_form(math.cos(math.pi), cfg, POINT, alpha)
+            gap = abs(pair.lambda_plus - pair.lambda_minus)
+        except ClosedFormDomainError:
+            gap = math.inf
         checks.append(CheckResult("lfa", "quarter_frequency_touch", gap < 1e-10, gap, "< 1e-10"))
 
     return checks

@@ -280,6 +280,25 @@ def test_optimize_stalled_penalty_is_an_error_line(capsys):
 
 
 @pytest.mark.parametrize(
+    "value", ["1:2:1e-12", "1:2:1e-300", "1:2:5e-324", "1:1.5:1e-6,2:3:1e-6"]
+)
+def test_oversized_grid_is_usage_error(capsys, value):
+    # the count is checked before the list is built: 1e12 floats would
+    # not fit in memory
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--smoother", "cell", "--delta0", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--delta0: more than 1000000 values" in captured.err
+
+
+def test_grid_of_a_million_values_is_accepted():
+    parser = cli.build_parser()
+    assert len(cli._parse_grid("1:1000000:1", parser, "--delta0")) == 10**6
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [("--delta0", "inf"), ("--delta0", "1:inf:1"), ("--alpha", "nan"), ("--alpha", "inf"),
      ("--gamma", "nan")],

@@ -17,14 +17,12 @@ from dgtwolevel import (
     symbols_at_ck,
     two_level_components,
 )
-from dgtwolevel import closed_forms
+from dgtwolevel import closed_forms, fourier
 from dgtwolevel.closed_forms import (
     ASYMPTOTIC_CK,
     ClosedFormDomainError,
     _guarded_sqrt,
     mesh_ck,
-    poisson_cell_f,
-    poisson_point_f,
     rho_on_ck_values,
 )
 from dgtwolevel.rd_coefficients import cell_coefficients, point_coefficients
@@ -46,7 +44,7 @@ def test_point_curves_touch_at_quarter_frequency():
     assert pair.lambda_plus > pair.lambda_minus
 
 
-def test_alpha_zero_gives_unit_pair(monkeypatch):
+def test_alpha_zero_gives_unit_pair():
     cfg = ProblemConfig(16, 2.0, math.inf, PERIODIC)
     for kind in (POINT, CELL):
         pair = eigs_closed_form(0.3, cfg, kind, 0.0)
@@ -56,13 +54,9 @@ def test_alpha_zero_gives_unit_pair(monkeypatch):
         for kind in (POINT, CELL):
             pair = eigs_closed_form(0.3, cfg, kind, 0.0)
             assert pair.lambda_plus == 1.0 and pair.lambda_minus == 1.0
-    # the noise band is a property of mu, not of alpha: at alpha = 0 no
-    # point is re-evaluated from the 4x4 block
-    routes = count_noise_band_routes(monkeypatch)
     hi, lo = eigenvalue_pair(mesh_ck(256), 2.0, 1.0, 0.0, CELL)
     assert hi.shape == lo.shape == (128,)
     assert np.all(hi == 1.0) and np.all(lo == 1.0)
-    assert routes["block"] == []
 
 
 def test_rd_point_example_against_block():
@@ -103,38 +97,10 @@ def test_poisson_forms_match_blocks():
             assert np.abs(ref - expected).max() < 1e-9 * max(1.0, np.abs(expected).max())
 
 
-def test_radicand_roots_match_expanded_polynomial():
-    # the f-root product form reproduces the expanded radicand away from
-    # the removable delta0 = 1 and delta0^2 = 2 singularities
-    for delta0 in (1.3, 2.0, 5.0):
-        fm, fp = poisson_point_f(delta0)
-        for c in (-0.7, 0.1, 0.9):
-            expanded = (c + 1) * (
-                (1 - delta0) * c**2
-                + (4 * delta0**4 - 8 * delta0**3 + 8 * delta0**2 - 6 * delta0 + 1) * c
-                + delta0 * (4 * delta0**3 - 8 * delta0**2 + 8 * delta0 - 1)
-            )
-            product = (c + 1) * (1 - delta0) * (c - fm) * (c - fp)
-            assert expanded == pytest.approx(product, rel=1e-10)
-    for delta0 in (1.2, 1.9, 4.0):
-        fm, fp = poisson_cell_f(delta0)
-        for c in (-0.7, 0.1, 0.9):
-            expanded = (
-                (delta0**2 - 2) * c**2
-                - 2 * delta0 * (4 * delta0**2 - 7 * delta0 + 2) * c
-                + (16 * delta0**4 - 56 * delta0**3 + 65 * delta0**2 - 28 * delta0 + 6)
-            )
-            product = (delta0**2 - 2) * (c - fm) * (c - fp)
-            assert expanded == pytest.approx(product, rel=1e-10)
-
-
 def test_cell_f_complex_window():
-    # the radicand root pair goes complex strictly between the two branch
-    # breakpoints; the expanded polynomial keeps the eigenvalues real there
-    with pytest.raises(ValueError):
-        poisson_cell_f(1.45)
-    fm, fp = poisson_cell_f(1.6)  # real again past the upper breakpoint
-    assert fm < fp
+    # the roots in c_k of the pure-diffusion cell radicand form a complex
+    # pair strictly between the two branch breakpoints (1.41964... and
+    # 3/2); the radicand stays positive and the eigenvalues real there
     hi, lo = eigenvalue_pair(np.linspace(-1, 1, 101), 1.45, math.inf, 0.9, CELL)
     assert np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))
     assert np.all(hi >= lo)
@@ -190,15 +156,13 @@ def test_grid_scan_puts_minimum_at_formula_alpha():
 
 
 def power_sum_pair(x, delta0, gamma, alpha, kind):
-    """Reference pair with the radicand summed as ``sum r_i x**i``."""
-    if kind == POINT:
-        c = point_coefficients(delta0, gamma)
-        rad_coeffs, den = c[3:9], c[9] + c[10] * x + c[11] * x**2
-    else:
-        c = cell_coefficients(delta0, gamma)
-        rad_coeffs, den = c[3:8], c[8] + c[9] * x + c[10] * x**2
-    k = c[0] + c[1] * x + c[2] * x**2
-    rad = sum(ci * x**i for i, ci in enumerate(rad_coeffs))
+    """Reference pair with every polynomial in ``s = 1 - c_k`` summed as
+    ``sum c_i s**i``."""
+    c = (point_coefficients if kind == POINT else cell_coefficients)(delta0, gamma)
+    s = 1 - x
+    k, den = (sum(ci * s**i for i, ci in enumerate(part)) for part in (c[:3], c[-3:]))
+    e, *a = c[3:-3]
+    rad = e * s ** len(a) + (1 + x) * sum(ci * s**i for i, ci in enumerate(a))
     root = np.sqrt(np.maximum(rad, 0.0))
     hi, lo = (1 - alpha * (1 - (k + sign * root) / den) for sign in (1, -1))
     return np.maximum(hi, lo), np.minimum(hi, lo)
@@ -216,31 +180,13 @@ def test_horner_radicand_matches_power_sum(kind, gamma):
             assert np.abs(lo - ref_lo).max() <= 1e-14
 
 
-def count_noise_band_routes(monkeypatch):
-    """Record the arguments of every exact-endpoint evaluation and every
-    4x4-block re-evaluation of noise-band points."""
-    routes = {"endpoint": [], "block": []}
-    for key, name in (("endpoint", "_endpoint_mu"), ("block", "_block_pair")):
-        original = getattr(closed_forms, name)
-        monkeypatch.setattr(
-            closed_forms, name,
-            lambda *args, key=key, f=original: routes[key].append(args) or f(*args),
-        )
-    return routes
-
-
-def broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, routes, stride):
+def broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, stride):
     """Check that a column of (delta0, alpha) rows against one row of c_k,
     or one row each, gives exactly the pairs of one call per row and per
-    point (every ``stride``-th).  Returns the noise-band route hits of
-    each broadcast call."""
-    hits = []
+    point (every ``stride``-th)."""
     rows = np.array([np.roll(x, 3 * i) for i in range(len(delta0))])
     for ck in (x, rows):
-        for calls in routes.values():
-            calls.clear()
         hi, lo = eigenvalue_pair(ck, delta0, gamma, alpha, kind)
-        hits.append({key: len(calls) for key, calls in routes.items()})
         rho = rho_on_ck_values(ck, delta0, gamma, alpha, kind)
         assert hi.shape == lo.shape == rows.shape and rho.shape == (len(delta0),)
         for i, (d, a) in enumerate(zip(delta0[:, 0].tolist(), alpha[:, 0].tolist())):
@@ -252,31 +198,31 @@ def broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, routes, stride):
                 assert point_hi == hi[i, j] and point_lo == lo[i, j]
             row_rho = rho_on_ck_values(xi, d, gamma, a, kind)
             assert type(row_rho) is float and row_rho == rho[i]
-    return hits
 
 
 @pytest.mark.parametrize("kind", [POINT, CELL])
 @pytest.mark.parametrize("gamma", [math.inf, 1e4, 1.0, 0.05])
-def test_broadcast_equals_scalar_loop(kind, gamma, monkeypatch):
-    routes = count_noise_band_routes(monkeypatch)
+def test_broadcast_equals_scalar_loop(kind, gamma):
     x = np.concatenate((mesh_ck(64), np.linspace(-1.0, 1.0, 101)))
     delta0 = np.array([[1.0], [1.05], [1.45], [1.5], [2.0], [3.7]])
     alpha = np.array([[0.6], [0.9], [1.0], [0.95], [1.1], [0.8]])
-    for hits in broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, routes, stride=5):
-        # at every finite gamma the points c_k = +-1 take the exact endpoint
-        # forms, also at gamma = 1e4 where the radicand drowns in rounding
-        # noise there
-        assert bool(hits["endpoint"]) == (gamma != math.inf)
+    broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, stride=5)
+    hi, lo = eigenvalue_pair(np.array([]), delta0, gamma, alpha, kind)
+    assert hi.shape == lo.shape == (len(delta0), 0)
 
 
-def test_broadcast_equals_scalar_loop_through_block_fallback(monkeypatch):
-    # near the cell radicand's double root at c_k = 0.998 the band points
-    # inside the interval are still re-evaluated one by one from the
-    # 4x4 block, each with its own (c_k, delta0, alpha)
-    routes = count_noise_band_routes(monkeypatch)
+def test_broadcast_equals_scalar_loop_next_to_ck_one():
+    # the points next to c_k = 1 where the cell radicand in powers of c_k
+    # used to drown in rounding noise, every one of them checked
     x = ASYMPTOTIC_CK[-12:]
     assert x[-2] == 0.998
     delta0 = np.array([[1.7], [1.75], [2.0]])
     alpha = np.array([[0.6], [1.0], [1.2]])
-    for hits in broadcast_equals_scalar_loop(CELL, 1e4, x, delta0, alpha, routes, stride=1):
-        assert hits["block"] and hits["endpoint"]
+    broadcast_equals_scalar_loop(CELL, 1e4, x, delta0, alpha, stride=1)
+
+
+def test_closed_forms_bind_nothing_from_fourier():
+    # one route for every gamma: no pair is re-evaluated from the 4x4 block
+    for name, value in vars(closed_forms).items():
+        assert value is not fourier, name
+        assert getattr(value, "__module__", None) != fourier.__name__, name

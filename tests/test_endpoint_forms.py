@@ -103,6 +103,7 @@ def pair_charpoly(alpha, mu_sum, mu_product):
 def rational_points():
     sympy = pytest.importorskip("sympy")
     return [
+        (sympy.Rational(3, 2), sympy.Rational(0)),
         (sympy.Rational(1), sympy.Rational(1, 10**12)),
         (sympy.Rational(17, 10), sympy.Rational(1, 10**12)),
         (sympy.Rational(21, 20), sympy.Rational(7, 3)),
@@ -120,6 +121,11 @@ def test_endpoint_forms_are_exact_block_eigenvalues(kind):
     for delta0, tau in rational_points():
         plus_1, plus_2, minus_1, minus_2 = closed_forms._endpoint_mu(delta0, tau, kind)
         for t, (mu_1, mu_2) in ((0.0, (plus_1, plus_2)), (math.pi / 2, (minus_1, minus_2))):
+            if tau == 0 and t == 0.0:
+                # the constant is in the kernel there, and the coarse block
+                # is singular; test_endpoint_forms_reduce_to_pure_diffusion
+                # covers this pair
+                continue
             lams = [1 - alpha * mu for mu in (mu_1, mu_2)]
             assert all(isinstance(v, sympy.Rational) and v != 0 for v in lams)
             expected = pair_charpoly(alpha, mu_1 + mu_2, mu_1 * mu_2)
@@ -129,19 +135,22 @@ def test_endpoint_forms_are_exact_block_eigenvalues(kind):
 @pytest.mark.parametrize("kind", [POINT, CELL])
 def test_tables_give_exact_block_pairs_inside(kind):
     # the shipped coefficient tables, evaluated in exact rationals at
-    # c_k = 1/2, 0, -1/2, give mu_+ + mu_- = 2 m / den and
+    # c_k = 1/2, 0, -1/2 (s = 1 - c_k), give mu_+ + mu_- = 2 m / den and
     # mu_+ mu_- = (m^2 - r) / den^2 of the exact block, with m = den - k
+    # and r = e s^n + (1 + c_k) sum a_i s^i; tau = 0 is pure diffusion
     sympy = pytest.importorskip("sympy")
     table = point_coefficients if kind == POINT else cell_coefficients
     alpha = sympy.Rational(9, 10)
     phases = ((math.pi / 6, sympy.Rational(1, 2)), (math.pi / 4, 0), (math.pi / 3, -sympy.Rational(1, 2)))
     for delta0, tau in rational_points():
-        coeffs = table(delta0, 1 / tau)
+        coeffs = table(delta0, sympy.oo if tau == 0 else 1 / tau)
+        e, *a = coeffs[3:-3]
         for t, ck in phases:
-            k, r, den = (
-                sum(c * ck**i for i, c in enumerate(part))
-                for part in (coeffs[:3], coeffs[3:-3], coeffs[-3:])
+            s = 1 - ck
+            k, a_s, den = (
+                sum(c * s**i for i, c in enumerate(part)) for part in (coeffs[:3], a, coeffs[-3:])
             )
+            r = e * s ** len(a) + (1 + ck) * a_s
             m = den - k
             expected = pair_charpoly(alpha, 2 * m / den, (m * m - r) / den**2)
             assert exact_charpoly(delta0, tau, kind, alpha, t) == expected, (kind, delta0, tau, ck)
@@ -186,20 +195,27 @@ def csv_rows(capsys, *argv):
 
 @pytest.mark.parametrize("kind", [POINT, CELL])
 def test_sweep_at_huge_gamma_matches_pure_diffusion(capsys, kind):
+    # one route for every gamma: tau = 1/gamma goes to 0 without any
+    # denominator rounding to zero, and tiny gamma does not overflow
     args = ("sweep", "--smoother", kind, "--delta0", "1.05:6:0.01", "--alpha", "0.6:1.2:0.1",
             "--cells", "64")
-    near = csv_rows(capsys, *args, "--gamma", "1e12")
     limit = csv_rows(capsys, *args, "--gamma", "inf")
-    assert near.shape == limit.shape == (496 * 7, 4)
-    assert np.array_equal(near[:, [0, 2]], limit[:, [0, 2]])
-    assert np.abs(near[:, 3] - limit[:, 3]).max() < 1e-9
+    assert limit.shape == (496 * 7, 4)
+    for gamma in ("1e12", "1e14", "1e16"):
+        near = csv_rows(capsys, *args, "--gamma", gamma)
+        assert np.array_equal(near[:, [0, 2]], limit[:, [0, 2]])
+        assert np.abs(near[:, 3] - limit[:, 3]).max() < 1e-12, gamma
+    tiny = csv_rows(capsys, *args, "--gamma", "1e-40")
+    assert tiny.shape == limit.shape and np.all(np.isfinite(tiny))
 
 
 def test_spectrum_at_huge_gamma_keeps_the_endpoint_limit(capsys):
-    rows = csv_rows(
-        capsys, "spectrum", "--smoother", "point", "--delta0", "2", "--gamma", "1e12",
-        "--alpha", "0.9",
-    )
-    _, ck, lambda_plus, _ = rows[-1]
-    assert ck == 1.0
-    assert abs(lambda_plus - 0.2) < 1e-9
+    args = ("spectrum", "--smoother", "point", "--delta0", "2", "--alpha", "0.9")
+    for gamma in ("1e12", "1e14", "1e16"):
+        rows = csv_rows(capsys, *args, "--gamma", gamma)
+        _, ck, lambda_plus, _ = rows[-1]
+        assert ck == 1.0
+        assert abs(lambda_plus - 0.2) < 1e-9
+    limit = csv_rows(capsys, *args, "--gamma", "inf")
+    assert np.abs(rows - limit).max() < 1e-12
+    assert np.all(np.isfinite(csv_rows(capsys, *args, "--gamma", "1e-40")))
