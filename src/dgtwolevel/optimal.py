@@ -163,6 +163,13 @@ def _plain(used: list) -> list:
     return [(name, float(value)) for name, value in used]
 
 
+def _check_finite(alpha: float) -> None:
+    """Raise the ``OverflowError`` of Python's float power for a branch
+    formula whose products overflowed to inf / inf without a word."""
+    if not math.isfinite(alpha):
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+
+
 def _alpha_poisson(kind: str, d: float) -> tuple:
     """Branch formula of :func:`alpha_opt_poisson`: ``(alpha, branch, used)``."""
     used = [("delta_tilde_plus", DELTA0_TILDE_PLUS), ("delta_tilde_minus", DELTA0_TILDE_MINUS)]
@@ -181,10 +188,7 @@ def _alpha_poisson(kind: str, d: float) -> tuple:
     else:
         alpha = 2 * d * d / (2 * d * d + d - 1)
         branch = "cell-high"
-    if not math.isfinite(alpha):
-        # Python's float power raises this in the point branch; the cell
-        # branches overflow to inf / inf without a word
-        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    _check_finite(alpha)
     return alpha, branch, used
 
 
@@ -286,9 +290,9 @@ def _alpha_rd_cell(delta0: float, gamma: float) -> tuple:
 
 def _alpha_rd(kind: str, delta0: float, gamma: float) -> tuple:
     """Branch formula of :func:`alpha_opt_rd`: ``(alpha, branch, used)``."""
-    if kind == POINT:
-        return _alpha_rd_point(delta0, gamma)
-    return _alpha_rd_cell(delta0, gamma)
+    alpha, branch, used = (_alpha_rd_point if kind == POINT else _alpha_rd_cell)(delta0, gamma)
+    _check_finite(alpha)
+    return alpha, branch, used
 
 
 def alpha_opt_rd(kind: str, delta0: float, gamma: float) -> RelaxationResult:

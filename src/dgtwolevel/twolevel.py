@@ -11,20 +11,13 @@ from .assembly import (
     assemble_smoother,
     assemble_transfer,
 )
-from .blocks import BlockDiagonal, BlockTridiagonal, CellStencil, CyclicReduction
-from .config import PERIODIC, ProblemConfig
+from .blocks import BlockDiagonal, BlockTridiagonal, CyclicReduction
+from .config import ProblemConfig
 
 # Residual ratios averaged by ``convergence_factor``.
 _RATE_STEPS = 10
 # Steps without a new smallest residual after which a solve has stagnated.
 _STAGNATION_STEPS = 50
-# Above this gamma a periodic A0 (condition number about 4 gamma) gets
-# iterative refinement in every coarse solve: without it, rho_dense at
-# J = 192 and gamma = 1e9 was 2.8e-12 off LFA, at 1e8 within 1.5e-15.
-_REFINE_GAMMA = 1e8
-# Each step shrinks the error by about 4 gamma eps: at gamma = 1e12 one
-# step left rho_dense 1.1e-10 off LFA (J = 64, delta0 = 1.2), two 2e-14.
-_REFINE_STEPS = 2
 
 
 class EigenSolverError(RuntimeError):
@@ -41,41 +34,25 @@ class IterationHistory:
     solution: np.ndarray = field(default=None, repr=False)
 
 
-@dataclass
 class TwoLevelComponents:
-    """Immutable bundle of the two-level method's operators.
+    """The two-level method's operators, built from ``(A, D, alpha)``.
 
-    ``A`` is the fine operator, ``D`` the block-diagonal smoother, ``R``/
-    ``P`` the transfers, ``A0 = R A P`` the Galerkin coarse operator and
-    ``alpha`` the smoother relaxation, all in the structured forms of
-    ``dgtwolevel.blocks``.  ``constant_kernel`` declares ``A0`` singular
-    on the constant vector (periodic pure diffusion); the coarse solve
-    then projects that mode out.  ``refine_coarse`` adds
-    ``_REFINE_STEPS`` steps of iterative refinement to every coarse
-    solve, for an ``A0`` so nearly singular that a single solve loses
-    digits.  The block inverses of ``D`` and the cyclic reduction of
-    ``A0`` are prepared once at construction.
+    ``A`` is the fine operator, ``D`` the block-diagonal smoother and
+    ``alpha`` the smoother relaxation; the transfers ``R``/``P`` and the
+    Galerkin coarse operator ``A0 = R A P`` follow from ``A``, all in the
+    structured forms of ``dgtwolevel.blocks``.  The block inverses of
+    ``D`` and the cyclic reduction of ``A0`` are prepared once here; the
+    reduction reads off ``A0`` whether it is singular on the constants
+    (then the coarse solve projects that mode out) or so nearly singular
+    that every coarse solve is refined.
     """
 
-    A: BlockTridiagonal
-    D: BlockDiagonal
-    R: CellStencil
-    P: CellStencil
-    A0: BlockTridiagonal
-    alpha: float
-    constant_kernel: bool = False
-    refine_coarse: bool = False
-    _D_inverse: BlockDiagonal = field(default=None, repr=False)
-    _A0_factor: CyclicReduction = field(default=None, repr=False)
-
-    def __post_init__(self):
-        n = self.A.shape[0]
-        if self.D.shape != (n, n):
-            raise ValueError("A and D must be of equal size")
-        if self.R.shape != (n // 2, n) or self.P.shape != (n, n // 2) or self.A0.shape[0] != n // 2:
-            raise ValueError("transfer operators have incompatible shapes")
-        self._D_inverse = self.D.inverse()
-        self._A0_factor = CyclicReduction(self.A0, constant_kernel=self.constant_kernel)
+    def __init__(self, A: BlockTridiagonal, D: BlockDiagonal, alpha: float):
+        self.A, self.D, self.alpha = A, D, alpha
+        self.R, self.P = assemble_transfer(A.cells)
+        self.A0 = assemble_coarse(A, self.R, self.P)
+        self._D_inverse = D.inverse()
+        self._A0_factor = CyclicReduction(self.A0)
 
     def smooth(self, g: np.ndarray) -> np.ndarray:
         """Apply D^{-1} to a vector or to every column of a matrix."""
@@ -84,11 +61,7 @@ class TwoLevelComponents:
     def coarse_solve(self, g: np.ndarray) -> np.ndarray:
         """Apply A0^{-1} (the pseudo-inverse when A0 is singular on
         constants) to a vector or to every column of a matrix."""
-        x = self._A0_factor.solve(g)
-        if self.refine_coarse:
-            for _ in range(_REFINE_STEPS):
-                x += self._A0_factor.solve(g - self.A0 @ x)
-        return x
+        return self._A0_factor.solve(g)
 
 
 def two_level_components(config: ProblemConfig, kind: str, alpha: float) -> TwoLevelComponents:
@@ -103,15 +76,7 @@ def two_level_components(config: ProblemConfig, kind: str, alpha: float) -> TwoL
             "the two-level method needs delta0 > 1 at gamma = inf: at delta0 = 1 the "
             "pure diffusion operator is singular on the alternating mode"
         )
-    A = assemble_operator(config)
-    D = assemble_smoother(config, kind)
-    R, P = assemble_transfer(config.cells)
-    A0 = assemble_coarse(A, R, P)
-    # only pure diffusion is singular: any finite gamma adds a positive
-    # mass term, however small, and A0 is then inverted as it is
-    constant_kernel = config.bc == PERIODIC and config.is_poisson
-    refine_coarse = config.bc == PERIODIC and _REFINE_GAMMA < config.gamma < math.inf
-    return TwoLevelComponents(A, D, R, P, A0, alpha, constant_kernel, refine_coarse)
+    return TwoLevelComponents(assemble_operator(config), assemble_smoother(config, kind), alpha)
 
 
 def apply_preconditioner(tl: TwoLevelComponents, g: np.ndarray) -> np.ndarray:
@@ -125,22 +90,18 @@ def apply_preconditioner(tl: TwoLevelComponents, g: np.ndarray) -> np.ndarray:
     return x + tl.P @ tl.coarse_solve(tl.R @ (g - tl.A @ x))
 
 
-def iteration_factors(tl: TwoLevelComponents) -> tuple:
-    """Dense ``(I - P A0^{-1} R A, D^{-1} A)``, the coarse-correction
-    factor and the unrelaxed smoothed operator of the iteration matrix.
+def build_iteration_matrix(tl: TwoLevelComponents) -> np.ndarray:
+    """Dense error-propagation matrix
+    ``E = (I - P A0^{-1} R A)(I - alpha D^{-1} A)``.
 
     Every column is smoothed and coarse-solved in one batched apply.
     """
     A = tl.A.toarray()
-    correct = np.eye(A.shape[0]) - tl.P @ tl.coarse_solve(tl.R @ A)
-    return correct, tl.smooth(A)
-
-
-def build_iteration_matrix(tl: TwoLevelComponents) -> np.ndarray:
-    """Dense error-propagation matrix
-    ``E = (I - P A0^{-1} R A)(I - alpha D^{-1} A)``."""
-    correct, smoothed = iteration_factors(tl)
-    return correct @ (np.eye(smoothed.shape[0]) - tl.alpha * smoothed)
+    n = A.shape[0]
+    correct = np.eye(n) - tl.P @ tl.coarse_solve(tl.R @ A)
+    relaxed = tl.alpha * tl.smooth(A)
+    del A  # freed before the product and its two temporaries
+    return correct @ (np.eye(n) - relaxed)
 
 
 def spectral_radius_dense(M: np.ndarray) -> float:

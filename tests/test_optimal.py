@@ -131,6 +131,13 @@ def test_rd_rejects_bad_arguments():
         alpha_opt_rd(CELL, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_rd_overflow_raises(kind):
+    # the branch formulas overflow to inf / inf = nan at this penalty
+    with pytest.raises(OverflowError):
+        alpha_opt_rd(kind, 1e300, 1.0)
+
+
 @pytest.mark.parametrize("delta0", [math.inf, math.nan])
 def test_rd_rejects_non_finite_delta0(delta0):
     with pytest.raises(ValueError, match="delta0 must be finite and >= 1"):

@@ -293,11 +293,12 @@ def test_cyclic_reduction_constant_kernel_matches_pseudo_inverse(cells):
     # periodic pure diffusion on 130, 258 and 1050 coarse cells, reduced
     # to 9, 17 and 66 -> 5 separators
     tl = two_level_components(ProblemConfig(cells, 2.0, math.inf, PERIODIC), CELL, 1.0)
-    assert tl.constant_kernel
+    factor = CyclicReduction(tl.A0)
+    assert factor.constant_kernel and factor.refine_steps == 0
     A0 = tl.A0.toarray()
     A0inv, kappa = coarse_oracle(A0, constant_kernel=True)
     g = np.random.default_rng(3).standard_normal(cells)
-    y = CyclicReduction(tl.A0, constant_kernel=True).solve(g)
+    y = factor.solve(g)
     assert gap(y, A0inv @ g) < max(1e-12, 10.0 * EPS * kappa)
 
 
@@ -308,7 +309,7 @@ def test_weak_reaction_keeps_the_constant_mode(cells, gamma):
     # solved, not projected out
     config = ProblemConfig(cells, 2.0, gamma, PERIODIC)
     tl = two_level_components(config, CELL, 1.0)
-    assert not tl.constant_kernel
+    assert not CyclicReduction(tl.A0).constant_kernel
     A0 = tl.A0.toarray()
     g = np.random.default_rng(cells).standard_normal((cells, 2))
     kappa = np.linalg.cond(A0)
@@ -321,7 +322,7 @@ def test_nearly_singular_periodic_coarse_solve_is_refined(capsys, kind, gamma, c
     # A0 has condition number about 4 gamma; without refinement rho_dense
     # was 7.7e-7 off LFA at gamma = 1e12 (cell smoother, J = 64, delta0 =
     # 2) and 2.8e-12 off at gamma = 1e9 (J = 192, delta0 = 1.2); with one
-    # step only, 1.1e-10 off at gamma = 1e12 and delta0 = 1.2
+    # step only, 1.9e-11 off at gamma = 1e12
     code = main([
         "sweep", "--smoother", kind, "--dense", "--bc", PERIODIC, "--gamma", str(gamma),
         "--delta0", "1.2,2", "--alpha", "opt", "--cells", str(cells),
@@ -330,9 +331,52 @@ def test_nearly_singular_periodic_coarse_solve_is_refined(capsys, kind, gamma, c
     for row in capsys.readouterr().out.splitlines()[1:]:
         *_, rho_lfa, rho_dense = (float(v) for v in row.split(","))
         assert abs(rho_dense - rho_lfa) <= 1e-12
-    assert two_level_components(ProblemConfig(64, 2.0, gamma, PERIODIC), kind, 1.0).refine_coarse
-    for config in (ProblemConfig(64, 2.0, 1e8, PERIODIC), ProblemConfig(64, 2.0, gamma, DIRICHLET)):
-        assert not two_level_components(config, kind, 1.0).refine_coarse
+    # the factorization reads the near-singularity off A0: a periodic weak
+    # reaction is refined, while Dirichlet boundary rows (which carry the
+    # penalty) and a balanced reaction are not
+    for bc, g, steps in ((PERIODIC, gamma, 2), (DIRICHLET, gamma, 0), (PERIODIC, 1e4, 0)):
+        A0 = two_level_components(ProblemConfig(64, 2.0, g, bc), kind, 1.0).A0
+        factor = CyclicReduction(A0)
+        assert not factor.constant_kernel and factor.refine_steps == steps
+
+
+def sweep_rows(capsys, kind, delta0, gamma, cells):
+    """``(rho_lfa, rho_dense)`` of every row of a periodic dense sweep."""
+    code = main([
+        "sweep", "--smoother", kind, "--dense", "--bc", PERIODIC, "--gamma", gamma,
+        "--delta0", delta0, "--alpha", "opt", "--cells", str(cells),
+    ])
+    assert code == 0
+    return [tuple(float(v) for v in row.split(",")[3:]) for row in capsys.readouterr().out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("cells", [64, 192])
+def test_periodic_weak_reaction_dense_matches_lfa(capsys, kind, cells):
+    # LFA is exact on periodic meshes; the worst gap seen is 1.0e-13
+    # (point smoother, J = 64, gamma = 1e13, delta0 = 2).  A0 is refined
+    # where its row sums fall below 1e-8 of its absolute row sums, here
+    # from gamma about 1e7 to 1e8 on; refined only above gamma = 1e8, it
+    # left rho_dense 9.7e-11 off at gamma = 1e8 (cell, J = 64, delta0 = 10)
+    rows = sweep_rows(capsys, kind, "1.2,2,10", "1e8,1e9,1e12,1e13", cells)
+    assert len(rows) == 12
+    for rho_lfa, rho_dense in rows:
+        assert abs(rho_dense - rho_lfa) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize(
+    "delta0,gamma,cells", [("1.2,2", "1e16", 64), ("2", "1e20", 64), ("1e8", "1e12", 16)]
+)
+def test_periodic_dense_without_reaction_term_is_pure_diffusion(capsys, kind, delta0, gamma, cells):
+    # the reaction term is below the rounding of A0's rows here, so A0 is
+    # singular on the constants as at gamma = inf; inverting it as if
+    # nonsingular gave rho_dense 10.51, 2902.9 and 11.57 (cell smoother)
+    rows = sweep_rows(capsys, kind, delta0, gamma, cells)
+    reference = sweep_rows(capsys, kind, delta0, "inf", cells)
+    assert len(rows) == len(reference) == len(delta0.split(","))
+    for (_, rho_dense), (_, rho_inf) in zip(rows, reference):
+        assert rho_dense == pytest.approx(rho_inf, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,rho", [(CELL, 0.35), (POINT, 0.8)])
