@@ -96,6 +96,13 @@ class _Bands:
         return (self.bands * window).sum(axis=0)
 
 
+def _shift_off_constants(M: np.ndarray) -> np.ndarray:
+    """``M`` plus the all-ones matrix times its largest absolute entry over
+    its size: invertible when ``M`` is symmetric and singular on the
+    constants only, with the same solution for data of mean zero."""
+    return M + np.abs(M).max() / M.shape[0]
+
+
 def _cycle_toarray(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Dense matrix of the block-tridiagonal cycle ``(diag, upper)``."""
     J = len(diag)
@@ -241,7 +248,11 @@ class CellStencil:
         return Y.reshape((self.shape[0],) + x.shape[1:])
 
     def toarray(self) -> np.ndarray:
-        return np.kron(np.eye(self.groups), self.stencil)
+        rows, cols = self.stencil.shape
+        dense = np.zeros((self.groups, rows, self.groups, cols))
+        groups = np.arange(self.groups)
+        dense[groups, :, groups, :] = self.stencil
+        return dense.reshape(self.shape)
 
 
 class _SchurLevel:
@@ -368,7 +379,7 @@ class CyclicReduction:
             diag, upper = level.diag, level.upper
         remainder = _cycle_toarray(diag, upper)
         if self.constant_kernel:
-            remainder += np.abs(remainder).max() / remainder.shape[0]
+            remainder = _shift_off_constants(remainder)
         self.remainder_inverse = np.linalg.inv(remainder)
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .closed_forms import eigenvalue_pair, mesh_ck, rho_on_ck_values
 from .config import BOUNDARY_MODES, DIRICHLET, SMOOTHERS, ProblemConfig
 from .optimal import _alpha_formula, alpha_opt, alpha_opt_numeric, crossover_check
-from .twolevel import build_iteration_matrix, spectral_radius_dense, two_level_components
+from .twolevel import assembled_rho, two_level_components
 from .validate import run_validation
 
 # Largest number of (row, c_k) points a sweep evaluates in one call, so
@@ -184,14 +184,8 @@ def cmd_sweep(args, parser) -> int:
 
     table = [[c.delta0, c.gamma, a, rho] for (c, a), rho in zip(rows, rho_lfa)]
     if args.dense:
-
-        def rho_dense(row):
-            config, a = row
-            E = build_iteration_matrix(two_level_components(config, kind, a))
-            return spectral_radius_dense(E)
-
-        for line, rho in zip(table, map(rho_dense, rows)):
-            line.append(rho)
+        for line, (config, a) in zip(table, rows):
+            line.append(assembled_rho(two_level_components(config, kind, a)))
     for line in table:
         if not all(map(math.isfinite, line[2:])):
             raise ValueError(

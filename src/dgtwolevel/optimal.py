@@ -16,9 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assembly import assemble_operator, assemble_smoother, assemble_transfer
 from .closed_forms import ASYMPTOTIC_CK, eigenvalue_pair, rho_on_ck_values
 from .config import CELL, PERIODIC, POINT, ProblemConfig, check_penalty, check_smoother
+from .twolevel import _complement_gram, two_level_components
 
 #: Penalty where the middle cell branch begins: real root of
 #: 4 d^3 - 8 d^2 + 4 d - 1.
@@ -72,8 +72,14 @@ class Thresholds:
 
 
 def gamma_c_point(delta0: float) -> float:
-    """Reaction scaling where the point-smoother peak frequency switches."""
-    return 1.0 / (3.0 * (math.sqrt(4.0 * (delta0 - 1.0) * delta0 + 5.0) + 3.0 - 2.0 * delta0))
+    """Reaction scaling where the point-smoother peak frequency switches.
+
+    ``1 / (3 (sqrt(4 (d - 1) d + 5) + 3 - 2 d))`` with the root moved to
+    the numerator, so that no two large terms cancel: it rises from
+    about 0.103 at ``delta0 = 1`` toward 1/6.
+    """
+    d = delta0
+    return (math.sqrt(4.0 * (d - 1.0) * d + 5.0) + 2.0 * d - 3.0) / (12.0 * (2.0 * d - 1.0))
 
 
 def _delta_c_plus(g: float) -> float:
@@ -329,29 +335,20 @@ def _alpha_formula(config: ProblemConfig, kind: str) -> float:
 def _dense_mu(config: ProblemConfig, kind: str) -> np.ndarray:
     """Eigenvalues ``mu`` of the pencil ``(Z^T A D^{-1} A Z, Z^T A Z)``.
 
-    ``Z`` is an orthonormal basis of the complement of ``range(A P)``,
-    that is of the A-orthogonal complement of the coarse space, and the
-    nonzero eigenvalues of the assembled iteration matrix are exactly
-    ``1 - alpha * mu`` (Falgout, Vassilevski and Zikatanov, "On two-grid
-    convergence estimates", NLAA 2005).
+    ``Z`` spans the A-orthogonal complement of the coarse space
+    (``twolevel._complement_gram``), and the nonzero eigenvalues of the
+    assembled iteration matrix are exactly ``1 - alpha * mu`` (Falgout,
+    Vassilevski and Zikatanov, "On two-grid convergence estimates", NLAA
+    2005).
     """
     if config.bc == PERIODIC and config.is_poisson:
         raise ValueError(
             "dense mode needs a nonsingular operator; periodic pure diffusion "
             "(gamma = inf) is singular on the constants"
         )
-    A = assemble_operator(config)
-    D_inverse = assemble_smoother(config, kind).inverse()
-    _, P = assemble_transfer(config.cells)
-    n = A.shape[0]
-    Q = np.linalg.qr(A @ P.toarray(), mode="complete")[0]
-    Z = Q[:, n // 2 :]
-    AZ = A @ Z
-    try:
-        L = np.linalg.cholesky(Z.T @ AZ)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"operator is singular or indefinite off the coarse space: {exc}") from exc
-    C = np.linalg.solve(L, np.linalg.solve(L, AZ.T @ (D_inverse @ AZ)).T)
+    tl = two_level_components(config, kind, 1.0)
+    _, AZ, K = _complement_gram(tl)
+    C = K @ (AZ.T @ tl.smooth(AZ)) @ K.T
     return np.linalg.eigvalsh(0.5 * (C + C.T))
 
 

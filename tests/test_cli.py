@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,18 @@ def test_overflow_is_an_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "error: floating-point overflow: Numerical result out of range\n"
+
+
+@pytest.mark.parametrize("delta0", ["1e17", "1e60"])
+def test_point_optimum_at_huge_penalty(capsys, delta0):
+    # gamma_c_point used to divide by zero from delta0 about 1e17 on
+    argv = ["--smoother", "point", "--delta0", delta0, "--gamma", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "optimize", *argv)
+        assert code == 0 and err == "" and "agrees=true\n" in out
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 0 and err == "" and len(out.splitlines()) == 2
 
 
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])

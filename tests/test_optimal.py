@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -100,6 +101,17 @@ def test_gamma_c_point_values():
     # bounded between ~0.103 (delta0 = 1) and 1/6 (large delta0)
     assert gamma_c_point(1.0) == pytest.approx(1.0 / (3.0 * (math.sqrt(5.0) + 1.0)), rel=1e-12)
     assert gamma_c_point(1.0) < gamma_c_point(10.0) < 1.0 / 6.0
+
+
+@pytest.mark.parametrize("delta0", [1.0, 2.0, 1e8, 1e16])
+def test_gamma_c_point_is_correctly_rounded(delta0):
+    # against 1 / (3 (sqrt(4 (d - 1) d + 5) + 3 - 2 d)) at 60 digits; the
+    # unrationalized float form was 1.7e-9 off at 1e8 and gave 1/12 at 1e16
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(delta0)
+        exact = 1 / (3 * ((4 * (d - 1) * d + 5).sqrt() + 3 - 2 * d))
+    assert abs(decimal.Decimal(gamma_c_point(delta0)) - exact) <= decimal.Decimal(2.0**-52) * exact
 
 
 def test_rd_point_large_gamma_limit():

@@ -316,21 +316,26 @@ def test_weak_reaction_keeps_the_constant_mode(cells, gamma):
     assert gap(tl.coarse_solve(g), np.linalg.solve(A0, g)) < max(1e-12, 10.0 * EPS * kappa)
 
 
+def solver_rho_gap(kind, delta0, gamma, cells):
+    """``|rho(E) - rho_lfa|`` on a periodic mesh at the optimal alpha, for
+    the iteration matrix ``E`` assembled through the solver's own smoother
+    and coarse solve (``sweep --dense`` does not see the coarse solve: its
+    similarity cancels the coarse correction)."""
+    config = ProblemConfig(cells, delta0, gamma, PERIODIC)
+    alpha = alpha_opt(config, kind).alpha_opt
+    rho = spectral_radius_dense(build_iteration_matrix(two_level_components(config, kind, alpha)))
+    return abs(rho - lfa_spectral_radius(config, kind, alpha))
+
+
 @pytest.mark.parametrize("kind", [CELL, POINT])
 @pytest.mark.parametrize("gamma,cells", [(1e9, 192), (1e12, 64)])
-def test_nearly_singular_periodic_coarse_solve_is_refined(capsys, kind, gamma, cells):
-    # A0 has condition number about 4 gamma; without refinement rho_dense
-    # was 7.7e-7 off LFA at gamma = 1e12 (cell smoother, J = 64, delta0 =
-    # 2) and 2.8e-12 off at gamma = 1e9 (J = 192, delta0 = 1.2); with one
-    # step only, 1.9e-11 off at gamma = 1e12
-    code = main([
-        "sweep", "--smoother", kind, "--dense", "--bc", PERIODIC, "--gamma", str(gamma),
-        "--delta0", "1.2,2", "--alpha", "opt", "--cells", str(cells),
-    ])
-    assert code == 0
-    for row in capsys.readouterr().out.splitlines()[1:]:
-        *_, rho_lfa, rho_dense = (float(v) for v in row.split(","))
-        assert abs(rho_dense - rho_lfa) <= 1e-12
+def test_nearly_singular_periodic_coarse_solve_is_refined(kind, gamma, cells):
+    # A0 has condition number about 4 gamma; without refinement the radius
+    # of the solver's E was 7.7e-7 off LFA at gamma = 1e12 (cell smoother,
+    # J = 64, delta0 = 2) and 2.8e-12 off at gamma = 1e9 (J = 192, delta0
+    # = 1.2); with one step only, 1.9e-11 off at gamma = 1e12
+    for delta0 in (1.2, 2.0):
+        assert solver_rho_gap(kind, delta0, gamma, cells) <= 1e-12
     # the factorization reads the near-singularity off A0: a periodic weak
     # reaction is refined, while Dirichlet boundary rows (which carry the
     # penalty) and a balanced reaction are not
@@ -353,15 +358,44 @@ def sweep_rows(capsys, kind, delta0, gamma, cells):
 @pytest.mark.parametrize("kind", [CELL, POINT])
 @pytest.mark.parametrize("cells", [64, 192])
 def test_periodic_weak_reaction_dense_matches_lfa(capsys, kind, cells):
-    # LFA is exact on periodic meshes; the worst gap seen is 1.0e-13
-    # (point smoother, J = 64, gamma = 1e13, delta0 = 2).  A0 is refined
-    # where its row sums fall below 1e-8 of its absolute row sums, here
-    # from gamma about 1e7 to 1e8 on; refined only above gamma = 1e8, it
-    # left rho_dense 9.7e-11 off at gamma = 1e8 (cell, J = 64, delta0 = 10)
-    rows = sweep_rows(capsys, kind, "1.2,2,10", "1e8,1e9,1e12,1e13", cells)
+    # LFA is exact on periodic meshes.  The radius of the solver's own E
+    # is held to it as well: its worst gap seen is 1.0e-13 (point
+    # smoother, J = 64, gamma = 1e13, delta0 = 2).  A0 is refined where its
+    # row sums fall below 1e-8 of its absolute row sums, here from gamma
+    # about 1e7 to 1e8 on; refined only above gamma = 1e8, it left E's
+    # radius 9.7e-11 off at gamma = 1e8 (cell, J = 64, delta0 = 10)
+    gammas = (1e8, 1e9, 1e12, 1e13)
+    rows = sweep_rows(capsys, kind, "1.2,2,10", ",".join(map(repr, gammas)), cells)
     assert len(rows) == 12
     for rho_lfa, rho_dense in rows:
         assert abs(rho_dense - rho_lfa) <= 1e-12
+    for delta0 in (1.2, 2.0, 10.0):
+        for gamma in gammas:
+            assert solver_rho_gap(kind, delta0, gamma, cells) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("cells", [4, 8, 64, 192])
+def test_periodic_dense_matches_lfa_up_to_the_constant_kernel_switch(capsys, kind, cells):
+    # gamma 1e13 to 1e15.5: A0's row sums lie within a few hundred eps of
+    # its absolute row sums, and the eigenvalues of the iteration matrix,
+    # whose coarse solves lose digits there, were up to 6.6e-8 off LFA
+    # (point smoother, J = 64, gamma = 1e14.75, delta0 = 2).  The
+    # half-size similarity cancels that error: worst 1.0e-15.  Rows past
+    # the switch to a constant kernel print the pure-diffusion 1.0.
+    gammas = [10.0 ** (13.0 + 0.25 * i) for i in range(11)]
+    rows = sweep_rows(capsys, kind, "1.2,2,10", ",".join(map(repr, gammas)), cells)
+    configs = [(delta0, gamma) for delta0 in (1.2, 2.0, 10.0) for gamma in gammas]
+    assert len(rows) == len(configs)
+    checked = 0
+    for (delta0, gamma), (rho_lfa, rho_dense) in zip(configs, rows):
+        A0 = two_level_components(ProblemConfig(cells, delta0, gamma, PERIODIC), kind, 1.0).A0
+        if CyclicReduction(A0).constant_kernel:
+            assert rho_dense == 1.0
+        else:
+            checked += 1
+            assert abs(rho_dense - rho_lfa) <= 1e-12
+    assert checked >= 20
 
 
 @pytest.mark.parametrize("kind", [CELL, POINT])
@@ -394,7 +428,9 @@ def test_weak_reaction_dense_spectrum_matches_lfa(kind, rho):
 def test_sweep_dense_column_matches_dense_reference(capsys, bc, kind):
     # The structured route changes rounding, so the rho_dense column is
     # not byte-identical to a dense computation; it is held to 1e-12
-    # absolute (about 5e-14 seen at J = 16 and 64).  The two-level method
+    # absolute (about 5e-14 seen at J = 16 and 64).  The column does not
+    # see the coarse solve; test_structured_matches_dense_oracle holds
+    # the solver's own E to the same reference.  The two-level method
     # rejects delta0 = 1 at gamma = inf, so that penalty runs at finite
     # gamma only.
     cells = 16

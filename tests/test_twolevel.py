@@ -12,6 +12,7 @@ from dgtwolevel import (
     ProblemConfig,
     alpha_opt_poisson,
     apply_preconditioner,
+    assembled_rho,
     build_iteration_matrix,
     convergence_factor,
     lfa_spectral_radius,
@@ -109,6 +110,39 @@ def test_spectral_radius_rejects_bad_input():
         spectral_radius_dense(np.ones((3, 4)))
     with pytest.raises(ValueError):
         spectral_radius_dense(np.eye(1100))
+    # the eigensolve of assembled_rho sees J x J: it refuses before building E
+    with pytest.raises(ValueError, match="desk scale"):
+        assembled_rho(two_level_components(ProblemConfig(1026, 2.0), CELL, 1.0))
+
+
+def test_spectral_radius_symmetric_path_equals_nonsymmetric():
+    # an exactly symmetric matrix goes to eigvalsh; the extreme eigenvalue
+    # here is negative, so the radius is its modulus
+    rng = np.random.default_rng(7)
+    Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    M = (Q * np.linspace(-3.0, 2.0, 40)) @ Q.T
+    M = 0.5 * (M + M.T)
+    assert np.array_equal(M, M.T)
+    rho = spectral_radius_dense(M)
+    assert rho == pytest.approx(float(np.abs(np.linalg.eigvals(M)).max()), abs=1e-12)
+    assert rho == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("cells", [4, 6, 8, 16, 64])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_assembled_rho_is_the_iteration_matrix_radius(kind, bc, cells):
+    # the similarity of half size against the full nonsymmetric eigensolve;
+    # gamma stays where the coarse solve inside E is accurate (near the
+    # constant-kernel switch E itself is off, see test_structured)
+    for gamma in (math.inf, 1e8, 1e4, 1.0, 1e-3):
+        for delta0 in (1.2, 2.0, 10.0):
+            for alpha in (0.7, 1.1):
+                tl = two_level_components(ProblemConfig(cells, delta0, gamma, bc), kind, alpha)
+                rho = assembled_rho(tl)
+                assert rho == pytest.approx(spectral_radius_dense(build_iteration_matrix(tl)), abs=1e-12)
+                if bc == PERIODIC and math.isinf(gamma):
+                    assert rho >= 1.0  # the constant vector is left untouched
 
 
 def test_stationary_zero_rhs():
