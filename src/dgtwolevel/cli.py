@@ -9,6 +9,7 @@ byte-reproducible.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -253,8 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one serves every call of
+# main in a process: building it takes 1-2 ms
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         code = args.func(args, parser)

@@ -26,6 +26,7 @@ box ``delta0`` in {1, 1.0001, 1.05, 1.5, 1 + 1/sqrt(2), 2, 3.7, 10},
 8.9e-16 (point), 6.7e-16 (cell).
 """
 
+import errno
 import math
 from dataclasses import dataclass
 
@@ -67,7 +68,13 @@ def _mu_pair(x, delta0, gamma, kind):
     """The two ``mu`` at ``c_k = x`` from the tables in ``s = 1 - c_k``."""
     x = np.asarray(x, dtype=float)
     s = 1 - x
-    c = (point_coefficients if kind == POINT else cell_coefficients)(delta0, gamma)
+    table = point_coefficients if kind == POINT else cell_coefficients
+    # the table entries overflow for huge delta0 (from about 1e76 for the
+    # point and 1e52 for the cell smoother): an error, not nan pairs
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = table(delta0, gamma)
+    if not np.isfinite(c).all():
+        raise OverflowError(errno.ERANGE, "the coefficient tables of the closed forms overflow")
     k, den = horner(c[:3], s), horner(c[-3:], s)
     # rad = e s^n + (1 + c_k) a(s) with n = len(a), 4 or 5
     e, *a = c[3:-3]

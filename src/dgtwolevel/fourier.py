@@ -7,6 +7,12 @@ and prolongation once the two frequencies that alias on the coarse mesh
 are grouped.  The resulting 4x4 two-grid block carries the exact
 spectrum of the full iteration matrix.
 
+The block functions take stacked input: the frequency (``t`` or
+``c_k``), ``delta0``, ``gamma`` and ``alpha`` broadcast against each
+other, and every block carries their leading axes, so one call and one
+stacked ``np.linalg.eigvals`` cover all frequencies of a mesh or a batch
+of sampled parameters.  Scalar input gives single blocks.
+
 Everything here is built numerically from the grid-function products;
 printed closed forms are used as cross-checks in the test suite only.
 """
@@ -20,13 +26,11 @@ from .config import CELL, ProblemConfig, check_smoother
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# Fine node offsets of the eight unknowns in cells (j-1 .. j+2) and of
-# the four central unknowns in cells (j, j+1), for an even j (taken 0).
+# Fine node offsets of the eight unknowns in cells (j-1 .. j+2), left
+# traces at even and right traces at odd positions, and of the coarse
+# unknowns of cells (j, j+1), for an even j (taken 0).
 _POS_WIDE = np.array([-2, -1, -1, 0, 0, 1, 1, 2], dtype=float)
-_POS_CENTER = np.array([-1, 0, 0, 1], dtype=float)
 _POS_COARSE = np.array([-2, 0, 0, 2], dtype=float)
-_PLUS_ROWS = (0, 2, 4, 6)
-_MINUS_ROWS = (1, 3, 5, 7)
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,8 @@ class SymbolSet:
     ``Ahat`` and ``Dhat`` are 4x4 and block diagonal over the aliasing
     frequency pair, ``Rhat`` is 2x4, ``Phat = 2 Rhat^*`` is 4x2,
     ``A0hat = Rhat Ahat Phat`` is the 2x2 Galerkin coarse block and
-    ``Ehat`` the 4x4 error-propagation block.
+    ``Ehat`` the 4x4 error-propagation block.  Stacked input puts its
+    leading axes in front of these block shapes.
     """
 
     Ahat: np.ndarray
@@ -72,27 +77,30 @@ class SymbolSet:
     Ehat: np.ndarray
 
 
-def _stencil_rows(delta0: float, inv_gamma: float, kind: str | None) -> np.ndarray:
-    """4x8 slab of operator (kind None) or smoother rows for two cells."""
-    d = delta0 + inv_gamma / 3.0
-    mu = inv_gamma / 6.0
-    w = 1.0 - delta0
-    T = np.zeros((4, 8))
+def _stencil_rows(delta0, inv_gamma, kind: str | None) -> np.ndarray:
+    """4x8 slab of operator (kind None) or smoother rows for two cells,
+    stacked over the broadcast shape of ``delta0`` and ``inv_gamma``."""
+    d = np.asarray(delta0 + inv_gamma / 3.0, dtype=float)
+    mu = np.asarray(inv_gamma / 6.0, dtype=float)
+    w = np.asarray(1.0 - delta0, dtype=float)
+    d, mu, w = np.broadcast_arrays(d, mu, w)
+    half = np.full(d.shape, -0.5)
+    T = np.zeros(d.shape + (4, 8))
     if kind is None:
-        T[0, :5] = [-0.5, w, d, mu, -0.5]
-        T[1, 1:6] = [-0.5, mu, d, w, -0.5]
-        T[2, 2:7] = [-0.5, w, d, mu, -0.5]
-        T[3, 3:8] = [-0.5, mu, d, w, -0.5]
+        T[..., 0, :5] = np.stack([half, w, d, mu, half], axis=-1)
+        T[..., 1, 1:6] = np.stack([half, mu, d, w, half], axis=-1)
+        T[..., 2, 2:7] = np.stack([half, w, d, mu, half], axis=-1)
+        T[..., 3, 3:8] = np.stack([half, mu, d, w, half], axis=-1)
     elif kind == CELL:
-        T[0, 2:4] = [d, mu]
-        T[1, 2:4] = [mu, d]
-        T[2, 4:6] = [d, mu]
-        T[3, 4:6] = [mu, d]
+        T[..., 0, 2:4] = np.stack([d, mu], axis=-1)
+        T[..., 1, 2:4] = np.stack([mu, d], axis=-1)
+        T[..., 2, 4:6] = np.stack([d, mu], axis=-1)
+        T[..., 3, 4:6] = np.stack([mu, d], axis=-1)
     else:  # point: blocks pair the unknowns meeting at a node
-        T[0, 1:3] = [w, d]
-        T[1, 3:5] = [d, w]
-        T[2, 3:5] = [w, d]
-        T[3, 5:7] = [d, w]
+        T[..., 0, 1:3] = np.stack([w, d], axis=-1)
+        T[..., 1, 3:5] = np.stack([d, w], axis=-1)
+        T[..., 2, 3:5] = np.stack([w, d], axis=-1)
+        T[..., 3, 5:7] = np.stack([d, w], axis=-1)
     return T
 
 
@@ -115,44 +123,51 @@ _PROLONGATION_ROWS = np.array(
 )
 
 
-def _grid_factors(t: float) -> tuple:
-    """Left/right grid-function factors for the frequency pair (t - pi, t)."""
-    angles = (t - math.pi, t)
-    Qr = np.zeros((8, 4), dtype=complex)
-    for col, ang in enumerate(angles):
-        Qr[_PLUS_ROWS, 2 * col] = np.exp(1j * ang * _POS_WIDE[list(_PLUS_ROWS)])
-        Qr[_MINUS_ROWS, 2 * col + 1] = np.exp(1j * ang * _POS_WIDE[list(_MINUS_ROWS)])
+def _grid_factors(t) -> tuple:
+    """Left/right grid-function factors for the frequency pair (t - pi, t),
+    stacked over the shape of ``t``."""
+    t = np.asarray(t, dtype=float)
+    # (..., node offset, frequency): column 2 f (+ 1) of Qr holds frequency f
+    angles = np.stack((t - math.pi, t), axis=-1)[..., None, :]
+    Qr = np.zeros(t.shape + (8, 4), dtype=complex)
+    Qr[..., 0::2, 0::2] = np.exp(1j * angles * _POS_WIDE[0::2, None])
+    Qr[..., 1::2, 1::2] = np.exp(1j * angles * _POS_WIDE[1::2, None])
     Qr *= _SQRT_HALF
-    Ql = Qr[2:6].conj().T
+    Ql = Qr[..., 2:6, :].conj().swapaxes(-1, -2)
     # coarse factors live on the even nodes, where both frequencies alias to t
-    Ql0 = np.zeros((2, 4), dtype=complex)
-    Ql0[0, (0, 2)] = np.exp(-1j * t * _POS_COARSE[[0, 2]])
-    Ql0[1, (1, 3)] = np.exp(-1j * t * _POS_COARSE[[1, 3]])
+    phase = t[..., None]
+    Ql0 = np.zeros(t.shape + (2, 4), dtype=complex)
+    Ql0[..., 0, 0::2] = np.exp(-1j * phase * _POS_COARSE[0::2])
+    Ql0[..., 1, 1::2] = np.exp(-1j * phase * _POS_COARSE[1::2])
     Ql0 *= 0.5
-    Qr0 = np.zeros((4, 2), dtype=complex)
-    Qr0[(0, 2), 0] = np.exp(1j * t * _POS_COARSE[[0, 2]])
-    Qr0[(1, 3), 1] = np.exp(1j * t * _POS_COARSE[[1, 3]])
+    Qr0 = np.zeros(t.shape + (4, 2), dtype=complex)
+    Qr0[..., 0::2, 0] = np.exp(1j * phase * _POS_COARSE[0::2])
+    Qr0[..., 1::2, 1] = np.exp(1j * phase * _POS_COARSE[1::2])
     return Ql, Qr, Ql0, Qr0
 
 
 def _solve_2x2(M: np.ndarray) -> np.ndarray:
-    """Inverse of a 2x2 block, falling back to the pseudo-inverse when the
-    coarse constant mode makes it singular (pure diffusion at c_k = 1)."""
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(det) < 1e-12 * max(1.0, np.abs(M).max() ** 2):
-        return np.linalg.pinv(M)
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+    """Inverse of each 2x2 block of ``M``, falling back to the
+    pseudo-inverse where the coarse constant mode makes a block singular
+    (pure diffusion at c_k = 1)."""
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    singular = np.abs(det) < 1e-12 * np.maximum(1.0, np.abs(M).max(axis=(-2, -1)) ** 2)
+    adjugate = np.stack(
+        [M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]], axis=-1
+    ).reshape(M.shape)
+    inverse = adjugate / np.where(singular, 1.0, det)[..., None, None]
+    if singular.any():
+        inverse[singular] = np.linalg.pinv(M[singular])
+    return inverse
 
 
-def symbols_at_angle(
-    t: float,
-    delta0: float,
-    inv_gamma: float,
-    kind: str,
-    alpha: float,
-    scale: float = 1.0,
-) -> SymbolSet:
-    """Blocks of every two-grid component at node-phase ``t = 2 pi k h``."""
+def symbols_at_angle(t, delta0, inv_gamma, kind: str, alpha, scale: float = 1.0) -> SymbolSet:
+    """Blocks of every two-grid component at node-phase ``t = 2 pi k h``.
+
+    ``t``, ``delta0``, ``inv_gamma`` and ``alpha`` broadcast against each
+    other: each block carries their leading axes (``Rhat`` and ``Phat``
+    those of ``t`` only), and scalars give single blocks.
+    """
     check_smoother(kind)
     Ql, Qr, Ql0, Qr0 = _grid_factors(t)
     Ahat = scale * (Ql @ _stencil_rows(delta0, inv_gamma, None) @ Qr)
@@ -161,7 +176,8 @@ def symbols_at_angle(
     Phat = Ql @ _PROLONGATION_ROWS @ Qr0
     A0hat = Rhat @ Ahat @ Phat
     identity = np.eye(4)
-    smooth = identity - alpha * np.linalg.solve(Dhat, Ahat)
+    relax = np.asarray(alpha, dtype=float)[..., None, None]
+    smooth = identity - relax * np.linalg.solve(Dhat, Ahat)
     correct = identity - Phat @ _solve_2x2(A0hat) @ Rhat @ Ahat
     return SymbolSet(Ahat, Dhat, Rhat, Phat, A0hat, correct @ smooth)
 
@@ -178,21 +194,22 @@ def symbol_blocks(freq: Frequency, config: ProblemConfig, kind: str, alpha: floa
     )
 
 
-def symbols_at_ck(delta0: float, gamma: float, kind: str, alpha: float, ck: float) -> SymbolSet:
-    """Symbol blocks parameterized by ``c_k`` directly (mesh-free mode)."""
-    inv_gamma = 0.0 if math.isinf(gamma) else 1.0 / gamma
-    t = 0.5 * math.acos(min(1.0, max(-1.0, ck)))
+def symbols_at_ck(delta0, gamma, kind: str, alpha, ck) -> SymbolSet:
+    """Symbol blocks parameterized by ``c_k`` directly (mesh-free mode);
+    the arguments broadcast as in :func:`symbols_at_angle`."""
+    inv_gamma = 1.0 / np.asarray(gamma, dtype=float)
+    t = 0.5 * np.arccos(np.clip(ck, -1.0, 1.0))
     return symbols_at_angle(t, delta0, inv_gamma, kind, alpha)
 
 
 def two_grid_eigenvalues(config: ProblemConfig, kind: str, alpha: float) -> np.ndarray:
     """Spectrum of the periodic two-grid operator as the union over all
-    frequency blocks ``k = 1 .. J/2`` (4 eigenvalues each)."""
-    out = []
-    for k in range(1, config.cells // 2 + 1):
-        sym = symbol_blocks(Frequency(k, config.cells), config, kind, alpha)
-        out.append(np.linalg.eigvals(sym.Ehat))
-    return np.concatenate(out)
+    frequency blocks ``k = 1 .. J/2`` (4 eigenvalues each, k-major)."""
+    t = 2.0 * math.pi * np.arange(1, config.cells // 2 + 1) / config.cells
+    sym = symbols_at_angle(
+        t, config.delta0, config.inv_gamma, kind, alpha, scale=1.0 / config.h**2
+    )
+    return np.linalg.eigvals(sym.Ehat).reshape(-1)
 
 
 def fourier_basis(cells: int) -> np.ndarray:
@@ -205,24 +222,21 @@ def fourier_basis(cells: int) -> np.ndarray:
     J = cells
     h = 1.0 / J
     Q = np.zeros((2 * J, 2 * J), dtype=complex)
-    m = np.arange(J)
-    for n in range(J):
-        # block-column n+1 in 1-based counting
-        kappa = (n + 2) // 2 - J // 2 if n % 2 == 0 else (n + 1) // 2
-        Q[2 * m, 2 * n] = np.exp(2j * math.pi * kappa * m * h)
-        Q[2 * m + 1, 2 * n + 1] = np.exp(2j * math.pi * kappa * (m + 1) * h)
+    n = np.arange(J)
+    kappa = np.where(n % 2 == 0, (n + 2) // 2 - J // 2, (n + 1) // 2)
+    m = n[:, None]
+    Q[0::2, 0::2] = np.exp(2j * math.pi * kappa * m * h)
+    Q[1::2, 1::2] = np.exp(2j * math.pi * kappa * (m + 1) * h)
     return math.sqrt(h) * Q
 
 
 def block_circulant(blocks) -> np.ndarray:
     """Assemble the block-circulant matrix whose first block row is ``blocks``."""
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    blocks = np.asarray(blocks, dtype=float)
     J = len(blocks)
-    C = np.zeros((2 * J, 2 * J))
-    for i in range(J):
-        for j in range(J):
-            C[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blocks[(j - i) % J]
-    return C
+    offset = (np.arange(J) - np.arange(J)[:, None]) % J
+    # block (i, j) is blocks[(j - i) % J]
+    return blocks[offset].transpose(0, 2, 1, 3).reshape(2 * J, 2 * J)
 
 
 def verify_block_diagonalization(blocks, cells: int) -> tuple:
@@ -237,8 +251,8 @@ def verify_block_diagonalization(blocks, cells: int) -> tuple:
     C = block_circulant(blocks)
     Q = fourier_basis(cells)
     M = Q.conj().T @ C @ Q
-    off = M.copy()
-    for n in range(cells):
-        off[2 * n : 2 * n + 2, 2 * n : 2 * n + 2] = 0.0
+    off = M.reshape(cells, 2, cells, 2).copy()
+    diagonal = np.arange(cells)
+    off[diagonal, :, diagonal, :] = 0.0
     unitarity = np.abs(Q.conj().T @ Q - np.eye(2 * cells)).max()
     return float(np.abs(off).max()), float(unitarity)

@@ -18,8 +18,9 @@ from .fourier import symbols_at_ck, two_grid_eigenvalues, verify_block_diagonali
 from .optimal import (
     DELTA0_TILDE_PLUS,
     DELTA_C_CROSSOVER,
+    _alpha_poisson,
+    _alpha_rd,
     alpha_opt_poisson,
-    alpha_opt_rd,
     gamma_c_cell,
     gamma_c_point,
     thresholds,
@@ -98,19 +99,26 @@ def run_validation(cells: int = 64) -> list:
     checks.append(CheckResult("fourier", "block_vs_dense_spectrum", worst < 1e-9, worst, "< 1e-9"))
 
     # Closed forms against block eigen-decompositions (appendix fidelity).
-    worst = 0.0
+    # The samples are drawn first; the blocks of each smoother are built
+    # and solved in one stacked call.
+    samples = []
     for _ in range(50):
         delta0 = rng.uniform(1.0, 10.0)
         gamma = math.exp(rng.uniform(math.log(1 / 32), math.log(32)))
         alpha = rng.uniform(0.3, 2.0)
         x = rng.uniform(-1.0, 1.0)
-        for kind in (POINT, CELL):
+        samples.append((delta0, gamma, alpha, x))
+    delta0s, gammas, alphas, xs = np.array(samples).T
+    worst = 0.0
+    for kind in (POINT, CELL):
+        blocks = symbols_at_ck(delta0s, gammas, kind, alphas, xs).Ehat
+        spectra = np.sort(np.linalg.eigvals(blocks).real, axis=-1)
+        for ev, (delta0, gamma, alpha, x) in zip(spectra, samples):
             try:
                 hi, lo = eigenvalue_pair(x, delta0, gamma, alpha, kind)
             except ClosedFormDomainError:
                 worst = math.inf
                 continue
-            ev = np.sort(np.linalg.eigvals(symbols_at_ck(delta0, gamma, kind, alpha, x).Ehat).real)
             ref = np.sort([0.0, 0.0, float(hi), float(lo)])
             worst = max(worst, np.abs(ev - ref).max() / max(1.0, np.abs(ref).max()))
     checks.append(CheckResult("lfa", "appendix_vs_blocks", worst < 1e-8, worst, "< 1e-8"))
@@ -121,7 +129,7 @@ def run_validation(cells: int = 64) -> list:
     for kind in (POINT, CELL):
         for delta0 in (1.1, 1.3, DELTA0_TILDE_PLUS, 1.5, 2.0, 4.0, 10.0):
             try:
-                alpha = alpha_opt_poisson(kind, delta0).alpha_opt
+                alpha = _alpha_poisson(kind, delta0)[0]
                 hi, lo = eigenvalue_pair(x, delta0, math.inf, alpha, kind)
             except ClosedFormDomainError:
                 worst = math.inf
@@ -150,23 +158,23 @@ def run_validation(cells: int = 64) -> list:
         gamma = 1.1 * gamma_c_point(delta0)
         edge = thresholds(gamma).delta_c_plus
         if math.isfinite(edge) and edge >= 1.0:
-            left = alpha_opt_rd(POINT, edge * (1 - 1e-9), gamma).alpha_opt
-            right = alpha_opt_rd(POINT, edge * (1 + 1e-9), gamma).alpha_opt
+            left = _alpha_rd(POINT, edge * (1 - 1e-9), gamma)[0]
+            right = _alpha_rd(POINT, edge * (1 + 1e-9), gamma)[0]
             worst = max(worst, abs(left - right))
     for gamma in (0.05, 0.5, 2.0):
         th = thresholds(gamma)
         for edge in (th.delta_c1, th.delta_c2, th.delta_c3, th.delta_c4):
             if math.isfinite(edge) and edge >= 1.0 + 1e-6:
-                left = alpha_opt_rd(CELL, edge * (1 - 1e-9), gamma).alpha_opt
-                right = alpha_opt_rd(CELL, edge * (1 + 1e-9), gamma).alpha_opt
+                left = _alpha_rd(CELL, edge * (1 - 1e-9), gamma)[0]
+                right = _alpha_rd(CELL, edge * (1 + 1e-9), gamma)[0]
                 worst = max(worst, abs(left - right))
     checks.append(CheckResult("optimal_params", "branch_continuity", worst < 1e-6, worst, "< 1e-6"))
     worst = 0.0
     for delta0 in (2.0, 4.0):
         gamma = 0.9 * gamma_c_point(delta0)
         edge = thresholds(gamma).delta_c_minus
-        left = alpha_opt_rd(POINT, edge * (1 - 1e-9), gamma).alpha_opt
-        right = alpha_opt_rd(POINT, edge * (1 + 1e-9), gamma).alpha_opt
+        left = _alpha_rd(POINT, edge * (1 - 1e-9), gamma)[0]
+        right = _alpha_rd(POINT, edge * (1 + 1e-9), gamma)[0]
         worst = max(worst, abs(left - right))
     checks.append(
         CheckResult("optimal_params", "low_gamma_point_edge_gap", worst < 2e-2, worst, "< 2e-2")
@@ -189,6 +197,8 @@ def run_validation(cells: int = 64) -> list:
     if not quarter_skipped:
         cfg = ProblemConfig(cells, 1.0, math.inf, PERIODIC)
         try:
+            # alpha_opt_poisson also evaluates rho on ASYMPTOTIC_CK through
+            # the tables, which the endpoint c_k = -1 below does not read
             alpha = alpha_opt_poisson(POINT, 1.0).alpha_opt
             pair = eigs_closed_form(math.cos(math.pi), cfg, POINT, alpha)
             gap = abs(pair.lambda_plus - pair.lambda_minus)

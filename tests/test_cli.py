@@ -178,6 +178,35 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_repeated_calls(capsys, monkeypatch):
+    runs = [
+        ["spectrum", "--smoother", "point", "--cells", "8"],
+        ["optimize", "--smoother", "cell", "--delta0", "2", "--gamma", "1"],
+        ["sweep", "--smoother", "cell", "--delta0", "1.2,2", "--alpha", "0.5:1:0.25", "--cells", "8"],
+        ["sweep", "--smoother", "cell", "--alpha", ""],
+        ["validate", "--cells", "8"],
+        ["frobnicate"],
+    ]
+
+    def outputs():
+        result = []
+        for argv in runs + runs[::-1]:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            result.append((code, *capsys.readouterr()))
+        return result
+
+    cached = outputs()
+    assert cli._parser() is cli._parser()
+    assert outputs() == cached
+    assert [r[0] for r in cached[:6]] == [0, 0, 0, ("exit", 2), 0, ("exit", 2)]
+    # a parser built afresh for every call prints the same bytes
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == cached
+
+
 def test_validate_passes(capsys):
     code, out, _ = run_cli(capsys, "validate", "--cells", "16")
     assert code == 0
@@ -355,21 +384,40 @@ def test_sweep_dense_rejects_singular_pure_diffusion(capsys, bc):
     assert code == 0 and out.splitlines()[1].endswith(",1.0")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--smoother", "point", "--delta0", delta0, "--gamma", "1", *alpha]
+        for command in ("optimize", "sweep", "spectrum")
+        for delta0, alpha in (("1e100", ()), ("1e200", ("--alpha", "0.9")))
+        if not (command == "optimize" and alpha)
+    ],
+)
+def test_table_overflow_is_an_error_line(capsys, argv):
+    # the coefficient tables overflow at these penalties: an overflow
+    # error, not nan pairs read as a non-converging spectrum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: floating-point overflow: the coefficient tables of the closed forms overflow\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_sweep_row_is_an_error_line(capsys):
-    # a given alpha reaches the tables, which overflow at this penalty
-    # (the optimal alpha is an overflow error of its own, above)
+    # a relaxation this large overflows alpha * mu to inf
     code, out, err = run_cli(
-        capsys, "sweep", "--smoother", "point", "--delta0", "2,1e200", "--gamma", "1", "--alpha", "0.9"
+        capsys, "sweep", "--smoother", "point", "--delta0", "2,3", "--gamma", "1", "--alpha", "1.7e308"
     )
     assert code == 1 and out == ""
-    assert err.startswith("error: sweep row delta0=1e+200, gamma=1.0: alpha=0.9, rho=nan ")
+    assert err.startswith("error: sweep row delta0=2.0, gamma=1.0: alpha=1.7e+308, rho=inf ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_spectrum_row_is_an_error_line(capsys):
     code, out, err = run_cli(
-        capsys, "spectrum", "--smoother", "point", "--delta0", "1e200", "--gamma", "1", "--alpha", "0.9"
+        capsys, "spectrum", "--smoother", "point", "--delta0", "2", "--gamma", "1", "--alpha", "1.7e308"
     )
     assert code == 1 and out == ""
-    assert err == "error: spectrum row k=1: lambda pair nan, nan is not finite\n"
+    assert err.startswith("error: spectrum row k=1: lambda pair ")
+    assert err.endswith(", -inf is not finite\n")

@@ -20,7 +20,7 @@ from dgtwolevel import (
     two_level_components,
     verify_block_diagonalization,
 )
-from dgtwolevel.fourier import Frequency
+from dgtwolevel.fourier import Frequency, symbols_at_angle
 
 
 @pytest.mark.parametrize("cells", [8, 16, 64])
@@ -198,3 +198,103 @@ def test_block_union_equals_dense_spectrum(delta0, gamma, kind, alpha):
     assert np.abs(dense.imag).max() < 1e-10
     assert np.abs(blockwise.imag).max() < 1e-10
     assert np.abs(np.sort(dense.real) - np.sort(blockwise.real)).max() < 1e-9
+
+
+def loop_fourier_basis(cells):
+    """Column-by-column reference of :func:`fourier_basis`."""
+    J = cells
+    h = 1.0 / J
+    Q = np.zeros((2 * J, 2 * J), dtype=complex)
+    m = np.arange(J)
+    for n in range(J):
+        kappa = (n + 2) // 2 - J // 2 if n % 2 == 0 else (n + 1) // 2
+        Q[2 * m, 2 * n] = np.exp(2j * math.pi * kappa * m * h)
+        Q[2 * m + 1, 2 * n + 1] = np.exp(2j * math.pi * kappa * (m + 1) * h)
+    return math.sqrt(h) * Q
+
+
+def loop_block_circulant(blocks):
+    """Block-by-block reference of :func:`block_circulant`."""
+    J = len(blocks)
+    C = np.zeros((2 * J, 2 * J))
+    for i in range(J):
+        for j in range(J):
+            C[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blocks[(j - i) % J]
+    return C
+
+
+@pytest.mark.parametrize("cells", [2, 8, 16, 192])
+def test_basis_and_circulant_equal_loop_references(cells):
+    assert np.array_equal(fourier_basis(cells), loop_fourier_basis(cells))
+    rng = np.random.default_rng(cells)
+    blocks = [rng.uniform(-1.0, 1.0, size=(2, 2)) for _ in range(cells)]
+    C = loop_block_circulant(blocks)
+    assert np.array_equal(block_circulant(blocks), C)
+    # the off-block residual masks exactly the 2x2 diagonal blocks
+    Q = loop_fourier_basis(cells)
+    M = Q.conj().T @ C @ Q
+    for n in range(cells):
+        M[2 * n : 2 * n + 2, 2 * n : 2 * n + 2] = 0.0
+    assert verify_block_diagonalization(blocks, cells)[0] == np.abs(M).max()
+
+
+SYMBOL_FIELDS = ("Ahat", "Dhat", "Rhat", "Phat", "A0hat", "Ehat")
+
+
+def assert_close(stacked, scalar):
+    assert stacked.shape == scalar.shape
+    assert np.abs(stacked - scalar).max() <= 1e-14 * max(1.0, np.abs(scalar).max())
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_stacked_symbols_equal_scalar_calls(kind):
+    rng = np.random.default_rng(5)
+    n = 12
+    delta0 = rng.uniform(1.0, 10.0, n)
+    gamma = np.exp(rng.uniform(math.log(1 / 32), math.log(32), n))
+    alpha = rng.uniform(0.3, 2.0, n)
+    ck = rng.uniform(-1.0, 1.0, n)
+    # pure diffusion at c_k = 1 (singular coarse block, pseudo-inverse),
+    # the other end c_k = -1 and a finite gamma at c_k = 1
+    delta0[:3], gamma[:3], ck[:3] = 2.0, (math.inf, math.inf, 1.0), (1.0, -1.0, 1.0)
+    stacked = symbols_at_ck(delta0, gamma, kind, alpha, ck)
+    for i in range(n):
+        scalar = symbols_at_ck(delta0[i], gamma[i], kind, alpha[i], ck[i])
+        for name in SYMBOL_FIELDS:
+            assert_close(getattr(stacked, name)[i], getattr(scalar, name))
+    singular = symbols_at_ck(2.0, math.inf, kind, alpha[0], 1.0).A0hat
+    assert abs(np.linalg.det(singular)) < 1e-10 * np.abs(singular).max() ** 2
+
+    # leading axes broadcast: penalties down, frequencies across
+    grid = symbols_at_ck(delta0[:, None], 1.5, kind, 0.9, ck)
+    assert grid.Ehat.shape == (n, n, 4, 4) and grid.Rhat.shape == (n, 2, 4)
+    for i, j in ((0, 0), (3, 7), (n - 1, 2)):
+        assert_close(grid.Ehat[i, j], symbols_at_ck(delta0[i], 1.5, kind, 0.9, ck[j]).Ehat)
+
+
+@pytest.mark.parametrize(
+    "delta0,gamma,kind,alpha",
+    [(2.0, math.inf, CELL, 0.7), (1.2, 1 / 16, POINT, 1.3), (4.0, 4.0, CELL, 1.0)],
+)
+def test_stacked_angles_equal_scalar_blocks(delta0, gamma, kind, alpha):
+    cfg = ProblemConfig(32, delta0, gamma, PERIODIC)
+    ks = range(1, cfg.cells // 2 + 1)
+    t = np.array([Frequency(k, cfg.cells).angle for k in ks])
+    stacked = symbols_at_angle(t, delta0, cfg.inv_gamma, kind, alpha, scale=1.0 / cfg.h**2)
+    for i, k in enumerate(ks):
+        scalar = symbol_blocks(Frequency(k, cfg.cells), cfg, kind, alpha)
+        for name in SYMBOL_FIELDS:
+            assert_close(getattr(stacked, name)[i], getattr(scalar, name))
+
+    blockwise = two_grid_eigenvalues(cfg, kind, alpha)
+    assert blockwise.shape == (cfg.cells * 2,)
+    per_k = [
+        np.linalg.eigvals(symbol_blocks(Frequency(k, cfg.cells), cfg, kind, alpha).Ehat)
+        for k in ks
+    ]
+    # k-major, four eigenvalues per block
+    tol = 1e-12 * max(1.0, np.abs(blockwise).max())
+    for block, ref in zip(blockwise.reshape(-1, 4), per_k):
+        assert np.abs(np.sort(block.real) - np.sort(ref.real)).max() <= tol
+        assert np.abs(block.imag).max() <= tol and np.abs(ref.imag).max() <= tol
+    assert np.abs(np.sort(blockwise.real) - np.sort(np.concatenate(per_k).real)).max() <= tol

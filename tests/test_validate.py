@@ -1,9 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 import dgtwolevel.closed_forms
+import dgtwolevel.validate
 from dgtwolevel import run_validation
+from dgtwolevel.closed_forms import eigenvalue_pair
+from dgtwolevel.config import CELL, POINT
+from dgtwolevel.fourier import symbols_at_ck
 from dgtwolevel.rd_coefficients import cell_coefficients, point_coefficients
 
 
@@ -86,3 +91,52 @@ def test_check_line_format():
     checks = run_validation(cells=16)
     line = checks[0].line()
     assert line.startswith("PASS ") and "observed" in line and "expected" in line
+
+
+def reference_appendix_samples():
+    """The 50 ``appendix_vs_blocks`` samples drawn one by one, after the
+    block-circulant draws that precede them on the same generator."""
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        [rng.uniform(-1.0, 1.0, size=(2, 2)) for _ in range(8)]
+    samples = []
+    for _ in range(50):
+        delta0 = rng.uniform(1.0, 10.0)
+        gamma = math.exp(rng.uniform(math.log(1 / 32), math.log(32)))
+        alpha = rng.uniform(0.3, 2.0)
+        x = rng.uniform(-1.0, 1.0)
+        samples.append((delta0, gamma, alpha, x))
+    return samples
+
+
+def test_appendix_samples_equal_reference_draws(monkeypatch):
+    blocks, pairs = [], []
+
+    def record_blocks(delta0, gamma, kind, alpha, ck):
+        blocks.append((kind, np.column_stack([delta0, gamma, alpha, ck])))
+        return symbols_at_ck(delta0, gamma, kind, alpha, ck)
+
+    def record_pair(x, delta0, gamma, alpha, kind):
+        pairs.append((kind, (delta0, gamma, alpha, x)))
+        return eigenvalue_pair(x, delta0, gamma, alpha, kind)
+
+    monkeypatch.setattr(dgtwolevel.validate, "symbols_at_ck", record_blocks)
+    monkeypatch.setattr(dgtwolevel.validate, "eigenvalue_pair", record_pair)
+    checks = run_validation(cells=16)
+    samples = reference_appendix_samples()
+    # one stacked block call per smoother, one pair per sample
+    assert [kind for kind, _ in blocks] == [POINT, CELL]
+    for _, drawn in blocks:
+        assert np.array_equal(drawn, np.array(samples))
+    assert pairs[:100] == [(kind, s) for kind in (POINT, CELL) for s in samples]
+
+    # the per-sample loop over single blocks gives the same worst gap
+    worst = 0.0
+    for delta0, gamma, alpha, x in samples:
+        for kind in (POINT, CELL):
+            hi, lo = eigenvalue_pair(x, delta0, gamma, alpha, kind)
+            ev = np.sort(np.linalg.eigvals(symbols_at_ck(delta0, gamma, kind, alpha, x).Ehat).real)
+            ref = np.sort([0.0, 0.0, float(hi), float(lo)])
+            worst = max(worst, np.abs(ev - ref).max() / max(1.0, np.abs(ref).max()))
+    observed = by_name(checks, "appendix_vs_blocks").observed
+    assert worst < 1e-13 and observed < 1e-13
