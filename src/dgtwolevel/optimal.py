@@ -42,6 +42,11 @@ SMOOTHING_ONLY_ALPHA = {POINT: 4.0 / 5.0, CELL: 2.0 / 3.0}
 # Width of the interval ``crossover_check`` returns.
 _CROSSOVER_WIDTH = 1e-3
 
+# A non-positive smallest mu within this much of 0, relative to the
+# largest, is rounding: the closed forms give mu as 1 - (k +- root) / den
+# with terms of the size of mu_max.
+_MU_ROUNDING = 64 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class RelaxationResult:
@@ -367,8 +372,10 @@ def alpha_opt_numeric(config: ProblemConfig, kind: str, mode: str = "lfa") -> Re
     Raises
     ------
     ValueError
-        On a bad ``mode``, if some ``mu <= 0`` (no relaxation converges),
-        or in dense mode if the operator is singular (periodic pure
+        On a bad ``mode``, if some ``mu <= 0`` (no relaxation converges,
+        or, for a definite operator, the smallest ``mu`` is below float
+        resolution: the cell smoother from ``delta0`` about 1e16 on), or
+        in dense mode if the operator is singular (periodic pure
         diffusion).
     """
     check_smoother(kind)
@@ -383,6 +390,22 @@ def alpha_opt_numeric(config: ProblemConfig, kind: str, mode: str = "lfa") -> Re
     # least where the extreme eigenvalues equioscillate
     mu_min, mu_max = float(mu.min()), float(mu.max())
     if not mu_min > 0.0:
+        # every mu is positive where the operator is definite: all but pure
+        # diffusion at delta0 = 1
+        definite = not (config.is_poisson and config.delta0 == 1.0)
+        if definite and mu_min >= -_MU_ROUNDING * max(mu_max, 1.0):
+            # the cell smoother's smallest mu sits at c_k = 1
+            tau = config.inv_gamma
+            hint = (
+                f", about (12 + 1/gamma) / (6 delta0 + 1/gamma) = "
+                f"{(12.0 + tau) / (6.0 * config.delta0 + tau):.3e},"
+                if kind == CELL else ""
+            )
+            raise ValueError(
+                f"the smallest mu of the smoothed two-grid spectrum{hint} is below float "
+                f"resolution: it rounds to {mu_min:.3e} against mu_max = {mu_max:.3e}, "
+                "so the optimum cannot be resolved at this penalty"
+            )
         raise ValueError(
             f"the smoothed two-grid spectrum reaches mu = {mu_min:.3e} <= 0, "
             "so no relaxation parameter converges"

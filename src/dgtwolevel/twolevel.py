@@ -9,7 +9,11 @@ size: those nonzero eigenvalues are the ones of an A-self-adjoint map on
 the A-orthogonal complement of the coarse space (Falgout, Vassilevski
 and Zikatanov, NLAA 12, 2005), which ``_complement_gram`` spans.  The
 compression cancels the coarse correction, so it does not depend on
-how accurate ``coarse_solve`` is.
+how accurate ``coarse_solve`` is.  Where the assembled operators repeat
+one block pattern on every coarse cell (periodic meshes), the
+compression splits into one 2x2 pencil per coarse frequency, read off
+those blocks and solved for all frequencies at once, at any mesh size;
+other meshes (Dirichlet) take it densely, up to desk scale.
 """
 
 import math
@@ -147,6 +151,12 @@ def spectral_radius_dense(M: np.ndarray) -> float:
         raise EigenSolverError(str(exc)) from exc
 
 
+def _stencil_complement(P: CellStencil) -> np.ndarray:
+    """Orthonormal complement (4 x 2) of the prolongation stencil, by QR."""
+    stencil = P.stencil
+    return np.linalg.qr(stencil, mode="complete")[0][:, stencil.shape[1] :]
+
+
 def _complement_gram(tl: TwoLevelComponents) -> tuple:
     """``(Z, AZ, K)``: a basis ``Z`` (n x n/2, dense) of the A-orthogonal
     complement of the coarse space, ``AZ = A Z`` and ``K = L^{-1}`` for
@@ -165,19 +175,108 @@ def _complement_gram(tl: TwoLevelComponents) -> tuple:
     Raises ``ValueError`` when it is not (an operator singular or
     indefinite off the coarse space).
     """
-    stencil = tl.P.stencil
-    complement = np.linalg.qr(stencil, mode="complete")[0][:, stencil.shape[1] :]
-    W = CellStencil(complement, tl.P.groups).toarray()
+    W = CellStencil(_stencil_complement(tl.P), tl.P.groups).toarray()
     A0 = tl.A0.toarray()
     if tl._A0_factor.constant_kernel:
         A0 = _shift_off_constants(A0)
     Z = W - tl.P @ np.linalg.solve(A0, tl.R @ (tl.A @ W))
     AZ = tl.A @ Z
+    return Z, AZ, _inverse_cholesky(AZ.T @ Z)
+
+
+def _inverse_cholesky(G: np.ndarray) -> np.ndarray:
+    """``L^{-1}`` for ``G = L L^H``, of one matrix or of a stack; raises
+    ``ValueError`` when ``G`` is not definite."""
     try:
-        K = np.linalg.inv(np.linalg.cholesky(AZ.T @ Z))
+        return np.linalg.inv(np.linalg.cholesky(G))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"operator is singular or indefinite off the coarse space: {exc}") from exc
-    return Z, AZ, K
+
+
+def _dense_rho(tl: TwoLevelComponents) -> float:
+    """Two-grid radius over the complement from the dense compression
+    ``C = K Z^T A E Z K^T`` of size J (see ``assembled_rho``)."""
+    _check_desk_scale(tl.A.shape[0] // 2)
+    # H from the assembled E rather than from the smoother alone, so that
+    # sweep --dense keeps timing build_iteration_matrix for the
+    # benchmark's per-layer tracing (ROADMAP item 2); E is built first
+    # because its build sets the peak memory
+    E = build_iteration_matrix(tl)
+    Z, AZ, K = _complement_gram(tl)
+    H = AZ.T @ (E @ Z)
+    C = K @ H @ K.T
+    return spectral_radius_dense(0.5 * (C + C.T))
+
+
+def _uniform(*stacks: np.ndarray) -> bool:
+    """Whether each stack repeats its first block along its leading axis."""
+    return all((stack == stack[:1]).all() for stack in stacks)
+
+
+def _pair_blocks(first, second, inner, outer) -> tuple:
+    """``(self, next)`` 4x4 blocks of a coarse cell that joins two fine
+    cells with diagonal blocks ``first``, ``second`` coupled by ``inner``,
+    and couples its second fine cell to the next coarse cell's first by
+    ``outer``."""
+    own, nxt = np.zeros((4, 4)), np.zeros((4, 4))
+    own[:2, :2], own[2:, 2:] = first, second
+    own[:2, 2:], own[2:, :2] = inner, np.transpose(inner)
+    nxt[2:, :2] = outer
+    return own, nxt
+
+
+def _coarse_cell_blocks(tl: TwoLevelComponents):
+    """The ``(self, next)`` blocks per coarse cell of ``A``, ``D^{-1}``
+    (4x4) and ``A0`` (2x2), or ``None`` unless each is the same, bit for
+    bit, on every coarse cell.
+
+    Row block ``M`` of such an operator holds ``self`` on the diagonal,
+    ``next`` in column block ``M + 1`` and ``next^T`` in ``M - 1``, modulo
+    the coarse cells: a periodic mesh.  A Dirichlet mesh fails the test
+    on its boundary blocks and its zero wrap coupling.
+    """
+    A, Dinv, A0 = tl.A, tl._D_inverse, tl.A0
+    even, odd = Dinv.blocks[0::2], Dinv.blocks[1::2]
+    fine = (A.diag[0::2], A.diag[1::2], A.upper[0::2], A.upper[1::2])
+    if not _uniform(*fine, even, odd, A0.diag, A0.upper):
+        return None
+    if Dinv.shift:
+        # block 2M pairs unknowns 1 and 2 of coarse cell M, block 2M + 1
+        # its unknown 3 with unknown 0 of cell M + 1
+        own, nxt = np.zeros((4, 4)), np.zeros((4, 4))
+        own[1:3, 1:3] = even[0]
+        (own[3, 3], nxt[3, 0]), (_, own[0, 0]) = odd[0]
+        smoother = own, nxt
+    else:
+        smoother = _pair_blocks(even[0], odd[0], 0.0, 0.0)
+    return _pair_blocks(*(block[0] for block in fine)), smoother, (A0.diag[0], A0.upper[0])
+
+
+def _frequency_rho(tl: TwoLevelComponents, blocks: tuple) -> float:
+    """Two-grid radius over the complement from the coarse-cell Fourier
+    blocks ``blocks`` of ``_coarse_cell_blocks``: one 2x2 Hermitian
+    pencil per coarse frequency, all frequencies stacked.
+
+    At ``z = exp(2 pi i k / (J/2))`` an operator with blocks ``(S, N)``
+    has the symbol ``S + N z + N^T conj(z)``.  Per frequency, as in
+    ``_complement_gram``: ``Z = W - P X`` with ``A0 X = R A W``, ``G =
+    (A Z)^H Z = L L^H`` and ``F = (A Z)^H D^{-1} (A Z)``; the eigenvalues
+    ``mu`` of ``K F K^H``, ``K = L^{-1}``, give ``1 - alpha mu``.  On a
+    constant kernel only the ``k = 0`` block of ``A0`` is singular, and
+    it gets the all-ones shift.
+    """
+    cells = tl.A0.cells
+    z = np.exp(2j * np.pi * np.arange(cells) / cells)[:, None, None]
+    A, Dinv, A0 = (own + nxt * z + nxt.T * z.conj() for own, nxt in blocks)
+    if tl._A0_factor.constant_kernel:
+        A0[0] = _shift_off_constants(A0[0])
+    W = _stencil_complement(tl.P)
+    Z = W - tl.P.stencil @ np.linalg.solve(A0, tl.R.stencil @ (A @ W))
+    AZ = A @ Z
+    AZ_h = AZ.conj().swapaxes(1, 2)
+    K = _inverse_cholesky(AZ_h @ Z)
+    mu = np.linalg.eigvalsh(K @ (AZ_h @ Dinv @ AZ) @ K.conj().swapaxes(1, 2))
+    return float(np.abs(1.0 - tl.alpha * mu).max())
 
 
 def assembled_rho(tl: TwoLevelComponents) -> float:
@@ -195,24 +294,24 @@ def assembled_rho(tl: TwoLevelComponents) -> float:
     symmetric, and the exact ``E`` has the eigenvalues of the symmetric
     ``C = K H K^T`` plus n/2 zeros, and plus the eigenvalue 1 of the
     untouched constant vector (``E 1 = 1``) when the coarse factor has a
-    constant kernel.  Over J 4 to 192, both smoothers, delta0 1.01 to 10
-    and alpha 0.6 to 1.1, it agrees with ``spectral_radius_dense(E)`` to
-    1.1e-14 wherever the coarse solves inside ``E`` are accurate
-    (Dirichlet meshes, and periodic ones up to gamma = 1e8), and on
-    periodic meshes with finite gamma it is within 8.2e-15 of the
-    frequency analysis up to the constant-kernel switch, where
-    ``eigvals(E)`` is up to 6.6e-8 off.
+    constant kernel.
+
+    Where ``A``, ``D^{-1}`` and ``A0`` repeat the same blocks on every
+    coarse cell (every periodic mesh), they are block circulant over
+    coarse cells, and ``C`` splits into one 2x2 pencil per coarse
+    frequency, read off the assembled blocks (``_frequency_rho``): O(J)
+    work at any J.  Over J 4 to 192, gamma inf to 1e-3, delta0 1.05 to
+    10, alpha 0.7, 1.1 and the optimum, and both smoothers, that is
+    within 4.4e-15 of the dense ``C``; with finite gamma, up to the
+    constant-kernel switch, it is within 3.6e-15 of the closed-form
+    frequency analysis (J 4 to 1024), where ``eigvals(E)`` is up to
+    6.6e-8 off.  Every other cycle (Dirichlet meshes) takes ``C``
+    densely (``_dense_rho``), from ``E``, up to J = 1024; over J 4 to
+    192, both smoothers, delta0 1.01 to 10 and alpha 0.6 to 1.1 it
+    agrees with ``spectral_radius_dense(E)`` to 1.1e-14.
     """
-    _check_desk_scale(tl.A.shape[0] // 2)
-    # H from the assembled E rather than from the smoother alone, so that
-    # sweep --dense keeps timing build_iteration_matrix for the
-    # benchmark's per-layer tracing (ROADMAP item 2); E is built first
-    # because its build sets the peak memory
-    E = build_iteration_matrix(tl)
-    Z, AZ, K = _complement_gram(tl)
-    H = AZ.T @ (E @ Z)
-    C = K @ H @ K.T
-    rho = spectral_radius_dense(0.5 * (C + C.T))
+    blocks = _coarse_cell_blocks(tl)
+    rho = _dense_rho(tl) if blocks is None else _frequency_rho(tl, blocks)
     return max(rho, 1.0) if tl._A0_factor.constant_kernel else rho
 
 

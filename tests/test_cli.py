@@ -310,6 +310,23 @@ def test_optimize_stalled_penalty_is_an_error_line(capsys):
 
 
 @pytest.mark.parametrize(
+    "delta0,gamma", [("1e16", "1"), ("1e16", "inf"), ("1e20", "0.05"), ("1e40", "1e4")]
+)
+def test_optimize_huge_cell_penalty_names_float_resolution(capsys, delta0, gamma):
+    # the smallest mu, about 2/delta0, rounds to zero or just below: float
+    # resolution, not a method that fails to converge
+    argv = ("optimize", "--smoother", "cell", "--delta0", delta0, "--gamma", gamma)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the smallest mu of the smoothed two-grid spectrum, about ")
+    assert "is below float resolution" in err and err.count("\n") == 1
+    assert "no relaxation parameter converges" not in err
+    # a true zero mu (pure diffusion at delta0 = 1) keeps its message
+    code, _, err = run_cli(capsys, "optimize", "--smoother", "cell", "--delta0", "1")
+    assert code == 1 and "no relaxation parameter converges" in err
+
+
+@pytest.mark.parametrize(
     "value", ["1:2:1e-12", "1:2:1e-300", "1:2:5e-324", "1:1.5:1e-6,2:3:1e-6"]
 )
 def test_oversized_grid_is_usage_error(capsys, value):

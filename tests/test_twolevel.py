@@ -20,7 +20,16 @@ from dgtwolevel import (
     stationary_solve,
     two_level_components,
 )
+from dgtwolevel.blocks import BlockDiagonal, BlockTridiagonal
+from dgtwolevel.cli import main
 from dgtwolevel.fourier import Frequency, symbol_blocks
+from dgtwolevel.optimal import _alpha_formula
+from dgtwolevel.twolevel import (
+    TwoLevelComponents,
+    _coarse_cell_blocks,
+    _dense_rho,
+    _frequency_rho,
+)
 
 
 def explicit_preconditioner(tl):
@@ -112,7 +121,7 @@ def test_spectral_radius_rejects_bad_input():
         spectral_radius_dense(np.eye(1100))
     # the eigensolve of assembled_rho sees J x J: it refuses before building E
     with pytest.raises(ValueError, match="desk scale"):
-        assembled_rho(two_level_components(ProblemConfig(1026, 2.0), CELL, 1.0))
+        assembled_rho(two_level_components(ProblemConfig(1026, 2.0, bc=DIRICHLET), CELL, 1.0))
 
 
 def test_spectral_radius_symmetric_path_equals_nonsymmetric():
@@ -143,6 +152,94 @@ def test_assembled_rho_is_the_iteration_matrix_radius(kind, bc, cells):
                 assert rho == pytest.approx(spectral_radius_dense(build_iteration_matrix(tl)), abs=1e-12)
                 if bc == PERIODIC and math.isinf(gamma):
                     assert rho >= 1.0  # the constant vector is left untouched
+
+
+@pytest.mark.parametrize("cells", [4, 6, 8, 16, 64, 192])
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_frequency_route_equals_dense_compression(kind, cells):
+    # both routes called directly, past the dispatch of assembled_rho; the
+    # gammas reach past the constant-kernel switch (1e14 at delta0 = 10)
+    worst = 0.0
+    for gamma in (math.inf, 1e14, 1e13, 1e12, 1e8, 1e4, 1.0, 0.05, 1e-3):
+        for delta0 in (1.05, 1.2, 2.0, 3.0, 10.0):
+            config = ProblemConfig(cells, delta0, gamma, PERIODIC)
+            for alpha in (_alpha_formula(config, kind), 0.7, 1.1):
+                tl = two_level_components(config, kind, alpha)
+                blocks = _coarse_cell_blocks(tl)
+                assert blocks is not None
+                worst = max(worst, abs(_frequency_rho(tl, blocks) - _dense_rho(tl)))
+    assert worst <= 1e-14
+
+
+def perturbed(tl, operator, cell, factor):
+    """A copy of the cycle ``tl`` whose ``A`` diagonal block or ``D`` block
+    ``cell`` is scaled by ``factor`` (every block when ``cell`` is None)."""
+    blocks = (tl.A.diag if operator == "A" else tl.D.blocks).copy()
+    blocks[slice(None) if cell is None else cell] *= factor
+    if operator == "A":
+        return TwoLevelComponents(BlockTridiagonal(blocks, tl.A.upper), tl.D, tl.alpha)
+    return TwoLevelComponents(tl.A, BlockDiagonal(blocks, tl.D.shift), tl.alpha)
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("operator,cell", [("A", 6), ("A", 7), ("D", 4), ("D", 15)])
+def test_one_perturbed_cell_falls_back_to_the_dense_route(kind, operator, cell):
+    # D block 15 of the point smoother is the cross-cell one that closes
+    # the cycle
+    tl = two_level_components(ProblemConfig(16, 2.0, 1.0, PERIODIC), kind, 0.9)
+    assert _coarse_cell_blocks(tl) is not None
+    bent = perturbed(tl, operator, cell, 1.01)
+    assert _coarse_cell_blocks(bent) is None
+    rho = assembled_rho(bent)
+    assert rho == _dense_rho(bent)
+    assert rho == pytest.approx(spectral_radius_dense(build_iteration_matrix(bent)), abs=1e-12)
+    assert abs(rho - assembled_rho(tl)) > 1e-6
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_operator_bent_off_the_coarse_space_falls_back(kind):
+    # c v v^T with v = (0, 1, -1, 0) on the pair block of coarse cell 3:
+    # P^T v = 0, so A0 stays the same bit for bit and only the check of
+    # A's own blocks sees the bend
+    tl = two_level_components(ProblemConfig(16, 2.0, 1.0, PERIODIC), kind, 0.9)
+    diag, upper = tl.A.diag.copy(), tl.A.upper.copy()
+    diag[6, 1, 1] += 64.0
+    diag[7, 0, 0] += 64.0
+    upper[6, 1, 0] -= 64.0
+    bent = TwoLevelComponents(BlockTridiagonal(diag, upper), tl.D, tl.alpha)
+    assert np.array_equal(bent.A0.diag, tl.A0.diag) and np.array_equal(bent.A0.upper, tl.A0.upper)
+    assert _coarse_cell_blocks(bent) is None
+    assert assembled_rho(bent) == _dense_rho(bent)
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_uniformly_perturbed_smoother_moves_rho_dense_off_lfa(kind):
+    # the frequency route reads the assembled blocks, not the closed forms
+    # or the analytic symbols: a slip in every smoother block shows
+    config = ProblemConfig(64, 2.0, 1.0, PERIODIC)
+    alpha = _alpha_formula(config, kind)
+    rho_lfa = lfa_spectral_radius(config, kind, alpha)
+    tl = two_level_components(config, kind, alpha)
+    assert assembled_rho(tl) == pytest.approx(rho_lfa, abs=1e-14)
+    bent = perturbed(tl, "D", None, 1.001)
+    assert _coarse_cell_blocks(bent) is not None
+    rho = assembled_rho(bent)
+    assert abs(rho - rho_lfa) > 1e-5
+    assert rho == pytest.approx(_dense_rho(bent), abs=1e-14)
+
+
+def test_periodic_sweep_dense_at_65536_cells_matches_lfa(capsys):
+    for kind in (CELL, POINT):
+        code = main([
+            "sweep", "--smoother", kind, "--dense", "--bc", PERIODIC, "--gamma", "1",
+            "--delta0", "1.2,3", "--cells", "65536",
+        ])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            _, _, _, rho_lfa, rho_dense = (float(v) for v in row.split(","))
+            assert abs(rho_dense - rho_lfa) <= 1e-12
 
 
 def test_stationary_zero_rhs():

@@ -30,7 +30,7 @@ def shift_table(monkeypatch, table, index, amount):
 
     def shifted(delta0, gamma):
         coeffs = list(original(delta0, gamma))
-        coeffs[index - 1] += amount * max(1.0, abs(coeffs[index - 1]))
+        coeffs[index - 1] += amount * np.maximum(1.0, np.abs(coeffs[index - 1]))
         return tuple(coeffs)
 
     monkeypatch.setattr(dgtwolevel.closed_forms, table, shifted)
