@@ -50,6 +50,7 @@ from .twolevel import (
     IterationHistory,
     TwoLevelComponents,
     apply_preconditioner,
+    assembled_mu,
     assembled_rho,
     build_iteration_matrix,
     convergence_factor,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .closed_forms import ASYMPTOTIC_CK, eigenvalue_pair, rho_on_ck_values
 from .config import CELL, PERIODIC, POINT, ProblemConfig, check_penalty, check_smoother
-from .twolevel import _complement_gram, two_level_components
+from .twolevel import assembled_mu, two_level_components
 
 #: Penalty where the middle cell branch begins: real root of
 #: 4 d^3 - 8 d^2 + 4 d - 1.
@@ -337,26 +337,6 @@ def _alpha_formula(config: ProblemConfig, kind: str) -> float:
     return float(_alpha_rd(kind, config.delta0, config.gamma)[0])
 
 
-def _dense_mu(config: ProblemConfig, kind: str) -> np.ndarray:
-    """Eigenvalues ``mu`` of the pencil ``(Z^T A D^{-1} A Z, Z^T A Z)``.
-
-    ``Z`` spans the A-orthogonal complement of the coarse space
-    (``twolevel._complement_gram``), and the nonzero eigenvalues of the
-    assembled iteration matrix are exactly ``1 - alpha * mu`` (Falgout,
-    Vassilevski and Zikatanov, "On two-grid convergence estimates", NLAA
-    2005).
-    """
-    if config.bc == PERIODIC and config.is_poisson:
-        raise ValueError(
-            "dense mode needs a nonsingular operator; periodic pure diffusion "
-            "(gamma = inf) is singular on the constants"
-        )
-    tl = two_level_components(config, kind, 1.0)
-    _, AZ, K = _complement_gram(tl)
-    C = K @ (AZ.T @ tl.smooth(AZ)) @ K.T
-    return np.linalg.eigvalsh(0.5 * (C + C.T))
-
-
 def alpha_opt_numeric(config: ProblemConfig, kind: str, mode: str = "lfa") -> RelaxationResult:
     """Exact minimizer of the two-grid spectral radius over ``alpha``.
 
@@ -366,8 +346,10 @@ def alpha_opt_numeric(config: ProblemConfig, kind: str, mode: str = "lfa") -> Re
     from, independently of the branch tables: ``"lfa"`` takes
     ``mu = 1 - lambda_{+-}`` from the closed-form pairs at ``alpha = 1``
     on :data:`~dgtwolevel.closed_forms.ASYMPTOTIC_CK` (the default);
-    ``"dense"`` solves the symmetric-definite pencil of the assembled
-    operators (:func:`_dense_mu`), for Dirichlet validation.
+    ``"dense"`` takes ``mu`` from the symmetric-definite pencil of the
+    assembled operators (:func:`~dgtwolevel.twolevel.assembled_mu`):
+    O(J) per coarse frequency on periodic meshes, dense up to J = 1024 on
+    the others (Dirichlet), for validation.
 
     Raises
     ------
@@ -376,14 +358,19 @@ def alpha_opt_numeric(config: ProblemConfig, kind: str, mode: str = "lfa") -> Re
         or, for a definite operator, the smallest ``mu`` is below float
         resolution: the cell smoother from ``delta0`` about 1e16 on), or
         in dense mode if the operator is singular (periodic pure
-        diffusion).
+        diffusion) or a Dirichlet mesh has more than 1024 cells.
     """
     check_smoother(kind)
     if mode == "lfa":
         plus, minus = eigenvalue_pair(ASYMPTOTIC_CK, config.delta0, config.gamma, 1.0, kind)
         mu = 1.0 - np.concatenate((plus, minus))
     elif mode == "dense":
-        mu = _dense_mu(config, kind)
+        if config.bc == PERIODIC and config.is_poisson:
+            raise ValueError(
+                "dense mode needs a nonsingular operator; periodic pure diffusion "
+                "(gamma = inf) is singular on the constants"
+            )
+        mu = assembled_mu(two_level_components(config, kind, 1.0))
     else:
         raise ValueError(f"mode must be 'lfa' or 'dense', got {mode!r}")
     # rho(alpha) = max |1 - alpha * mu| is convex in alpha: for mu > 0 it is

@@ -3,21 +3,24 @@
 ``build_iteration_matrix`` assembles the dense error propagation ``E``
 through the solver's own smoother and coarse solve, all columns in one
 batched apply.
-``assembled_rho`` gives the exact two-grid spectral radius, that of
-``E`` with exact coarse solves, from a symmetric matrix of half its
-size: those nonzero eigenvalues are the ones of an A-self-adjoint map on
-the A-orthogonal complement of the coarse space (Falgout, Vassilevski
-and Zikatanov, NLAA 12, 2005), which ``_complement_gram`` spans.  The
-compression cancels the coarse correction, so it does not depend on
-how accurate ``coarse_solve`` is.  Where the assembled operators repeat
-one block pattern on every coarse cell (periodic meshes), the
-compression splits into one 2x2 pencil per coarse frequency, read off
-those blocks and solved for all frequencies at once, at any mesh size;
-other meshes (Dirichlet) take it densely, up to desk scale.
+``assembled_mu`` gives the assembled two-grid spectrum without ``E``:
+the nonzero eigenvalues of ``E`` with exact coarse solves are ``1 -
+alpha mu`` for the ``mu`` of one symmetric-definite pencil of half its
+size, on the A-orthogonal complement of the coarse space (Falgout,
+Vassilevski and Zikatanov, NLAA 12, 2005), which ``_complement_gram``
+spans.  The pencil cancels the coarse correction, so it does not depend
+on how accurate ``coarse_solve`` is.  Where the assembled operators
+repeat one block pattern on every coarse cell (periodic meshes), the
+pencil splits into one 2x2 pencil per coarse frequency, read off those
+blocks and solved for all frequencies at once, at any mesh size; other
+meshes (Dirichlet) take it densely, up to desk scale.
+``assembled_rho`` is the exact two-grid spectral radius from the same
+compression.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .blocks import (
     CellStencil,
     CyclicReduction,
     _shift_off_constants,
+    constant_mode,
 )
 from .config import ProblemConfig
 
@@ -65,18 +69,31 @@ class TwoLevelComponents:
     ``alpha`` the smoother relaxation; the transfers ``R``/``P`` and the
     Galerkin coarse operator ``A0 = R A P`` follow from ``A``, all in the
     structured forms of ``dgtwolevel.blocks``.  The block inverses of
-    ``D`` and the cyclic reduction of ``A0`` are prepared once here; the
+    ``D`` are prepared here, the cyclic reduction of ``A0`` on the first
+    coarse solve (the frequency route of ``assembled_mu`` needs none); the
     reduction reads off ``A0`` whether it is singular on the constants
     (then the coarse solve projects that mode out) or so nearly singular
-    that every coarse solve is refined.
+    that every coarse solve is refined.  Raises ``ValueError`` for a
+    non-finite ``alpha``.
     """
 
     def __init__(self, A: BlockTridiagonal, D: BlockDiagonal, alpha: float):
+        if not math.isfinite(alpha):
+            raise ValueError(f"the relaxation alpha must be finite, got {alpha}")
         self.A, self.D, self.alpha = A, D, alpha
         self.R, self.P = assemble_transfer(A.cells)
         self.A0 = assemble_coarse(A, self.R, self.P)
         self._D_inverse = D.inverse()
-        self._A0_factor = CyclicReduction(self.A0)
+
+    @cached_property
+    def _A0_factor(self) -> CyclicReduction:
+        return CyclicReduction(self.A0)
+
+    @cached_property
+    def _constant_kernel(self) -> bool:
+        """Whether ``A0`` is singular on the constants, by the row-sum
+        test of its cyclic reduction, without factoring it."""
+        return constant_mode(self.A0)[0]
 
     def smooth(self, g: np.ndarray) -> np.ndarray:
         """Apply D^{-1} to a vector or to every column of a matrix."""
@@ -93,7 +110,7 @@ def two_level_components(config: ProblemConfig, kind: str, alpha: float) -> TwoL
 
     Raises ``ValueError`` for pure diffusion at ``delta0 = 1``, where the
     operator is singular on the alternating mode and no iteration
-    converges.
+    converges, and for a non-finite ``alpha``.
     """
     if config.is_poisson and config.delta0 == 1.0:
         raise ValueError(
@@ -177,7 +194,7 @@ def _complement_gram(tl: TwoLevelComponents) -> tuple:
     """
     W = CellStencil(_stencil_complement(tl.P), tl.P.groups).toarray()
     A0 = tl.A0.toarray()
-    if tl._A0_factor.constant_kernel:
+    if tl._constant_kernel:
         A0 = _shift_off_constants(A0)
     Z = W - tl.P @ np.linalg.solve(A0, tl.R @ (tl.A @ W))
     AZ = tl.A @ Z
@@ -197,10 +214,12 @@ def _dense_rho(tl: TwoLevelComponents) -> float:
     """Two-grid radius over the complement from the dense compression
     ``C = K Z^T A E Z K^T`` of size J (see ``assembled_rho``)."""
     _check_desk_scale(tl.A.shape[0] // 2)
-    # H from the assembled E rather than from the smoother alone, so that
-    # sweep --dense keeps timing build_iteration_matrix for the
-    # benchmark's per-layer tracing (ROADMAP item 2); E is built first
-    # because its build sets the peak memory
+    # H from the assembled E rather than from the smoother alone: only the
+    # benchmark's per-layer metrics, which time build_iteration_matrix and
+    # spectral_radius_dense through sweep --dense, keep this route until
+    # ROADMAP item 1; then assembled_rho is max |1 - alpha mu| of
+    # assembled_mu on every mesh.  E is built first because its build sets
+    # the peak memory
     E = build_iteration_matrix(tl)
     Z, AZ, K = _complement_gram(tl)
     H = AZ.T @ (E @ Z)
@@ -252,31 +271,55 @@ def _coarse_cell_blocks(tl: TwoLevelComponents):
     return _pair_blocks(*(block[0] for block in fine)), smoother, (A0.diag[0], A0.upper[0])
 
 
-def _frequency_rho(tl: TwoLevelComponents, blocks: tuple) -> float:
-    """Two-grid radius over the complement from the coarse-cell Fourier
-    blocks ``blocks`` of ``_coarse_cell_blocks``: one 2x2 Hermitian
-    pencil per coarse frequency, all frequencies stacked.
+def _frequency_mu(tl: TwoLevelComponents, blocks: tuple) -> np.ndarray:
+    """The ``mu`` of ``assembled_mu`` from the coarse-cell Fourier blocks
+    ``blocks`` of ``_coarse_cell_blocks``, as ``(J/2, 2)``: one 2x2
+    Hermitian pencil per coarse frequency, all frequencies stacked.
 
     At ``z = exp(2 pi i k / (J/2))`` an operator with blocks ``(S, N)``
     has the symbol ``S + N z + N^T conj(z)``.  Per frequency, as in
     ``_complement_gram``: ``Z = W - P X`` with ``A0 X = R A W``, ``G =
-    (A Z)^H Z = L L^H`` and ``F = (A Z)^H D^{-1} (A Z)``; the eigenvalues
-    ``mu`` of ``K F K^H``, ``K = L^{-1}``, give ``1 - alpha mu``.  On a
-    constant kernel only the ``k = 0`` block of ``A0`` is singular, and
-    it gets the all-ones shift.
+    (A Z)^H Z = L L^H`` and ``F = (A Z)^H D^{-1} (A Z)``; the ``mu`` are
+    the eigenvalues of ``K F K^H``, ``K = L^{-1}``.  On a constant kernel
+    only the ``k = 0`` block of ``A0`` is singular, and it gets the
+    all-ones shift.
     """
     cells = tl.A0.cells
     z = np.exp(2j * np.pi * np.arange(cells) / cells)[:, None, None]
     A, Dinv, A0 = (own + nxt * z + nxt.T * z.conj() for own, nxt in blocks)
-    if tl._A0_factor.constant_kernel:
+    if tl._constant_kernel:
         A0[0] = _shift_off_constants(A0[0])
     W = _stencil_complement(tl.P)
     Z = W - tl.P.stencil @ np.linalg.solve(A0, tl.R.stencil @ (A @ W))
     AZ = A @ Z
     AZ_h = AZ.conj().swapaxes(1, 2)
     K = _inverse_cholesky(AZ_h @ Z)
-    mu = np.linalg.eigvalsh(K @ (AZ_h @ Dinv @ AZ) @ K.conj().swapaxes(1, 2))
-    return float(np.abs(1.0 - tl.alpha * mu).max())
+    return np.linalg.eigvalsh(K @ (AZ_h @ Dinv @ AZ) @ K.conj().swapaxes(1, 2))
+
+
+def assembled_mu(tl: TwoLevelComponents) -> np.ndarray:
+    """The J eigenvalues ``mu``, ascending, of the symmetric-definite
+    pencil ``(Z^T A D^{-1} A Z, Z^T A Z)`` of the assembled operators:
+    ``1 - alpha mu`` are the nonzero eigenvalues of the exact two-grid
+    ``E`` (Falgout, Vassilevski and Zikatanov, "On two-grid convergence
+    estimates", NLAA 12, 2005).  ``alpha`` does not enter.
+
+    ``Z`` spans the A-orthogonal complement of the coarse space
+    (``_complement_gram``).  Where ``A``, ``D^{-1}`` and ``A0`` repeat the
+    same blocks on every coarse cell (every periodic mesh) the pencil
+    splits into one 2x2 pencil per coarse frequency (``_frequency_mu``):
+    O(J) work and memory at any J, and no factorization of ``A0``.  Every
+    other mesh (Dirichlet) takes ``K Z^T A D^{-1} A Z K^T`` densely, up to
+    J = 1024; larger meshes raise ``ValueError`` before anything dense is
+    built.  Raises ``ValueError`` also when ``Z^T A Z`` is not definite.
+    """
+    blocks = _coarse_cell_blocks(tl)
+    if blocks is not None:
+        return np.sort(_frequency_mu(tl, blocks), axis=None)
+    _check_desk_scale(tl.A.shape[0] // 2)
+    _, AZ, K = _complement_gram(tl)
+    C = K @ (AZ.T @ tl.smooth(AZ)) @ K.T
+    return np.linalg.eigvalsh(0.5 * (C + C.T))
 
 
 def assembled_rho(tl: TwoLevelComponents) -> float:
@@ -292,15 +335,14 @@ def assembled_rho(tl: TwoLevelComponents) -> float:
     correction inside ``E``, and with it any error of ``coarse_solve``,
     drops out, so this radius does not check the coarse solve.  ``H`` is
     symmetric, and the exact ``E`` has the eigenvalues of the symmetric
-    ``C = K H K^T`` plus n/2 zeros, and plus the eigenvalue 1 of the
-    untouched constant vector (``E 1 = 1``) when the coarse factor has a
-    constant kernel.
+    ``C = K H K^T = I - alpha K Z^T A D^{-1} A Z K^T``, that is ``1 -
+    alpha mu`` for the ``mu`` of ``assembled_mu``, plus n/2 zeros, and
+    plus the eigenvalue 1 of the untouched constant vector (``E 1 = 1``)
+    when ``A0`` has a constant kernel.
 
-    Where ``A``, ``D^{-1}`` and ``A0`` repeat the same blocks on every
-    coarse cell (every periodic mesh), they are block circulant over
-    coarse cells, and ``C`` splits into one 2x2 pencil per coarse
-    frequency, read off the assembled blocks (``_frequency_rho``): O(J)
-    work at any J.  Over J 4 to 192, gamma inf to 1e-3, delta0 1.05 to
+    Periodic meshes take ``max |1 - alpha mu|`` over ``assembled_mu``'s
+    frequency route (``_frequency_mu``): O(J) work at any J, with ``A0``
+    left unfactored.  Over J 4 to 192, gamma inf to 1e-3, delta0 1.05 to
     10, alpha 0.7, 1.1 and the optimum, and both smoothers, that is
     within 4.4e-15 of the dense ``C``; with finite gamma, up to the
     constant-kernel switch, it is within 3.6e-15 of the closed-form
@@ -311,8 +353,11 @@ def assembled_rho(tl: TwoLevelComponents) -> float:
     agrees with ``spectral_radius_dense(E)`` to 1.1e-14.
     """
     blocks = _coarse_cell_blocks(tl)
-    rho = _dense_rho(tl) if blocks is None else _frequency_rho(tl, blocks)
-    return max(rho, 1.0) if tl._A0_factor.constant_kernel else rho
+    if blocks is None:
+        rho = _dense_rho(tl)
+    else:
+        rho = float(np.abs(1.0 - tl.alpha * _frequency_mu(tl, blocks)).max())
+    return max(rho, 1.0) if tl._constant_kernel else rho
 
 
 def stationary_solve(

@@ -11,10 +11,13 @@ from dgtwolevel import (
     IterationHistory,
     ProblemConfig,
     alpha_opt_poisson,
+    alpha_opt_numeric,
     apply_preconditioner,
+    assembled_mu,
     assembled_rho,
     build_iteration_matrix,
     convergence_factor,
+    eigenvalue_pair,
     lfa_spectral_radius,
     spectral_radius_dense,
     stationary_solve,
@@ -22,13 +25,15 @@ from dgtwolevel import (
 )
 from dgtwolevel.blocks import BlockDiagonal, BlockTridiagonal
 from dgtwolevel.cli import main
+from dgtwolevel.closed_forms import mesh_ck
 from dgtwolevel.fourier import Frequency, symbol_blocks
 from dgtwolevel.optimal import _alpha_formula
 from dgtwolevel.twolevel import (
     TwoLevelComponents,
     _coarse_cell_blocks,
+    _complement_gram,
     _dense_rho,
-    _frequency_rho,
+    _frequency_mu,
 )
 
 
@@ -167,8 +172,76 @@ def test_frequency_route_equals_dense_compression(kind, cells):
                 tl = two_level_components(config, kind, alpha)
                 blocks = _coarse_cell_blocks(tl)
                 assert blocks is not None
-                worst = max(worst, abs(_frequency_rho(tl, blocks) - _dense_rho(tl)))
+                rho = np.abs(1.0 - alpha * _frequency_mu(tl, blocks)).max()
+                worst = max(worst, abs(rho - _dense_rho(tl)))
     assert worst <= 1e-14
+
+
+def dense_pencil_mu(tl):
+    """The ``mu`` of the pencil ``(Z^T A D^{-1} A Z, Z^T A Z)``, densely,
+    on any mesh."""
+    Z, AZ, _ = _complement_gram(tl)
+    return np.sort(np.linalg.eigvals(np.linalg.solve(AZ.T @ Z, AZ.T @ tl.smooth(AZ))).real)
+
+
+@pytest.mark.parametrize("cells", [4, 6, 8, 16, 64, 192])
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_periodic_assembled_mu_is_the_dense_pencil(kind, cells):
+    # the frequency route, sorted, against the whole pencil; gamma = inf
+    # and 1e14 take the constant-kernel shift of A0
+    worst = 0.0
+    for gamma in (math.inf, 1e14, 1e13, 1e12, 1e8, 1e4, 1.0, 0.05, 1e-3):
+        for delta0 in (1.05, 1.2, 2.0, 3.0, 10.0):
+            tl = two_level_components(ProblemConfig(cells, delta0, gamma, PERIODIC), kind, 1.0)
+            mu = assembled_mu(tl)
+            assert mu.shape == (cells,) and np.all(np.diff(mu) >= 0.0)
+            worst = max(worst, np.abs(mu - dense_pencil_mu(tl)).max())
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_dirichlet_assembled_mu_is_the_dense_pencil(kind):
+    tl = two_level_components(ProblemConfig(16, 1.5, 1.0, DIRICHLET), kind, 0.9)
+    assert _coarse_cell_blocks(tl) is None
+    mu = assembled_mu(tl)
+    assert np.abs(mu - dense_pencil_mu(tl)).max() <= 1e-13
+    # 1 - alpha mu are the nonzero eigenvalues of E
+    rho = np.abs(1.0 - tl.alpha * mu).max()
+    assert rho == pytest.approx(spectral_radius_dense(build_iteration_matrix(tl)), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_dense_optimum_on_a_periodic_65536_cell_mesh_is_the_closed_form_one(kind):
+    # assembled_mu's frequency route is O(J): no dense matrix at this size
+    config = ProblemConfig(65536, 2.0, 1.0, PERIODIC)
+    plus, minus = eigenvalue_pair(mesh_ck(config.cells), config.delta0, config.gamma, 1.0, kind)
+    mu = 1.0 - np.concatenate((plus, minus))
+    expected = 2.0 / (mu.min() + mu.max())
+    assert alpha_opt_numeric(config, kind, mode="dense").alpha_opt == pytest.approx(expected, abs=1e-12)
+
+
+def test_dense_optimum_refuses_large_dirichlet_meshes_before_building():
+    with pytest.raises(ValueError, match="desk scale"):
+        alpha_opt_numeric(ProblemConfig(1026, 2.0, 1.0, DIRICHLET), CELL, mode="dense")
+
+
+@pytest.mark.parametrize("gamma", [math.inf, 1.0])
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_coarse_operator_is_factored_on_the_first_coarse_solve_only(kind, gamma):
+    tl = two_level_components(ProblemConfig(64, 2.0, gamma, PERIODIC), kind, 0.9)
+    assembled_mu(tl)
+    assembled_rho(tl)
+    assert "_A0_factor" not in vars(tl)
+    stationary_solve(tl, np.arange(128) % 3 - 1.0, 1e-10, 2)
+    assert "_A0_factor" in vars(tl)
+    assert tl._A0_factor.constant_kernel == tl._constant_kernel == math.isinf(gamma)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+def test_components_reject_a_non_finite_relaxation(bc, alpha):
+    with pytest.raises(ValueError, match=f"relaxation alpha must be finite, got {alpha}"):
+        two_level_components(ProblemConfig(16, 2.0, 1.0, bc), CELL, alpha)
 
 
 def perturbed(tl, operator, cell, factor):
@@ -341,7 +414,8 @@ def test_tolerance_below_the_rounding_floor_stagnates():
 
 
 def test_non_finite_residual_stops_as_diverged():
-    tl = two_level_components(ProblemConfig(8, 2.0, 1.0, DIRICHLET), CELL, math.nan)
+    tl = two_level_components(ProblemConfig(8, 2.0, 1.0, DIRICHLET), CELL, 0.9)
+    tl.alpha = math.nan  # past the constructor, which refuses it
     hist = stationary_solve(tl, np.ones(16), tol=1e-10, maxit=50)
     assert hist.diverged and not hist.converged
     assert hist.iterations == 1 and not math.isfinite(hist.residual_norms[-1])
