@@ -34,9 +34,6 @@ import numpy as np
 _CHUNK = 16
 # Cyclic reduction stops at this many cells and inverts the rest densely.
 _DENSE_CELLS = 64
-# Chains a reduction level builds and inverts at a time, so that the
-# build never holds every chain and every inverse at once.
-_BATCH = 32
 _EPS = np.finfo(float).eps
 # Below this row-sum ratio an operator is refined in every solve: each
 # step shrinks the error by about eps / ratio.  Unrefined, a periodic A0
@@ -258,23 +255,6 @@ class CellStencil:
         return dense.reshape(self.shape)
 
 
-def _chains(diag, upper, interior, real) -> np.ndarray:
-    """``(b, 2w, 2w)`` stack of the chains of cells ``interior`` (``(b,
-    w)``, ``real`` marks the cells that are not padding) of the cycle
-    ``(diag, upper)``, padded with identity cells."""
-    b, w = interior.shape
-    chains = np.zeros((b, w, 2, w, 2))
-    q, i = np.nonzero(real)
-    chains[q, i, :, i, :] = diag[interior[q, i]]
-    q, i = np.nonzero(~real)
-    chains[q, i, :, i, :] = np.eye(2)
-    q, i = np.nonzero(real[:, 1:])
-    link = upper[interior[q, i]]
-    chains[q, i, :, i + 1, :] = link
-    chains[q, i + 1, :, i, :] = np.swapaxes(link, 1, 2)
-    return chains.reshape(b, 2 * w, 2 * w)
-
-
 class _SchurLevel:
     """One level of the reduction: keep every ``_CHUNK``-th cell of a
     cycle and eliminate the cells between, in one batched step.
@@ -284,11 +264,10 @@ class _SchurLevel:
     other cells form an interior chain that couples only to separators
     ``q`` and ``q + 1`` (modulo ``c``), through its first and its last
     cell.  The chains are padded with identity cells to one length ``w``
-    and inverted as one ``(c, 2w, 2w)`` stack, ``_BATCH`` at a time.  With
-    ``A_II`` the chains, ``A_IS`` their couplings to the two separators of
-    each chunk and ``W = A_II^{-1} A_IS``, the separators' Schur
-    complement ``A_SS - A_IS^T W`` is again a block-tridiagonal cycle
-    ``(diag, upper)``.
+    and inverted as one ``(c, 2w, 2w)`` stack.  With ``A_II`` the chains,
+    ``A_IS`` their couplings to the two separators of each chunk and
+    ``W = A_II^{-1} A_IS``, the separators' Schur complement ``A_SS -
+    A_IS^T W`` is again a block-tridiagonal cycle ``(diag, upper)``.
 
     Right-hand sides are ``(cells, 2, columns)`` arrays.  A padded
     position reads a copy of a real cell; it meets only zero couplings
@@ -305,14 +284,17 @@ class _SchurLevel:
         self.separators = starts[:-1]
         self.interior = np.minimum(starts[:-1, None] + 1 + np.arange(w), starts[1:, None] - 1)
 
-        # one product gives A_II^{-1} b_I and A_IS^T A_II^{-1} b_I; the
-        # inverses go straight into its first rows, one batch of chains at
-        # a time, which keeps the build's peak memory near one stack
-        self.gain = np.empty((c, 2 * w + 4, 2 * w))
-        inverse = self.gain[:, : 2 * w]
-        for lo in range(0, c, _BATCH):
-            batch = slice(lo, lo + _BATCH)
-            inverse[batch] = np.linalg.inv(_chains(diag, upper, self.interior[batch], real[batch]))
+        chains = np.zeros((c, w, 2, w, 2))
+        q, i = np.nonzero(real)
+        chains[q, i, :, i, :] = diag[self.interior[q, i]]
+        q, i = np.nonzero(~real)
+        chains[q, i, :, i, :] = np.eye(2)
+        q, i = np.nonzero(real[:, 1:])
+        link = upper[self.interior[q, i]]
+        chains[q, i, :, i + 1, :] = link
+        chains[q, i + 1, :, i, :] = np.swapaxes(link, 1, 2)
+        inverse = np.linalg.inv(chains.reshape(c, 2 * w, 2 * w))
+        del chains  # keeps the build's peak memory at two stacks of chains
 
         # A_IS: the first cell couples back to separator q, the last real
         # cell forward to separator q + 1
@@ -322,7 +304,8 @@ class _SchurLevel:
         coupling = coupling.reshape(c, 2 * w, 4)
         to_separators = np.swapaxes(coupling, 1, 2) @ inverse  # A_IS^T A_II^{-1}
         self.W = inverse @ coupling
-        self.gain[:, 2 * w :] = to_separators
+        # one product gives A_II^{-1} b_I and A_IS^T A_II^{-1} b_I
+        self.gain = np.concatenate((inverse, to_separators), axis=1)
         K = to_separators @ coupling
         self.diag = diag[starts[:-1]] - K[:, :2, :2] - np.roll(K[:, 2:, 2:], 1, axis=0)
         self.upper = -K[:, :2, 2:]
@@ -352,21 +335,6 @@ class _SchurLevel:
         return np.take(np.concatenate((x, t)), self.place, axis=0)
 
 
-def constant_mode(op: BlockTridiagonal) -> tuple:
-    """``(constant_kernel, refine_steps)`` of a symmetric
-    ``BlockTridiagonal``, read off ``ratio``, its largest row sum over its
-    largest absolute row sum: a constant kernel at ``ratio <= eps``, and
-    ``_REFINE_STEPS`` refinement steps per solve above that but below
-    ``_REFINE_RATIO`` (see ``CyclicReduction``)."""
-    # row sums from the blocks: op @ 1 would build the bands
-    couplings = (op.diag, op.upper, op._lower)
-    sums = np.abs(sum(couplings).sum(axis=2)).max()
-    scale = sum(np.abs(c) for c in couplings).sum(axis=2).max()
-    constant_kernel = bool(sums <= _EPS * scale)
-    nearly_singular = not constant_kernel and sums < _REFINE_RATIO * scale
-    return constant_kernel, _REFINE_STEPS if nearly_singular else 0
-
-
 class CyclicReduction:
     """Factorization of a symmetric ``BlockTridiagonal`` for repeated solves.
 
@@ -378,25 +346,30 @@ class CyclicReduction:
     O(n) numbers (a little over ``2 _CHUNK`` per unknown, mostly the
     chain inverses).
 
-    The constant vector's treatment is read off ``op`` by
-    ``constant_mode``, from ``ratio``, its largest row sum over its
-    largest absolute row sum.  At ``ratio <= eps`` ``op`` is singular on
-    the constants (periodic pure diffusion, or a reaction term lost to
-    rounding against the penalty) and ``constant_kernel`` is set:
-    right-hand sides and solutions are projected onto mean zero, the
-    solution is the one a pseudo-inverse gives, and the remainder is made
-    invertible by adding a multiple of the all-ones matrix (which leaves
-    mean-zero solutions unchanged) instead of cutting small singular
-    values.  The separators' Schur complement is singular on their
-    constants again, and mean-zero data stays orthogonal to them, so the
-    shift acts on that mode only.  Above eps but below ``_REFINE_RATIO``
-    (condition number about ``1 / ratio`` or more: a periodic weak
-    reaction) every solve adds ``refine_steps`` steps of iterative
-    refinement.
+    The constant vector's treatment is read off ``op``, from ``ratio``,
+    its largest row sum over its largest absolute row sum.  At ``ratio <=
+    eps`` ``op`` is singular on the constants (periodic pure diffusion, or
+    a reaction term lost to rounding against the penalty) and
+    ``constant_kernel`` is set: right-hand sides and solutions are
+    projected onto mean zero, the solution is the one a pseudo-inverse
+    gives, and the remainder is made invertible by adding a multiple of
+    the all-ones matrix (which leaves mean-zero solutions unchanged)
+    instead of cutting small singular values.  The separators' Schur
+    complement is singular on their constants again, and mean-zero data
+    stays orthogonal to them, so the shift acts on that mode only.  Above
+    eps but below ``_REFINE_RATIO`` (condition number about ``1 / ratio``
+    or more: a periodic weak reaction) every solve adds ``refine_steps``
+    steps of iterative refinement.
     """
 
     def __init__(self, op: BlockTridiagonal):
-        self.constant_kernel, self.refine_steps = constant_mode(op)
+        # row sums from the blocks: op @ 1 would build the bands
+        couplings = (op.diag, op.upper, op._lower)
+        sums = np.abs(sum(couplings).sum(axis=2)).max()
+        scale = sum(np.abs(c) for c in couplings).sum(axis=2).max()
+        self.constant_kernel = bool(sums <= _EPS * scale)
+        nearly_singular = not self.constant_kernel and sums < _REFINE_RATIO * scale
+        self.refine_steps = _REFINE_STEPS if nearly_singular else 0
         self.op = op
         self.levels = []
         diag, upper = op.diag, op.upper

@@ -29,8 +29,6 @@ The test suite checks the tables exactly against the 4x4 block at
 radicand and denominator coefficients in that order.
 """
 
-import math
-
 
 def horner(coeffs, u):
     """``coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ...`` by Horner's rule."""
@@ -48,13 +46,8 @@ def _in_tau(rows, n, gamma):
     eigenvalue formulas.  The polynomial runs in ``tau`` for
     ``gamma >= 1`` (``tau = 0`` at ``gamma = inf``) and in ``gamma``, with
     the row reversed, below 1, so no power of a number above 1 is formed:
-    every ``gamma > 0`` stays in range.  At ``gamma = inf`` only the
-    constant terms count: zero times the other entries keeps the shape
-    the whole row broadcasts to, and turns into nan where one of them
-    overflowed, as Horner's rule at ``tau = 0`` does.
+    every ``gamma > 0`` stays in range.
     """
-    if math.isinf(gamma):
-        return [row[0] + math.prod(row[1:], start=0.0) for row in rows]
     if gamma >= 1:
         tau = 1 / gamma
         return [horner(row, tau) for row in rows]

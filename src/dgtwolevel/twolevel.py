@@ -20,7 +20,6 @@ compression.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .blocks import (
     CellStencil,
     CyclicReduction,
     _shift_off_constants,
-    constant_mode,
 )
 from .config import ProblemConfig
 
@@ -69,8 +67,7 @@ class TwoLevelComponents:
     ``alpha`` the smoother relaxation; the transfers ``R``/``P`` and the
     Galerkin coarse operator ``A0 = R A P`` follow from ``A``, all in the
     structured forms of ``dgtwolevel.blocks``.  The block inverses of
-    ``D`` are prepared here, the cyclic reduction of ``A0`` on the first
-    coarse solve (the frequency route of ``assembled_mu`` needs none); the
+    ``D`` and the cyclic reduction of ``A0`` are prepared once here; the
     reduction reads off ``A0`` whether it is singular on the constants
     (then the coarse solve projects that mode out) or so nearly singular
     that every coarse solve is refined.  Raises ``ValueError`` for a
@@ -84,16 +81,7 @@ class TwoLevelComponents:
         self.R, self.P = assemble_transfer(A.cells)
         self.A0 = assemble_coarse(A, self.R, self.P)
         self._D_inverse = D.inverse()
-
-    @cached_property
-    def _A0_factor(self) -> CyclicReduction:
-        return CyclicReduction(self.A0)
-
-    @cached_property
-    def _constant_kernel(self) -> bool:
-        """Whether ``A0`` is singular on the constants, by the row-sum
-        test of its cyclic reduction, without factoring it."""
-        return constant_mode(self.A0)[0]
+        self._A0_factor = CyclicReduction(self.A0)
 
     def smooth(self, g: np.ndarray) -> np.ndarray:
         """Apply D^{-1} to a vector or to every column of a matrix."""
@@ -194,7 +182,7 @@ def _complement_gram(tl: TwoLevelComponents) -> tuple:
     """
     W = CellStencil(_stencil_complement(tl.P), tl.P.groups).toarray()
     A0 = tl.A0.toarray()
-    if tl._constant_kernel:
+    if tl._A0_factor.constant_kernel:
         A0 = _shift_off_constants(A0)
     Z = W - tl.P @ np.linalg.solve(A0, tl.R @ (tl.A @ W))
     AZ = tl.A @ Z
@@ -287,7 +275,7 @@ def _frequency_mu(tl: TwoLevelComponents, blocks: tuple) -> np.ndarray:
     cells = tl.A0.cells
     z = np.exp(2j * np.pi * np.arange(cells) / cells)[:, None, None]
     A, Dinv, A0 = (own + nxt * z + nxt.T * z.conj() for own, nxt in blocks)
-    if tl._constant_kernel:
+    if tl._A0_factor.constant_kernel:
         A0[0] = _shift_off_constants(A0[0])
     W = _stencil_complement(tl.P)
     Z = W - tl.P.stencil @ np.linalg.solve(A0, tl.R.stencil @ (A @ W))
@@ -302,16 +290,19 @@ def assembled_mu(tl: TwoLevelComponents) -> np.ndarray:
     pencil ``(Z^T A D^{-1} A Z, Z^T A Z)`` of the assembled operators:
     ``1 - alpha mu`` are the nonzero eigenvalues of the exact two-grid
     ``E`` (Falgout, Vassilevski and Zikatanov, "On two-grid convergence
-    estimates", NLAA 12, 2005).  ``alpha`` does not enter.
+    estimates", NLAA 12, 2005).  ``alpha`` does not enter.  When ``A0``
+    has a constant kernel (periodic pure diffusion, or a reaction term
+    lost to rounding against the penalty), ``E`` also has the eigenvalue
+    1 of the constant vector, which is not among these ``mu``.
 
     ``Z`` spans the A-orthogonal complement of the coarse space
     (``_complement_gram``).  Where ``A``, ``D^{-1}`` and ``A0`` repeat the
     same blocks on every coarse cell (every periodic mesh) the pencil
     splits into one 2x2 pencil per coarse frequency (``_frequency_mu``):
-    O(J) work and memory at any J, and no factorization of ``A0``.  Every
-    other mesh (Dirichlet) takes ``K Z^T A D^{-1} A Z K^T`` densely, up to
-    J = 1024; larger meshes raise ``ValueError`` before anything dense is
-    built.  Raises ``ValueError`` also when ``Z^T A Z`` is not definite.
+    O(J) work and memory at any J.  Every other mesh (Dirichlet) takes
+    ``K Z^T A D^{-1} A Z K^T`` densely, up to J = 1024; larger meshes
+    raise ``ValueError`` before anything dense is built.  Raises
+    ``ValueError`` also when ``Z^T A Z`` is not definite.
     """
     blocks = _coarse_cell_blocks(tl)
     if blocks is not None:
@@ -340,9 +331,8 @@ def assembled_rho(tl: TwoLevelComponents) -> float:
     plus the eigenvalue 1 of the untouched constant vector (``E 1 = 1``)
     when ``A0`` has a constant kernel.
 
-    Periodic meshes take ``max |1 - alpha mu|`` over ``assembled_mu``'s
-    frequency route (``_frequency_mu``): O(J) work at any J, with ``A0``
-    left unfactored.  Over J 4 to 192, gamma inf to 1e-3, delta0 1.05 to
+    Periodic meshes take ``max |1 - alpha mu|`` over ``assembled_mu``,
+    from its frequency route: O(J) work at any J.  Over J 4 to 192, gamma inf to 1e-3, delta0 1.05 to
     10, alpha 0.7, 1.1 and the optimum, and both smoothers, that is
     within 4.4e-15 of the dense ``C``; with finite gamma, up to the
     constant-kernel switch, it is within 3.6e-15 of the closed-form
@@ -352,12 +342,11 @@ def assembled_rho(tl: TwoLevelComponents) -> float:
     192, both smoothers, delta0 1.01 to 10 and alpha 0.6 to 1.1 it
     agrees with ``spectral_radius_dense(E)`` to 1.1e-14.
     """
-    blocks = _coarse_cell_blocks(tl)
-    if blocks is None:
+    if _coarse_cell_blocks(tl) is None:
         rho = _dense_rho(tl)
     else:
-        rho = float(np.abs(1.0 - tl.alpha * _frequency_mu(tl, blocks)).max())
-    return max(rho, 1.0) if tl._constant_kernel else rho
+        rho = float(np.abs(1.0 - tl.alpha * assembled_mu(tl)).max())
+    return max(rho, 1.0) if tl._A0_factor.constant_kernel else rho
 
 
 def stationary_solve(

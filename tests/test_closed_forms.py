@@ -17,7 +17,7 @@ from dgtwolevel import (
     symbols_at_ck,
     two_level_components,
 )
-from dgtwolevel import closed_forms, fourier, rd_coefficients
+from dgtwolevel import closed_forms, fourier
 from dgtwolevel.closed_forms import (
     ASYMPTOTIC_CK,
     ClosedFormDomainError,
@@ -25,7 +25,7 @@ from dgtwolevel.closed_forms import (
     mesh_ck,
     rho_on_ck_values,
 )
-from dgtwolevel.rd_coefficients import cell_coefficients, horner, point_coefficients
+from dgtwolevel.rd_coefficients import cell_coefficients, point_coefficients
 
 
 def block_reference(delta0, gamma, kind, alpha, ck):
@@ -178,28 +178,6 @@ def test_horner_radicand_matches_power_sum(kind, gamma):
             ref_hi, ref_lo = power_sum_pair(x, delta0, gamma, alpha, kind)
             assert np.abs(hi - ref_hi).max() <= 1e-14
             assert np.abs(lo - ref_lo).max() <= 1e-14
-
-
-@pytest.mark.parametrize("kind", [POINT, CELL])
-def test_tables_at_gamma_inf_are_horner_at_tau_zero(monkeypatch, kind):
-    # the constant terms, with the shape each row broadcasts to and nan
-    # where a higher entry overflowed; from delta0 10^75.3 (point) and
-    # 10^50.25 (cell) a higher entry overflows before the constant ones
-    table = point_coefficients if kind == POINT else cell_coefficients
-    huge = 10**75.3 if kind == POINT else 10**50.25
-    rows = []
-    in_tau = rd_coefficients._in_tau
-    monkeypatch.setattr(rd_coefficients, "_in_tau", lambda r, n, g: rows.extend(r) or in_tau(r, n, g))
-    for delta0 in (1.0, 2.0, np.array([[1.0], [1.5], [huge]]), huge):
-        rows.clear()
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = table(delta0, math.inf)
-            want = [horner(row, 0.0) for row in rows]
-        for g, w in zip(got, want, strict=True):
-            assert np.shape(g) == np.shape(w) and np.array_equal(g, w, equal_nan=True)
-    assert not np.isfinite(got).all()
-    with pytest.raises(OverflowError):
-        eigenvalue_pair(0.5, huge, math.inf, 1.0, kind)
 
 
 def broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, stride):

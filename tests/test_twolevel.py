@@ -225,18 +225,6 @@ def test_dense_optimum_refuses_large_dirichlet_meshes_before_building():
         alpha_opt_numeric(ProblemConfig(1026, 2.0, 1.0, DIRICHLET), CELL, mode="dense")
 
 
-@pytest.mark.parametrize("gamma", [math.inf, 1.0])
-@pytest.mark.parametrize("kind", [CELL, POINT])
-def test_coarse_operator_is_factored_on_the_first_coarse_solve_only(kind, gamma):
-    tl = two_level_components(ProblemConfig(64, 2.0, gamma, PERIODIC), kind, 0.9)
-    assembled_mu(tl)
-    assembled_rho(tl)
-    assert "_A0_factor" not in vars(tl)
-    stationary_solve(tl, np.arange(128) % 3 - 1.0, 1e-10, 2)
-    assert "_A0_factor" in vars(tl)
-    assert tl._A0_factor.constant_kernel == tl._constant_kernel == math.isinf(gamma)
-
-
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
 def test_components_reject_a_non_finite_relaxation(bc, alpha):
