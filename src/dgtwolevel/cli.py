@@ -106,7 +106,7 @@ def _add_common(sub, bc=True):
 
 def _resolve_alpha(text, parser, config, kind):
     if text.strip().lower() == "opt":
-        return [_alpha_formula(config, kind)]
+        return [_alpha_formula(kind, config.delta0, config.gamma)]
     return _parse_grid(text, parser, "--alpha")
 
 

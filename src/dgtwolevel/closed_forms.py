@@ -69,26 +69,32 @@ def _mu_pair(x, delta0, gamma, kind):
     x = np.asarray(x, dtype=float)
     s = 1 - x
     table = point_coefficients if kind == POINT else cell_coefficients
-    # the table entries overflow for huge delta0 (from about 1e76 for the
-    # point and 1e52 for the cell smoother): an error, not nan pairs
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = table(delta0, gamma)
-    if not np.isfinite(c).all():
+    # the table entries overflow for huge delta0 (from about 1e75 for the
+    # point and 1e52 for the cell smoother), and their polynomials in s a
+    # little earlier: an error, not nan pairs.  From finite entries, k, den
+    # and rad are finite unless an operation overflows, which raises here.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            c = table(delta0, gamma)
+            k, den = horner(c[:3], s), horner(c[-3:], s)
+            # rad = e s^n + (1 + c_k) a(s) with n = len(a), 4 or 5
+            e, *a = c[3:-3]
+            sn = s * s
+            sn = sn * sn
+            if len(a) == 5:
+                sn = sn * s
+            q = 1 + x
+            rad = e * sn + q * horner(a, s)
+        finite = np.isfinite(c).all()
+    except FloatingPointError:
+        finite = False
+    if not finite:
         raise OverflowError(errno.ERANGE, "the coefficient tables of the closed forms overflow")
-    k, den = horner(c[:3], s), horner(c[-3:], s)
-    # rad = e s^n + (1 + c_k) a(s) with n = len(a), 4 or 5
-    e, *a = c[3:-3]
-    sn = s * s
-    sn = sn * sn
-    if len(a) == 5:
-        sn = sn * s
-    q = 1 + x
-    rad = e * sn + q * horner(a, s)
     plus, minus = x == 1.0, x == -1.0
     ends = plus | minus
     # the formula is 0/0 at s = tau = 0; the endpoint forms replace c_k = +-1
     den = np.where(ends, 1.0, den)
-    # positive on the whole domain; nan from an overflow passes on
+    # positive on the whole domain
     if den.min(initial=np.inf) <= 0:
         raise ClosedFormDomainError("non-positive eigenvalue-formula denominator")
     if rad.min(initial=0.0) < 0:
@@ -105,30 +111,35 @@ def _mu_pair(x, delta0, gamma, kind):
     return lo, hi
 
 
-def _endpoint_mu(delta0, tau, kind):
+def _endpoint_mu(delta0, tau, kind, g=1):
     """The four ``mu`` of the pairs at ``c_k = +1, -1``.
 
     Returns ``(plus_1, plus_2, minus_1, minus_2)``, rational in ``delta0``
-    and ``tau = 1/gamma``: the block splits there, so no square root
-    enters and no digits cancel at any ``gamma``.  Plain arithmetic only,
-    so the same expressions evaluate floats, arrays or exact rationals.
+    and ``1/gamma = tau / g``: the block splits there, so no square root
+    enters and no digits cancel at any ``gamma``.  Each ``mu`` is a ratio
+    of two polynomials homogeneous of one degree in ``(g, tau)``, so
+    ``g = 1`` gives them in ``tau = 1/gamma`` and ``(g, tau) = (gamma,
+    1)`` in ``gamma``, where no term overflows for small ``gamma``.
+    Plain arithmetic only, so the same expressions evaluate floats,
+    arrays or exact rationals.
     """
-    d, t = delta0, tau
+    d, t = delta0 * g, tau
     s2, s3, s6 = 2 * d + t, 3 * d + t, 6 * d + t
-    q = 8 * d * t + 24 * d + t * t - 12
+    q = 8 * d * t + 24 * d * g + t * t - 12 * g * g
+    u, v = t + 3 * g, 12 * d + t - 12 * g
     if kind == POINT:
-        w = s6 - 3
+        w = s6 - 3 * g
         return (
-            (t + 12) / (2 * (t + 3)),
-            3 * (4 * d + t) * (12 * d + t - 12) / (4 * w * w),
-            3 * q / (4 * (t + 3) * w),
-            s3 * q / (2 * s2 * (t + 3) * w),
+            (t + 12 * g) / (2 * u),
+            3 * (4 * d + t) * v / (4 * w * w),
+            3 * q / (4 * u * w),
+            s3 * q / (2 * s2 * u * w),
         )
     return (
-        (t + 12) / s6,
-        s3 * (4 * d + t) * (12 * d + t - 12) / (s2 * s6 * (s6 - 3)),
+        (t + 12 * g) / s6,
+        s3 * (4 * d + t) * v / (s2 * s6 * (s6 - 3 * g)),
         q / (s2 * s6),
-        s3 * q / (s2 * s6 * (t + 3)),
+        s3 * q / (s2 * s6 * u),
     )
 
 

@@ -1,11 +1,17 @@
 """Optimal relaxation parameters, regime thresholds and exact oracles.
 
 The nonzero two-grid eigenvalues are affine in the relaxation parameter,
-``lambda(alpha) = 1 - alpha * mu``, so centering the spectrum
-(equioscillation of the extreme eigenvalues) has closed-form solutions.
-This module evaluates them per regime branch, and, as an independent
-check, computes the exact optimum ``alpha* = 2 / (mu_min + mu_max)``
-from sampled closed-form pairs or from the assembled operators.
+``lambda(alpha) = 1 - alpha * mu``, so ``rho(alpha) = max |1 - alpha mu|``
+is least at ``alpha = 2 / (mu_min + mu_max)``, where the extreme
+eigenvalues equioscillate.  The paper's closed-form optimum takes the
+extremes over the four ``mu`` at the endpoint frequencies ``c_k = +-1``,
+which are rational in ``delta0`` and ``1/gamma``
+(``closed_forms._endpoint_mu``); each of its branch formulas is that
+expression for the endpoint pair of one regime.  The thresholds between
+the regimes, where two endpoint ``mu`` tie, name the branch a result
+reports; they do not enter ``alpha``.  As an independent check,
+:func:`alpha_opt_numeric` takes ``mu_min`` and ``mu_max`` over sampled
+closed-form pairs, interior frequencies included.
 """
 
 import errno
@@ -16,9 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_forms import ASYMPTOTIC_CK, eigenvalue_pair, rho_on_ck_values
-from .config import CELL, PERIODIC, POINT, ProblemConfig, check_penalty, check_smoother
-from .twolevel import assembled_mu, two_level_components
+from .closed_forms import ASYMPTOTIC_CK, _endpoint_mu, eigenvalue_pair, rho_on_ck_values
+from .config import CELL, POINT, ProblemConfig, check_penalty, check_smoother
 
 #: Penalty where the middle cell branch begins: real root of
 #: 4 d^3 - 8 d^2 + 4 d - 1.
@@ -50,6 +55,15 @@ _MU_ROUNDING = 64 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class RelaxationResult:
+    """An optimal relaxation with its predicted two-grid radius.
+
+    For the closed forms, ``branch`` names the paper's regime of
+    ``(delta0, gamma)`` (``"point"``, ``"cell-low"``, ``"rd-cell-A"``,
+    ...) and ``thresholds_used`` the thresholds that placed it there;
+    ``alpha_opt`` is the endpoint optimum in every regime.  For
+    :func:`alpha_opt_numeric`, ``branch`` is ``"numeric-lfa"``.
+    """
+
     alpha_opt: float
     rho_predicted: float
     branch: str
@@ -58,11 +72,18 @@ class RelaxationResult:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The penalty boundaries of the branch tables at one reaction scaling.
+    """The penalty boundaries of the paper's regimes at one reaction scaling.
 
-    ``delta_c_plus`` and ``delta_c_minus`` split the point branches,
-    ``delta_c1 .. delta_c4`` the cell branches.  The boundaries that do
-    not depend on ``gamma`` are module constants or functions:
+    ``delta_c_plus`` and ``delta_c_minus`` split the point regimes,
+    ``delta_c1 .. delta_c4`` the cell regimes.  Each is a penalty where
+    two of the endpoint ``mu`` ``(plus_1, plus_2, minus_1, minus_2)`` tie:
+    ``delta_c_plus`` plus_2 and minus_2 (point), ``delta_c_minus``
+    plus_1 and minus_2 (point), ``delta_c1`` plus_2 and minus_1,
+    ``delta_c2`` plus_1 and minus_2, ``delta_c3`` plus_1 and minus_1,
+    ``delta_c4`` plus_2 and minus_2 (cell).  All but ``delta_c_minus``
+    switch one extreme of the four, so the regimes on both sides give the
+    same ``alpha`` there.  The boundaries that do not depend on ``gamma``
+    are module constants or functions:
     ``DELTA0_TILDE_PLUS``, ``DELTA0_TILDE_MINUS``, ``DELTA_C_CROSSOVER``,
     ``gamma_c_cell()`` and ``gamma_c_point(delta0)``.
     """
@@ -87,13 +108,25 @@ def gamma_c_point(delta0: float) -> float:
     return (math.sqrt(4.0 * (d - 1.0) * d + 5.0) + 2.0 * d - 3.0) / (12.0 * (2.0 * d - 1.0))
 
 
-def _delta_c_plus(g: float) -> float:
-    num = -5.0 + 9.0 * g * (6.0 * g * g + 8.0 * g + 1.0)
-    disc = (3.0 * g + 1.0) * (
-        3.0 * g * (12.0 * g * (3.0 * g * (3.0 * g * (3.0 * g + 7.0) + 20.0) + 25.0) + 53.0)
-        + 10.0
+def _coordinates(gamma: float) -> tuple:
+    """``(g, t)`` with ``t / g = 1/gamma``: ``(1, 1/gamma)`` for
+    ``gamma >= 1`` and ``(gamma, 1)`` below, so that a form homogeneous in
+    ``(g, t)`` forms no power of a number above 1 at any ``gamma > 0``.
+
+    The thresholds that take it are written so; at ``t = 1`` they are the
+    paper's forms in ``gamma``."""
+    return (1.0, 1.0 / gamma) if gamma >= 1.0 else (gamma, 1.0)
+
+
+def _delta_c_plus(gamma: float) -> float:
+    g, t = _coordinates(gamma)
+    num = -5.0 * t**3 + 9.0 * g * (6.0 * g * g + 8.0 * g * t + t * t)
+    disc = (3.0 * g + t) * (
+        3.0 * g * (12.0 * g * (3.0 * g * (3.0 * g * (3.0 * g + 7.0 * t) + 20.0 * t * t)
+                               + 25.0 * t**3) + 53.0 * t**4)
+        + 10.0 * t**5
     )
-    return (num + math.sqrt(disc)) / (6.0 * g * (12.0 * g + 5.0))
+    return (num + math.sqrt(disc)) / (6.0 * g * t * (12.0 * g + 5.0 * t))
 
 
 def _delta_c_minus(g: float) -> float:
@@ -104,34 +137,37 @@ def _delta_c_minus(g: float) -> float:
     return (num - math.sqrt(disc)) / (8.0 * g * (6.0 * g - 1.0))
 
 
-def xi_cell(g: float) -> float:
-    """Auxiliary real cube root entering the first cell threshold."""
+def _delta_c1(gamma: float) -> float:
+    g, t = _coordinates(gamma)
     inner = 12.0 * g * (
-        27.0 * g * (8.0 * g * (g * (6.0 * g * (33.0 * g + 46.0) + 155.0) + 44.0) + 51.0)
-        + 89.0
-    ) + 25.0
-    arg = 3.0 * math.sqrt(3.0 * inner) - 2.0 * (3.0 * g + 1.0) * (
-        12.0 * g * (57.0 * g + 20.0) + 13.0
+        27.0 * g * (8.0 * g * (g * (6.0 * g * (33.0 * g + 46.0 * t) + 155.0 * t * t)
+                               + 44.0 * t**3) + 51.0 * t**4)
+        + 89.0 * t**5
+    ) + 25.0 * t**6
+    arg = 3.0 * math.sqrt(3.0 * inner) - 2.0 * (3.0 * g + t) * (
+        12.0 * g * (57.0 * g + 20.0 * t) + 13.0 * t * t
     )
-    return g * float(np.cbrt(arg))
-
-
-def _delta_c1(g: float) -> float:
-    xi = xi_cell(g)
+    # the real cube root; the paper's auxiliary xi is g * chi at t = 1
+    chi = float(np.cbrt(arg))
     return -(
-        4.0 * g * (1.0 - 6.0 * g)
-        + xi
-        + g * g * (12.0 * g * (12.0 * g + 5.0) + 1.0) / xi
-    ) / (36.0 * g * g)
+        4.0 * (t - 6.0 * g) + chi + (12.0 * g * (12.0 * g + 5.0 * t) + t * t) / chi
+    ) / (36.0 * g)
 
 
-def _delta_c2(g: float) -> float:
-    disc = 4.0 * g * (3.0 * g * (4.0 * g * (27.0 * g + 35.0) + 65.0) + 37.0) + 9.0
-    return (-3.0 + 36.0 * g * g + 2.0 * g + math.sqrt(disc)) / (16.0 * g * (3.0 * g + 1.0))
+def _delta_c2(gamma: float) -> float:
+    g, t = _coordinates(gamma)
+    disc = 4.0 * g * (
+        3.0 * g * (4.0 * g * (27.0 * g + 35.0 * t) + 65.0 * t * t) + 37.0 * t**3
+    ) + 9.0 * t**4
+    return (-3.0 * t * t + 36.0 * g * g + 2.0 * g * t + math.sqrt(disc)) / (
+        16.0 * g * (3.0 * g + t)
+    )
 
 
 def _cell_thresholds(g: float) -> tuple:
     """``delta_c1 .. delta_c4`` at a finite reaction scaling ``g``."""
+    # a plain float: delta_c4 is inf from g about 1e154 on, without a word
+    g = float(g)
     return _delta_c1(g), _delta_c2(g), 2.0 * g + 2.0, 3.0 * (6.0 * g * g + 4.0 * g + 1.0)
 
 
@@ -158,7 +194,9 @@ def thresholds(gamma: float) -> Thresholds:
 
     At ``gamma = inf`` the cell boundaries reduce to the pure-diffusion
     breakpoints ``DELTA0_TILDE_PLUS`` and ``DELTA0_TILDE_MINUS``, and the
-    others to ``inf``.
+    others to ``inf``.  Finite ``gamma`` of any size evaluate without
+    overflow or nan: ``delta_c1``, ``delta_c2`` and ``delta_c_plus`` run
+    in ``tau = 1/gamma`` from ``gamma = 1`` on.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive (or inf), got {gamma}")
@@ -169,125 +207,38 @@ def thresholds(gamma: float) -> Thresholds:
     return Thresholds(gamma, _delta_c_plus(gamma), _delta_c_minus(gamma), *_cell_thresholds(gamma))
 
 
-def _plain(used: list) -> list:
-    """``(name, value)`` threshold pairs with plain float values."""
-    return [(name, float(value)) for name, value in used]
+def _regime(kind: str, delta0: float, gamma: float) -> tuple:
+    """The paper's regime of ``(delta0, gamma)``: ``(branch, thresholds_used)``.
 
-
-def _check_finite(alpha: float) -> None:
-    """Raise the ``OverflowError`` of Python's float power for a branch
-    formula whose products overflowed to inf / inf without a word."""
-    if not math.isfinite(alpha):
-        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
-
-
-def _alpha_poisson(kind: str, d: float) -> tuple:
-    """Branch formula of :func:`alpha_opt_poisson`: ``(alpha, branch, used)``."""
-    used = [("delta_tilde_plus", DELTA0_TILDE_PLUS), ("delta_tilde_minus", DELTA0_TILDE_MINUS)]
+    Each regime names the pair of endpoint ``mu`` whose equioscillation
+    the paper prints as that branch's formula; ``alpha`` itself does not
+    depend on it (:func:`_alpha_formula`).
+    """
+    d = delta0
+    if math.isinf(gamma):
+        used = [("delta_tilde_plus", DELTA0_TILDE_PLUS), ("delta_tilde_minus", DELTA0_TILDE_MINUS)]
+        if kind == POINT:
+            return "point", used
+        if d <= DELTA0_TILDE_PLUS:
+            return "cell-low", used
+        return ("cell-mid" if d <= DELTA0_TILDE_MINUS else "cell-high"), used
     if kind == POINT:
-        alpha = (2 * d - 1) ** 2 / (6 * d * d - 6 * d + 1)
-        branch = "point"
-    elif d <= DELTA0_TILDE_PLUS:
-        alpha = d * (2 * d - 1) / (2 * d * d - 1)
-        branch = "cell-low"
-    elif d <= DELTA0_TILDE_MINUS:
-        alpha = (
-            2 * d * d * (2 * d - 1)
-            / (d * abs(2 * d * d - 4 * d + 1) + 2 * d**3 + 4 * d * d - 5 * d + 1)
-        )
-        branch = "cell-mid"
-    else:
-        alpha = 2 * d * d / (2 * d * d + d - 1)
-        branch = "cell-high"
-    _check_finite(alpha)
-    return alpha, branch, used
-
-
-def alpha_opt_poisson(kind: str, delta0: float) -> RelaxationResult:
-    """Closed-form optimal relaxation for the pure diffusion problem."""
-    check_smoother(kind)
-    check_penalty(delta0)
-    alpha, branch, used = _alpha_poisson(kind, delta0)
-    rho = rho_on_ck_values(ASYMPTOTIC_CK, delta0, math.inf, alpha, kind)
-    return RelaxationResult(float(alpha), rho, branch, _plain(used))
-
-
-def _alpha_rd_point(delta0: float, gamma: float) -> tuple:
-    d, g = delta0, gamma
-    gc = gamma_c_point(d)
-    used = [("gamma_c_point", gc)]
-    if g <= gc:
-        dc = _delta_c_minus(g)
-        used.append(("delta_c_minus", dc))
-        if d <= dc:
-            alpha = (
-                8 * (3 * g + 1) * (2 * d * g + 1) * (3 * (2 * d - 1) * g + 1)
-                / ((12 * d * g + 5) * (12 * (2 * d - 1) * g * g + 8 * d * g + 1))
-            )
-            return alpha, "rd-point-quarter", used
-        branch = "rd-point-half"
-        low = True
-    else:
-        dc = _delta_c_plus(g)
-        used.append(("delta_c_plus", dc))
-        low = d <= dc
-        branch = "rd-point-half" if low else "rd-point-mixed"
-    if low:
-        alpha = (
-            8 * (3 * g + 1) * (3 * (2 * d - 1) * g + 1) ** 2
-            / ((6 * g + 1) * (9 * g * (4 * (6 * (d - 1) * d + 1) * g + 8 * d - 5) + 5))
-        )
-    else:
-        alpha = (
-            4 * (3 * g + 1) * (2 * d * g + 1) * (3 * (2 * d - 1) * g + 1)
-            / (g * (108 * d * (2 * d - 1) * g * g + 6 * (d * (6 * d + 19) - 8) * g + 19 * d + 9) + 2)
-        )
-    return alpha, branch, used
-
-
-def _cell_formula(tag: str, d: float, g: float) -> float:
-    if tag == "A":
-        return (
-            2 * (2 * d * g + 1) * (6 * d * g + 1) * (3 * (2 * d - 1) * g + 1)
-            / (3 * g * (24 * d * (2 * d * d - 1) * g * g + 2 * (18 * d * d + d - 6) * g + 9 * d - 1) + 2)
-        )
-    if tag == "B":
-        return (2 * d * g + 1) * (6 * d * g + 1) / (g * (6 * (4 * d - 1) * g + 5 * d + 6) + 1)
-    if tag == "C":
-        return (
-            (3 * g + 1) * (2 * d * g + 1) * (6 * d * g + 1) * (3 * (2 * d - 1) * g + 1)
-            / (
-                3 * g * (
-                    18 * d * (8 * (d - 1) * d + 1) * g**3
-                    + 6 * (4 * d * (2 * d * (d + 1) - 3) + 1) * g * g
-                    + (d * (31 * d - 6) - 8) * g
-                    + 6 * d - 2
-                )
-                + 1
-            )
-        )
-    if tag == "D":
-        return (
-            2 * (3 * g + 1) * (2 * d * g + 1) * (6 * d * g + 1)
-            / ((3 * (d + 1) * g + 2) * (12 * (2 * d - 1) * g * g + 8 * d * g + 1))
-        )
-    # tag == "E"
-    return (
-        2 * (3 * g + 1) * (2 * d * g + 1) * (6 * d * g + 1)
-        / (g * (36 * d * (2 * d + 1) * g * g + 6 * (d * (4 * d + 9) + 4) * g + 13 * d + 15) + 2)
-    )
-
-
-def _alpha_rd_cell(delta0: float, gamma: float) -> tuple:
-    d, g = delta0, gamma
+        gc = gamma_c_point(d)
+        if gamma <= gc:
+            dc = _delta_c_minus(gamma)
+            branch = "rd-point-quarter" if d <= dc else "rd-point-half"
+            return branch, [("gamma_c_point", gc), ("delta_c_minus", dc)]
+        dc = _delta_c_plus(gamma)
+        branch = "rd-point-half" if d <= dc else "rd-point-mixed"
+        return branch, [("gamma_c_point", gc), ("delta_c_plus", dc)]
     gc = gamma_c_cell()
-    c1, c2, c3, c4 = _cell_thresholds(g)
+    c1, c2, c3, c4 = _cell_thresholds(gamma)
     used = [
         ("gamma_c_cell", gc), ("delta_c1", c1), ("delta_c2", c2), ("delta_c3", c3), ("delta_c4", c4)
     ]
     # Branch intervals in increasing delta0; the middle one swaps with
     # the regime ordering of delta_c1 and delta_c2 at gamma_c.
-    if g >= gc:
+    if gamma >= gc:
         intervals = [(c1, "A"), (c2, "B"), (c3, "D"), (c4, "E")]
     else:
         intervals = [(c2, "A"), (c1, "C"), (c3, "D"), (c4, "E")]
@@ -296,30 +247,53 @@ def _alpha_rd_cell(delta0: float, gamma: float) -> tuple:
         if d <= bound:
             tag = candidate
             break
-    return _cell_formula(tag, d, g), f"rd-cell-{tag}", used
+    return f"rd-cell-{tag}", used
 
 
-def _alpha_rd(kind: str, delta0: float, gamma: float) -> tuple:
-    """Branch formula of :func:`alpha_opt_rd`: ``(alpha, branch, used)``."""
-    alpha, branch, used = (_alpha_rd_point if kind == POINT else _alpha_rd_cell)(delta0, gamma)
-    _check_finite(alpha)
-    return alpha, branch, used
+def _alpha_formula(kind: str, delta0: float, gamma: float) -> float:
+    """The closed-form optimal relaxation, ``2 / (mu_min + mu_max)`` over
+    the four endpoint ``mu`` at ``c_k = +-1``.
+
+    Every branch formula of the paper is this expression for the pair of
+    endpoint ``mu`` its regime names.  It evaluates in the coordinates of
+    :func:`_coordinates`, so no ``gamma > 0`` overflows; a ``mu`` that
+    overflows at a huge ``delta0`` raises ``OverflowError``.
+    """
+    check_smoother(kind)
+    g, t = _coordinates(gamma)
+    mu = _endpoint_mu(delta0, t, kind, g)
+    if not all(map(math.isfinite, mu)):
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return float(2.0 / (min(mu) + max(mu)))
+
+
+def _closed_form(kind: str, delta0: float, gamma: float) -> RelaxationResult:
+    alpha = _alpha_formula(kind, delta0, gamma)
+    branch, used = _regime(kind, delta0, gamma)
+    rho = rho_on_ck_values(ASYMPTOTIC_CK, delta0, gamma, alpha, kind)
+    return RelaxationResult(alpha, rho, branch, [(name, float(value)) for name, value in used])
+
+
+def alpha_opt_poisson(kind: str, delta0: float) -> RelaxationResult:
+    """Closed-form optimal relaxation for the pure diffusion problem."""
+    check_smoother(kind)
+    check_penalty(delta0)
+    return _closed_form(kind, delta0, math.inf)
 
 
 def alpha_opt_rd(kind: str, delta0: float, gamma: float) -> RelaxationResult:
     """Closed-form optimal relaxation for finite reaction scaling.
 
-    The cell value optimizes the spectrum sampled at the three extreme
-    frequencies only, so it is a (very accurate) approximation rather
-    than the exact minimizer.
+    ``alpha`` equioscillates the extreme eigenvalues at the endpoint
+    frequencies ``c_k = +-1`` only, so where an interior frequency holds
+    an extreme ``mu`` it is a (close) approximation rather than the exact
+    minimizer of :func:`alpha_opt_numeric`.
     """
     check_smoother(kind)
     check_penalty(delta0)
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError("alpha_opt_rd needs finite gamma > 0; use alpha_opt_poisson for inf")
-    alpha, branch, used = _alpha_rd(kind, delta0, gamma)
-    rho = rho_on_ck_values(ASYMPTOTIC_CK, delta0, gamma, alpha, kind)
-    return RelaxationResult(float(alpha), rho, branch, _plain(used))
+    return _closed_form(kind, delta0, gamma)
 
 
 def alpha_opt(config: ProblemConfig, kind: str) -> RelaxationResult:
@@ -329,50 +303,28 @@ def alpha_opt(config: ProblemConfig, kind: str) -> RelaxationResult:
     return alpha_opt_rd(kind, config.delta0, config.gamma)
 
 
-def _alpha_formula(config: ProblemConfig, kind: str) -> float:
-    """``alpha_opt(config, kind).alpha_opt`` without evaluating its rho."""
-    check_smoother(kind)
-    if config.is_poisson:
-        return float(_alpha_poisson(kind, config.delta0)[0])
-    return float(_alpha_rd(kind, config.delta0, config.gamma)[0])
-
-
-def alpha_opt_numeric(config: ProblemConfig, kind: str, mode: str = "lfa") -> RelaxationResult:
-    """Exact minimizer of the two-grid spectral radius over ``alpha``.
+def alpha_opt_numeric(config: ProblemConfig, kind: str) -> RelaxationResult:
+    """Exact minimizer of the sampled two-grid spectral radius over ``alpha``.
 
     The spectrum is ``1 - alpha * mu``, so the optimum is
     ``alpha* = 2 / (mu_min + mu_max)`` with
-    ``rho* = max |1 - alpha* mu|``.  ``mode`` selects where ``mu`` comes
-    from, independently of the branch tables: ``"lfa"`` takes
-    ``mu = 1 - lambda_{+-}`` from the closed-form pairs at ``alpha = 1``
-    on :data:`~dgtwolevel.closed_forms.ASYMPTOTIC_CK` (the default);
-    ``"dense"`` takes ``mu`` from the symmetric-definite pencil of the
-    assembled operators (:func:`~dgtwolevel.twolevel.assembled_mu`):
-    O(J) per coarse frequency on periodic meshes, dense up to J = 1024 on
-    the others (Dirichlet), for validation.
+    ``rho* = max |1 - alpha* mu|``, with ``mu = 1 - lambda_{+-}`` from the
+    closed-form pairs at ``alpha = 1`` on
+    :data:`~dgtwolevel.closed_forms.ASYMPTOTIC_CK`: interior frequencies
+    included, unlike the closed-form optimum.  The same expression over
+    :func:`~dgtwolevel.twolevel.assembled_mu` gives the optimum of the
+    assembled operators.
 
     Raises
     ------
     ValueError
-        On a bad ``mode``, if some ``mu <= 0`` (no relaxation converges,
-        or, for a definite operator, the smallest ``mu`` is below float
-        resolution: the cell smoother from ``delta0`` about 1e16 on), or
-        in dense mode if the operator is singular (periodic pure
-        diffusion) or a Dirichlet mesh has more than 1024 cells.
+        If some ``mu <= 0``: no relaxation converges, or, for a definite
+        operator, the smallest ``mu`` is below float resolution (the cell
+        smoother from ``delta0`` about 1e16 on).
     """
     check_smoother(kind)
-    if mode == "lfa":
-        plus, minus = eigenvalue_pair(ASYMPTOTIC_CK, config.delta0, config.gamma, 1.0, kind)
-        mu = 1.0 - np.concatenate((plus, minus))
-    elif mode == "dense":
-        if config.bc == PERIODIC and config.is_poisson:
-            raise ValueError(
-                "dense mode needs a nonsingular operator; periodic pure diffusion "
-                "(gamma = inf) is singular on the constants"
-            )
-        mu = assembled_mu(two_level_components(config, kind, 1.0))
-    else:
-        raise ValueError(f"mode must be 'lfa' or 'dense', got {mode!r}")
+    plus, minus = eigenvalue_pair(ASYMPTOTIC_CK, config.delta0, config.gamma, 1.0, kind)
+    mu = 1.0 - np.concatenate((plus, minus))
     # rho(alpha) = max |1 - alpha * mu| is convex in alpha: for mu > 0 it is
     # least where the extreme eigenvalues equioscillate
     mu_min, mu_max = float(mu.min()), float(mu.max())
@@ -399,7 +351,7 @@ def alpha_opt_numeric(config: ProblemConfig, kind: str, mode: str = "lfa") -> Re
         )
     alpha = 2.0 / (mu_min + mu_max)
     rho = max(abs(1.0 - alpha * mu_min), abs(1.0 - alpha * mu_max))
-    return RelaxationResult(alpha, rho, f"numeric-{mode}", [])
+    return RelaxationResult(alpha, rho, "numeric-lfa", [])
 
 
 def crossover_check(gamma: float = math.inf) -> tuple:

@@ -408,11 +408,16 @@ def test_sweep_dense_rejects_singular_pure_diffusion(capsys, bc):
         for command in ("optimize", "sweep", "spectrum")
         for delta0, alpha in (("1e100", ()), ("1e200", ("--alpha", "0.9")))
         if not (command == "optimize" and alpha)
+    ]
+    + [
+        ["optimize", "--smoother", "cell", "--delta0", "1.5e50", "--gamma", "inf"],
+        ["sweep", "--smoother", "cell", "--delta0", "1.5e50", "--gamma", "inf", "--alpha", "0.9"],
     ],
 )
 def test_table_overflow_is_an_error_line(capsys, argv):
-    # the coefficient tables overflow at these penalties: an overflow
-    # error, not nan pairs read as a non-converging spectrum
+    # the coefficient tables, or at delta0 = 1.5e50 only their radicand
+    # polynomial, overflow at these penalties: an overflow error, not nan
+    # pairs read as a non-converging spectrum
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)

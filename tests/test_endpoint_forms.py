@@ -1,13 +1,14 @@
 """The exact eigenvalue pairs at c_k = +-1 and the large-gamma limit."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dgtwolevel import CELL, POINT, eigenvalue_pair
-from dgtwolevel import closed_forms, fourier
+from dgtwolevel import CELL, POINT, eigenvalue_pair, gamma_c_point, thresholds
+from dgtwolevel import closed_forms, fourier, optimal
 from dgtwolevel.cli import main
 from dgtwolevel.rd_coefficients import cell_coefficients, point_coefficients
 
@@ -165,6 +166,131 @@ def test_endpoint_forms_reduce_to_pure_diffusion():
         assert point == (2, 4 * d * (d - 1) / (2 * d - 1) ** 2, 1, 1)
 
 
+#: The paper's optimal relaxations as printed, in ``d = delta0`` and
+#: ``g = gamma``, each with its smoother and the indices of the endpoint
+#: pair in the order ``(plus_1, plus_2, minus_1, minus_2)`` of
+#: ``closed_forms._endpoint_mu``; ``abs`` of a sympy expression is
+#: ``sympy.Abs``.
+PRINTED = {
+    "point": (POINT, (0, 1), lambda d, g: (2 * d - 1) ** 2 / (6 * d * d - 6 * d + 1)),
+    "cell-low": (CELL, (0, 1), lambda d, g: d * (2 * d - 1) / (2 * d * d - 1)),
+    "cell-mid": (CELL, (0, 2), lambda d, g: (
+        2 * d * d * (2 * d - 1)
+        / (d * abs(2 * d * d - 4 * d + 1) + 2 * d**3 + 4 * d * d - 5 * d + 1)
+    )),
+    "cell-high": (CELL, (2, 3), lambda d, g: 2 * d * d / (2 * d * d + d - 1)),
+    "rd-point-quarter": (POINT, (2, 3), lambda d, g: (
+        8 * (3 * g + 1) * (2 * d * g + 1) * (3 * (2 * d - 1) * g + 1)
+        / ((12 * d * g + 5) * (12 * (2 * d - 1) * g * g + 8 * d * g + 1))
+    )),
+    "rd-point-half": (POINT, (0, 1), lambda d, g: (
+        8 * (3 * g + 1) * (3 * (2 * d - 1) * g + 1) ** 2
+        / ((6 * g + 1) * (9 * g * (4 * (6 * (d - 1) * d + 1) * g + 8 * d - 5) + 5))
+    )),
+    "rd-point-mixed": (POINT, (0, 3), lambda d, g: (
+        4 * (3 * g + 1) * (2 * d * g + 1) * (3 * (2 * d - 1) * g + 1)
+        / (g * (108 * d * (2 * d - 1) * g * g + 6 * (d * (6 * d + 19) - 8) * g + 19 * d + 9) + 2)
+    )),
+    "rd-cell-A": (CELL, (0, 1), lambda d, g: (
+        2 * (2 * d * g + 1) * (6 * d * g + 1) * (3 * (2 * d - 1) * g + 1)
+        / (3 * g * (24 * d * (2 * d * d - 1) * g * g + 2 * (18 * d * d + d - 6) * g + 9 * d - 1) + 2)
+    )),
+    "rd-cell-B": (CELL, (0, 2), lambda d, g: (
+        (2 * d * g + 1) * (6 * d * g + 1) / (g * (6 * (4 * d - 1) * g + 5 * d + 6) + 1)
+    )),
+    "rd-cell-C": (CELL, (1, 3), lambda d, g: (
+        (3 * g + 1) * (2 * d * g + 1) * (6 * d * g + 1) * (3 * (2 * d - 1) * g + 1)
+        / (
+            3 * g * (
+                18 * d * (8 * (d - 1) * d + 1) * g**3
+                + 6 * (4 * d * (2 * d * (d + 1) - 3) + 1) * g * g
+                + (d * (31 * d - 6) - 8) * g
+                + 6 * d - 2
+            )
+            + 1
+        )
+    )),
+    "rd-cell-D": (CELL, (2, 3), lambda d, g: (
+        2 * (3 * g + 1) * (2 * d * g + 1) * (6 * d * g + 1)
+        / ((3 * (d + 1) * g + 2) * (12 * (2 * d - 1) * g * g + 8 * d * g + 1))
+    )),
+    "rd-cell-E": (CELL, (0, 3), lambda d, g: (
+        2 * (3 * g + 1) * (2 * d * g + 1) * (6 * d * g + 1)
+        / (g * (36 * d * (2 * d + 1) * g * g + 6 * (d * (4 * d + 9) + 4) * g + 13 * d + 15) + 2)
+    )),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(PRINTED))
+def test_printed_formulas_equioscillate_their_endpoint_pair(branch):
+    # each printed alpha is 2 / (mu_i + mu_j) of its endpoint pair, as a
+    # rational identity in (delta0, gamma); pure diffusion is tau = 0
+    sympy = pytest.importorskip("sympy")
+    d, g = sympy.symbols("delta0 gamma", positive=True)
+    kind, (i, j), formula = PRINTED[branch]
+    if branch.startswith("rd-"):
+        mu = closed_forms._endpoint_mu(d, 1, kind, g)
+    else:
+        mu = closed_forms._endpoint_mu(d, 0, kind)
+    printed = formula(d, g)
+    if branch == "cell-mid":
+        # 2 d^2 - 4 d + 1 < 0 between its roots 1 -+ 1/sqrt(2), which hold
+        # the branch's interval [DELTA0_TILDE_PLUS, DELTA0_TILDE_MINUS]
+        assert 1 - 0.5**0.5 < optimal.DELTA0_TILDE_PLUS < optimal.DELTA0_TILDE_MINUS < 1 + 0.5**0.5
+        printed = printed.replace(sympy.Abs, lambda x: -x)
+    assert sympy.cancel(printed - 2 / (mu[i] + mu[j])) == 0
+
+
+@pytest.mark.parametrize("name, edge, pair", [
+    ("delta_c3", lambda g: 2 * g + 2, (0, 2)),
+    ("delta_c4", lambda g: 3 * (6 * g * g + 4 * g + 1), (1, 3)),
+])
+def test_rational_cell_thresholds_are_exact_ties(name, edge, pair):
+    sympy = pytest.importorskip("sympy")
+    g = sympy.symbols("gamma", positive=True)
+    mu = closed_forms._endpoint_mu(edge(g), 1, CELL, g)
+    assert sympy.cancel(mu[pair[0]] - mu[pair[1]]) == 0
+    for gamma in (0.05, 0.5, 3.0):
+        assert getattr(thresholds(gamma), name) == edge(gamma)
+
+
+def endpoint_mu_exact(kind, delta0, gamma):
+    """The four endpoint ``mu`` in exact rationals at float inputs."""
+    g, t = optimal._coordinates(gamma)
+    return closed_forms._endpoint_mu(Fraction(delta0), Fraction(t), kind, Fraction(g))
+
+
+@pytest.mark.parametrize("gamma", np.geomspace(1e-3, 1e300, 31))
+def test_thresholds_are_endpoint_ties(gamma):
+    # every threshold sits where two endpoint mu tie, to rounding, at
+    # every gamma that names it
+    th = thresholds(gamma)
+    ties = [
+        (CELL, th.delta_c1, (1, 2)), (CELL, th.delta_c2, (0, 3)),
+        (CELL, th.delta_c3, (0, 2)), (CELL, th.delta_c4, (1, 3)),
+        (POINT, th.delta_c_plus, (1, 3)), (POINT, th.delta_c_minus, (0, 3)),
+    ]
+    for kind, edge, (i, j) in ties:
+        if not 1.0 <= edge < math.inf:
+            continue
+        mu = endpoint_mu_exact(kind, edge, gamma)
+        assert abs(mu[i] - mu[j]) <= 1e-12 * max(mu), (kind, edge, i, j)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.05, 0.1])
+def test_delta_c_minus_is_no_regime_tie(gamma):
+    # the one threshold where the paper's two regimes do not meet: it ties
+    # mu 0 and 3, but the quarter pair (2, 3) and the half pair (0, 1)
+    # give alphas O(1e-2) apart there; the endpoint optimum is continuous
+    edge = thresholds(gamma).delta_c_minus
+    assert gamma < gamma_c_point(edge)
+    mu = endpoint_mu_exact(POINT, edge, gamma)
+    quarter, half = 2 / (mu[2] + mu[3]), 2 / (mu[0] + mu[1])
+    assert abs(quarter - half) > 1e-3
+    left, right = (optimal._alpha_formula(POINT, edge * f, gamma) for f in (1 - 1e-9, 1 + 1e-9))
+    assert abs(left - right) < 1e-8
+
+
 @pytest.mark.parametrize("kind", [POINT, CELL])
 def test_endpoint_pairs_match_blocks(kind):
     # at every finite gamma the pairs at c_k = +-1 come from the endpoint
@@ -207,6 +333,14 @@ def test_sweep_at_huge_gamma_matches_pure_diffusion(capsys, kind):
         assert np.abs(near[:, 3] - limit[:, 3]).max() < 1e-12, gamma
     tiny = csv_rows(capsys, *args, "--gamma", "1e-40")
     assert tiny.shape == limit.shape and np.all(np.isfinite(tiny))
+    # the closed-form optimum too: its thresholds used to overflow from
+    # gamma about 1e52 (a diverging alpha at 1e78, an overflow at 1e300)
+    args = ("sweep", "--smoother", kind, "--delta0", "1:6:0.05", "--alpha", "opt", "--cells", "64")
+    limit = csv_rows(capsys, *args, "--gamma", "inf")
+    for gamma in ("1e52", "1e78", "1e300"):
+        near = csv_rows(capsys, *args, "--gamma", gamma)
+        assert np.array_equal(near[:, 0], limit[:, 0])
+        assert np.abs(near[:, 2:] - limit[:, 2:]).max() < 1e-12, gamma
 
 
 def test_spectrum_at_huge_gamma_keeps_the_endpoint_limit(capsys):
@@ -219,3 +353,32 @@ def test_spectrum_at_huge_gamma_keeps_the_endpoint_limit(capsys):
     limit = csv_rows(capsys, *args, "--gamma", "inf")
     assert np.abs(rows - limit).max() < 1e-12
     assert np.all(np.isfinite(csv_rows(capsys, *args, "--gamma", "1e-40")))
+
+
+EXTREME_DELTA0 = ("1", "1.5", "3", "1e16", "1.5e50", "1e60", "1e300")
+EXTREME_GAMMA = ("1e-300", "1e-200", "0.05", "1e14", "1e52", "1e78", "1e300", "inf")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--smoother", kind, "--delta0", delta0, "--gamma", gamma]
+        for command in ("optimize", "sweep")
+        for kind in (POINT, CELL)
+        for delta0 in EXTREME_DELTA0
+        for gamma in EXTREME_GAMMA
+    ]
+    + [["crossover", "--gamma", gamma] for gamma in EXTREME_GAMMA],
+    ids="-".join,
+)
+def test_extreme_inputs_give_rows_or_one_error_line(capsys, argv):
+    # no traceback and no numpy warning anywhere on the parameter range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and len(out.splitlines()) >= 2
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err

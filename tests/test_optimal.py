@@ -17,6 +17,7 @@ from dgtwolevel import (
     alpha_opt_numeric,
     alpha_opt_poisson,
     alpha_opt_rd,
+    assembled_mu,
     build_iteration_matrix,
     crossover_check,
     gamma_c_cell,
@@ -97,6 +98,25 @@ def test_thresholds_at_infinity():
     assert math.isinf(th.delta_c_plus)
 
 
+def test_thresholds_over_the_whole_gamma_range():
+    # delta_c1 used to divide by an underflowed 36 gamma^2 below gamma about
+    # 1e-162, and delta_c1, delta_c2 and delta_c_plus to overflow from 1e52
+    for gamma in np.geomspace(1e-300, 1e300, 601):
+        th = thresholds(gamma)
+        values = [getattr(th, name) for name in ("delta_c_plus", "delta_c_minus", "delta_c1",
+                                                 "delta_c2", "delta_c3", "delta_c4")]
+        assert not any(map(math.isnan, values)), (gamma, th)
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize("gamma", [1e52, 1e78, 1e300])
+def test_branch_labels_keep_their_large_gamma_limit(kind, gamma):
+    for delta0 in (1.2, 1.45, 3.0):
+        res = alpha_opt_rd(kind, delta0, gamma)
+        assert res.branch == alpha_opt_rd(kind, delta0, 1e16).branch
+        assert res.alpha_opt == pytest.approx(alpha_opt_poisson(kind, delta0).alpha_opt, rel=1e-15)
+
+
 def test_gamma_c_point_values():
     # bounded between ~0.103 (delta0 = 1) and 1/6 (large delta0)
     assert gamma_c_point(1.0) == pytest.approx(1.0 / (3.0 * (math.sqrt(5.0) + 1.0)), rel=1e-12)
@@ -145,7 +165,7 @@ def test_rd_rejects_bad_arguments():
 
 @pytest.mark.parametrize("kind", [CELL, POINT])
 def test_rd_overflow_raises(kind):
-    # the branch formulas overflow to inf / inf = nan at this penalty
+    # the endpoint mu of the closed-form optimum overflow at this penalty
     with pytest.raises(OverflowError):
         alpha_opt_rd(kind, 1e300, 1.0)
 
@@ -281,15 +301,17 @@ def test_rho_matches_at_crossover():
     )
 
 
+def assembled_optimum(config, kind):
+    """``(alpha*, rho*)`` of the assembled operators: ``2 / (mu_min + mu_max)``
+    over :func:`assembled_mu` at unit relaxation."""
+    mu = assembled_mu(two_level_components(config, kind, 1.0))
+    alpha = 2.0 / (mu[0] + mu[-1])
+    return alpha, max(abs(1.0 - alpha * mu[0]), abs(1.0 - alpha * mu[-1]))
+
+
 def test_numeric_dense_mode_close_to_formula():
-    res = alpha_opt_numeric(ProblemConfig(64, 2.0, math.inf, DIRICHLET), POINT, mode="dense")
-    assert abs(res.alpha_opt - 9 / 13) < 5e-3
-    assert res.branch == "numeric-dense"
-
-
-def test_numeric_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode must be"):
-        alpha_opt_numeric(ProblemConfig(64, 2.0), POINT, mode="magic")
+    alpha, _ = assembled_optimum(ProblemConfig(64, 2.0, math.inf, DIRICHLET), POINT)
+    assert abs(alpha - 9 / 13) < 5e-3
 
 
 def scan_optimum(delta0, gamma, kind, grid_points=1001):
@@ -333,15 +355,15 @@ def test_numeric_lfa_matches_brute_force_scan(kind, gamma):
 @pytest.mark.parametrize("gamma", [math.inf, 1.0, 0.05])
 def test_numeric_dense_is_the_assembled_optimum(cells, kind, gamma):
     cfg = ProblemConfig(cells, 2.0, gamma, DIRICHLET)
-    res = alpha_opt_numeric(cfg, kind, mode="dense")
+    alpha, rho_opt = assembled_optimum(cfg, kind)
 
     def rho(alpha):
         return spectral_radius_dense(build_iteration_matrix(two_level_components(cfg, kind, alpha)))
 
-    at_opt = rho(res.alpha_opt)
-    assert res.rho_predicted == pytest.approx(at_opt, abs=1e-9)
-    assert rho(res.alpha_opt - 1e-4) >= at_opt
-    assert rho(res.alpha_opt + 1e-4) >= at_opt
+    at_opt = rho(alpha)
+    assert rho_opt == pytest.approx(at_opt, abs=1e-9)
+    assert rho(alpha - 1e-4) >= at_opt
+    assert rho(alpha + 1e-4) >= at_opt
 
 
 @pytest.mark.parametrize("kind", [POINT, CELL])
@@ -349,11 +371,6 @@ def test_numeric_rejects_a_stalled_spectrum(kind):
     # delta0 = 1 pure diffusion: some mu is exactly zero, rho = 1 for every alpha
     with pytest.raises(ValueError, match="mu = 0.000e\\+00 <= 0"):
         alpha_opt_numeric(ProblemConfig(64, 1.0), kind)
-
-
-def test_numeric_dense_rejects_singular_operator():
-    with pytest.raises(ValueError, match="singular"):
-        alpha_opt_numeric(ProblemConfig(16, 2.0, math.inf, PERIODIC), CELL, mode="dense")
 
 
 def test_thresholds_used_are_plain_floats():
@@ -394,7 +411,7 @@ def test_best_penalty_is_three_halves():
     ],
 )
 def test_cell_thresholds_used_equal_the_record(branch, delta0, gamma):
-    # the branch formula and the public record read the same threshold helpers
+    # the regime and the public record read the same threshold helpers
     res = alpha_opt_rd(CELL, delta0, gamma)
     assert res.branch == f"rd-cell-{branch}"
     th = thresholds(gamma)

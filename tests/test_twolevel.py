@@ -11,7 +11,6 @@ from dgtwolevel import (
     IterationHistory,
     ProblemConfig,
     alpha_opt_poisson,
-    alpha_opt_numeric,
     apply_preconditioner,
     assembled_mu,
     assembled_rho,
@@ -168,7 +167,7 @@ def test_frequency_route_equals_dense_compression(kind, cells):
     for gamma in (math.inf, 1e14, 1e13, 1e12, 1e8, 1e4, 1.0, 0.05, 1e-3):
         for delta0 in (1.05, 1.2, 2.0, 3.0, 10.0):
             config = ProblemConfig(cells, delta0, gamma, PERIODIC)
-            for alpha in (_alpha_formula(config, kind), 0.7, 1.1):
+            for alpha in (_alpha_formula(kind, config.delta0, config.gamma), 0.7, 1.1):
                 tl = two_level_components(config, kind, alpha)
                 blocks = _coarse_cell_blocks(tl)
                 assert blocks is not None
@@ -217,12 +216,13 @@ def test_dense_optimum_on_a_periodic_65536_cell_mesh_is_the_closed_form_one(kind
     plus, minus = eigenvalue_pair(mesh_ck(config.cells), config.delta0, config.gamma, 1.0, kind)
     mu = 1.0 - np.concatenate((plus, minus))
     expected = 2.0 / (mu.min() + mu.max())
-    assert alpha_opt_numeric(config, kind, mode="dense").alpha_opt == pytest.approx(expected, abs=1e-12)
+    mu = assembled_mu(two_level_components(config, kind, 1.0))
+    assert 2.0 / (mu[0] + mu[-1]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_dense_optimum_refuses_large_dirichlet_meshes_before_building():
     with pytest.raises(ValueError, match="desk scale"):
-        alpha_opt_numeric(ProblemConfig(1026, 2.0, 1.0, DIRICHLET), CELL, mode="dense")
+        assembled_mu(two_level_components(ProblemConfig(1026, 2.0, 1.0, DIRICHLET), CELL, 1.0))
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
@@ -278,7 +278,7 @@ def test_uniformly_perturbed_smoother_moves_rho_dense_off_lfa(kind):
     # the frequency route reads the assembled blocks, not the closed forms
     # or the analytic symbols: a slip in every smoother block shows
     config = ProblemConfig(64, 2.0, 1.0, PERIODIC)
-    alpha = _alpha_formula(config, kind)
+    alpha = _alpha_formula(kind, config.delta0, config.gamma)
     rho_lfa = lfa_spectral_radius(config, kind, alpha)
     tl = two_level_components(config, kind, alpha)
     assert assembled_rho(tl) == pytest.approx(rho_lfa, abs=1e-14)
