@@ -93,12 +93,14 @@ def _output(path: str):
             yield fh
 
 
-def _add_common(sub, bc=True):
+def _add_common(sub, mesh=True, bc=True):
+    """The problem options; ``mesh`` adds ``--alpha`` and ``--cells``."""
     sub.add_argument("--smoother", choices=SMOOTHERS, required=True)
     sub.add_argument("--delta0", default="2", help="value, list v1,v2 or range lo:hi:step")
     sub.add_argument("--gamma", default="inf", help="value, inf, or list")
-    sub.add_argument("--alpha", default="opt", help="value, 'opt', or range")
-    sub.add_argument("--cells", type=int, default=64)
+    if mesh:
+        sub.add_argument("--alpha", default="opt", help="value, 'opt', or range")
+        sub.add_argument("--cells", type=int, default=64)
     if bc:
         sub.add_argument("--bc", choices=BOUNDARY_MODES, default=DIRICHLET)
     sub.add_argument("--out", default="-", help="output path or - for stdout")
@@ -140,7 +142,8 @@ def cmd_optimize(args, parser) -> int:
     gamma = _parse_grid(args.gamma, parser, "--gamma", allow_inf=True)
     if len(delta0) != 1 or len(gamma) != 1:
         parser.error("optimize expects a single --delta0 and --gamma")
-    config = ProblemConfig(args.cells, delta0[0], gamma[0], args.bc)
+    # both optima read only delta0 and gamma: the mesh is a placeholder
+    config = ProblemConfig(4, delta0[0], gamma[0])
     formula = alpha_opt(config, args.smoother)
     numeric = alpha_opt_numeric(config, args.smoother)
     case = "poisson" if config.is_poisson else f"rd-{args.smoother}"
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_spectrum)
 
     sub = subs.add_parser("optimize", help="closed-form vs numeric optimum report")
-    _add_common(sub)
+    _add_common(sub, mesh=False, bc=False)
     sub.set_defaults(func=cmd_optimize)
 
     sub = subs.add_parser("sweep", help="parameter sweep as CSV")

@@ -134,6 +134,10 @@ def _delta_c_minus(g: float) -> float:
         return math.inf
     num = 1.0 + 2.0 * g * (6.0 * g - 11.0)
     disc = 4.0 * g * (2.0 * g + 1.0) * (3.0 * g * (6.0 * g + 7.0) + 1.0) + 1.0
+    # the root's sign picks the form that does not cancel, as in the
+    # stable quadratic formula: num^2 - disc = -16 g (6g - 1)(8g - 3)
+    if num > 0.0:
+        return 2.0 * (3.0 - 8.0 * g) / (num + math.sqrt(disc))
     return (num - math.sqrt(disc)) / (8.0 * g * (6.0 * g - 1.0))
 
 
@@ -159,9 +163,11 @@ def _delta_c2(gamma: float) -> float:
     disc = 4.0 * g * (
         3.0 * g * (4.0 * g * (27.0 * g + 35.0 * t) + 65.0 * t * t) + 37.0 * t**3
     ) + 9.0 * t**4
-    return (-3.0 * t * t + 36.0 * g * g + 2.0 * g * t + math.sqrt(disc)) / (
-        16.0 * g * (3.0 * g + t)
-    )
+    x = -3.0 * t * t + 36.0 * g * g + 2.0 * g * t
+    # as in _delta_c_minus: disc - x^2 = 32 g t (3g + t)(16g + 5t)
+    if x < 0.0:
+        return 2.0 * t * (16.0 * g + 5.0 * t) / (math.sqrt(disc) - x)
+    return (x + math.sqrt(disc)) / (16.0 * g * (3.0 * g + t))
 
 
 def _cell_thresholds(g: float) -> tuple:
@@ -267,10 +273,15 @@ def _alpha_formula(kind: str, delta0: float, gamma: float) -> float:
     return float(2.0 / (min(mu) + max(mu)))
 
 
-def _closed_form(kind: str, delta0: float, gamma: float) -> RelaxationResult:
+def _alpha_rho(kind: str, delta0: float, gamma: float) -> tuple:
+    """The closed-form ``alpha`` and its radius on ``ASYMPTOTIC_CK``."""
     alpha = _alpha_formula(kind, delta0, gamma)
+    return alpha, rho_on_ck_values(ASYMPTOTIC_CK, delta0, gamma, alpha, kind)
+
+
+def _closed_form(kind: str, delta0: float, gamma: float) -> RelaxationResult:
+    alpha, rho = _alpha_rho(kind, delta0, gamma)
     branch, used = _regime(kind, delta0, gamma)
-    rho = rho_on_ck_values(ASYMPTOTIC_CK, delta0, gamma, alpha, kind)
     return RelaxationResult(alpha, rho, branch, [(name, float(value)) for name, value in used])
 
 
@@ -358,19 +369,17 @@ def crossover_check(gamma: float = math.inf) -> tuple:
     """Locate the penalty where cell and point smoothers perform equally.
 
     Scans ``delta0 in [1, 10]`` upward in steps of 0.05 for the first
-    sign change of ``rho_cell(alpha_opt) - rho_point(alpha_opt)`` and
+    sign change of ``rho_cell - rho_point``, the radii of the closed-form
+    optimum (``alpha_opt``'s ``rho_predicted``, without its regime), and
     bisects it to an interval ``(lo, hi)`` no wider than 1e-3.
-    Raises ``RuntimeError`` if the sign never changes.
+    Raises ``ValueError`` unless ``gamma > 0`` (``inf`` is pure
+    diffusion) and ``RuntimeError`` if the sign never changes.
     """
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive (or inf), got {gamma}")
 
     def gap(d0):
-        if math.isinf(gamma):
-            rc = alpha_opt_poisson(CELL, d0).rho_predicted
-            rp = alpha_opt_poisson(POINT, d0).rho_predicted
-        else:
-            rc = alpha_opt_rd(CELL, d0, gamma).rho_predicted
-            rp = alpha_opt_rd(POINT, d0, gamma).rho_predicted
-        return rc - rp
+        return _alpha_rho(CELL, d0, gamma)[1] - _alpha_rho(POINT, d0, gamma)[1]
 
     # start just above 1: both smoothers stall exactly at delta0 = 1
     grid = np.arange(1.05, 10.0 + 1e-9, 0.05)

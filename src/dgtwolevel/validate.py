@@ -21,8 +21,6 @@ from .optimal import (
     _alpha_formula,
     alpha_opt_poisson,
     gamma_c_cell,
-    gamma_c_point,
-    thresholds,
 )
 from .twolevel import build_iteration_matrix, two_level_components
 
@@ -53,6 +51,12 @@ def run_validation(cells: int = 64) -> list:
     (``tau = 0``) included.  A table slip that drives a radicand or
     denominator out of range there is a failed check with observed
     ``inf``, not an error.
+
+    The optimum is checked by the equioscillation of its pure-diffusion
+    spectrum, and the thresholds by the paper's printed values.  Nothing
+    checks ``alpha`` across the regime thresholds: it is
+    ``2 / (mu_min + mu_max)`` over the endpoint ``mu`` and reads no
+    threshold.
     """
     checks = []
     rng = np.random.default_rng(2024)
@@ -145,43 +149,6 @@ def run_validation(cells: int = 64) -> list:
     checks.append(CheckResult("optimal_params", "delta_c_crossover", gap < 1e-5, gap, "2.19149 +- 1e-5"))
     gap = abs(gamma_c_cell() - 0.16607)
     checks.append(CheckResult("optimal_params", "gamma_c_cell", gap < 1e-4, gap, "0.16607 +- 1e-4"))
-    th = thresholds(gamma_c_cell())
-    gap = abs(th.delta_c1 - th.delta_c2)
-    checks.append(CheckResult("optimal_params", "delta_c1_meets_delta_c2", gap < 1e-4, gap, "< 1e-4"))
-
-    # Continuity of the closed-form optimum across the regime boundaries,
-    # where two endpoint mu tie.  The point-smoother low-gamma edge is
-    # checked on its own below.
-    worst = 0.0
-    for delta0 in (1.2, 2.0, 4.0):
-        gamma = 1.1 * gamma_c_point(delta0)
-        edge = thresholds(gamma).delta_c_plus
-        if math.isfinite(edge) and edge >= 1.0:
-            left = _alpha_formula(POINT, edge * (1 - 1e-9), gamma)
-            right = _alpha_formula(POINT, edge * (1 + 1e-9), gamma)
-            worst = max(worst, abs(left - right))
-    for gamma in (0.05, 0.5, 2.0):
-        th = thresholds(gamma)
-        for edge in (th.delta_c1, th.delta_c2, th.delta_c3, th.delta_c4):
-            if math.isfinite(edge) and edge >= 1.0 + 1e-6:
-                left = _alpha_formula(CELL, edge * (1 - 1e-9), gamma)
-                right = _alpha_formula(CELL, edge * (1 + 1e-9), gamma)
-                worst = max(worst, abs(left - right))
-    checks.append(CheckResult("optimal_params", "branch_continuity", worst < 1e-6, worst, "< 1e-6"))
-    # delta_c_minus ties two endpoint mu that the paper's quarter and half
-    # pairs do not share, so their printed formulas differ by O(1e-2)
-    # across it.  The optimum over all four endpoint mu is continuous
-    # there too.
-    worst = 0.0
-    for delta0 in (2.0, 4.0):
-        gamma = 0.9 * gamma_c_point(delta0)
-        edge = thresholds(gamma).delta_c_minus
-        left = _alpha_formula(POINT, edge * (1 - 1e-9), gamma)
-        right = _alpha_formula(POINT, edge * (1 + 1e-9), gamma)
-        worst = max(worst, abs(left - right))
-    checks.append(
-        CheckResult("optimal_params", "low_gamma_point_edge_gap", worst < 1e-6, worst, "< 1e-6")
-    )
 
     # Large-gamma degeneration of the reaction-diffusion forms.
     worst = 0.0

@@ -231,6 +231,33 @@ def test_crossover_output(capsys):
     assert 2.19 <= lo <= 2.19149 <= hi <= 2.20
 
 
+@pytest.mark.parametrize("gamma", ["0", "-1"])
+def test_crossover_non_positive_gamma_is_an_error_line(capsys, gamma):
+    code, out, err = run_cli(capsys, "crossover", "--gamma", gamma)
+    assert code == 1 and out == ""
+    assert err == f"error: gamma must be positive (or inf), got {float(gamma)}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "0.3"), ("--cells", "8"), ("--bc", "periodic")])
+def test_optimize_takes_no_mesh_options(capsys, flag, value):
+    # the optimum reads only delta0 and gamma
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--smoother", "cell", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dgtwolevel")
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_optimize_names_the_regime_at_subnormal_gamma(capsys):
+    # delta_c_minus tends to 3 as gamma -> 0; it used to cancel to -0.0
+    argv = ("optimize", "--smoother", "point", "--delta0", "2", "--gamma", "1e-310")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "branch=rd-point-quarter\n" in out
+
+
 def test_no_crossover_is_an_error_line():
     src = str(Path(dgtwolevel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -22,6 +22,7 @@ from dgtwolevel import (
     crossover_check,
     gamma_c_cell,
     gamma_c_point,
+    optimal,
     spectral_radius_dense,
     thresholds,
     two_level_components,
@@ -132,6 +133,29 @@ def test_gamma_c_point_is_correctly_rounded(delta0):
         d = decimal.Decimal(delta0)
         exact = 1 / (3 * ((4 * (d - 1) * d + 5).sqrt() + 3 - 2 * d))
     assert abs(decimal.Decimal(gamma_c_point(delta0)) - exact) <= decimal.Decimal(2.0**-52) * exact
+
+
+def exact_delta_c2_and_minus(gamma):
+    """``delta_c2`` and ``delta_c_minus`` at ``gamma < 1`` in the paper's
+    forms, at enough digits that their cancellation costs nothing."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        g = decimal.Decimal(gamma)
+        disc = 4 * g * (3 * g * (4 * g * (27 * g + 35) + 65) + 37) + 9
+        c2 = (-3 + 36 * g * g + 2 * g + disc.sqrt()) / (16 * g * (3 * g + 1))
+        num = 1 + 2 * g * (6 * g - 11)
+        disc = 4 * g * (2 * g + 1) * (3 * g * (6 * g + 7) + 1) + 1
+        return c2, (num - disc.sqrt()) / (8 * g * (6 * g - 1))
+
+
+@pytest.mark.parametrize("k", range(14, 301))
+def test_small_gamma_thresholds_do_not_cancel(k):
+    # both forms used to subtract two numbers near their limit: delta_c2
+    # read 0.0 and delta_c_minus -0.0 from gamma about 1e-18 on
+    gamma = 10.0**-k
+    th = thresholds(gamma)
+    for value, exact in zip((th.delta_c2, th.delta_c_minus), exact_delta_c2_and_minus(gamma)):
+        assert abs(decimal.Decimal(value) - exact) <= decimal.Decimal(1e-13) * exact
 
 
 def test_rd_point_large_gamma_limit():
@@ -292,6 +316,25 @@ def full_scan_crossover(gamma, width=1e-3):
 @pytest.mark.parametrize("gamma", [math.inf, 1e4, 10.0, 1.0, 0.2, 0.05])
 def test_crossover_equals_full_scan(gamma):
     assert crossover_check(gamma) == full_scan_crossover(gamma)
+
+
+@pytest.mark.parametrize(
+    "gamma, bracket",
+    [
+        (math.inf, (2.191406250000001, 2.192187500000001)),
+        (1e4, (2.191406250000001, 2.192187500000001)),
+        (1.0, (1.0781250000000002, 1.0789062500000002)),
+        (0.05, (2.7734375000000018, 2.774218750000002)),
+    ],
+)
+def test_crossover_reads_no_regime(monkeypatch, gamma, bracket):
+    # the radii do not depend on the paper's regime labels, so the scan
+    # never evaluates them
+    def no_regime(*args):
+        raise AssertionError("crossover_check evaluated a regime")
+
+    monkeypatch.setattr(optimal, "_regime", no_regime)
+    assert crossover_check(gamma) == bracket
 
 
 def test_rho_matches_at_crossover():

@@ -41,7 +41,7 @@ def test_suite_passes_clean():
     assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
     names = {c.name for c in checks}
     assert {"block_diagonalization", "appendix_vs_blocks", "equioscillation",
-            "branch_continuity", "poisson_degeneration"} <= names
+            "poisson_degeneration"} <= names
 
 
 def test_perturbed_coefficient_is_caught(monkeypatch):
