@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .closed_forms import eigenvalue_pair, mesh_ck, rho_on_ck_values
-from .config import BOUNDARY_MODES, DIRICHLET, SMOOTHERS, ProblemConfig
+from .config import BOUNDARY_MODES, DIRICHLET, SMOOTHERS, ProblemConfig, check_penalty, check_reaction
 from .optimal import _alpha_formula, alpha_opt, alpha_opt_numeric, crossover_check
 from .twolevel import assembled_rho, two_level_components
 from .validate import run_validation
@@ -161,46 +161,93 @@ def cmd_optimize(args, parser) -> int:
     return 0 if agrees else 1
 
 
+def _first_invalid_row(args, delta0, gamma):
+    """``(i, j, error)``: the error of the first invalid sweep row, at
+    ``delta0[i]`` and ``gamma[j]``, or ``(len(delta0), 0, None)``.
+
+    Rows run delta0 outer and gamma inner, and a row checks cells, delta0,
+    gamma and bc in that order (``ProblemConfig``).  So the first row
+    checks cells and bc for all, and each value is checked once.
+    """
+    try:
+        ProblemConfig(args.cells, delta0[0], gamma[0], args.bc)
+    except ValueError as exc:
+        return 0, 0, exc
+    for j, g in enumerate(gamma):
+        try:
+            check_reaction(g)
+        except ValueError as exc:
+            return 0, j, exc
+    for i, d in enumerate(delta0):
+        try:
+            check_penalty(d)
+        except ValueError as exc:
+            return i, 0, exc
+    return len(delta0), 0, None
+
+
 def cmd_sweep(args, parser) -> int:
     delta0 = _parse_grid(args.delta0, parser, "--delta0")
     gamma = _parse_grid(args.gamma, parser, "--gamma", allow_inf=True)
     kind = args.smoother
-    # rows in output order: delta0, then gamma, then alpha
-    rows = []
-    for d0 in delta0:
-        for g in gamma:
-            config = ProblemConfig(args.cells, d0, g, args.bc)
-            rows.extend((config, a) for a in _resolve_alpha(args.alpha, parser, config, kind))
+    bad_i, bad_j, error = _first_invalid_row(args, delta0, gamma)
+    if error is not None and bad_i == bad_j == 0:
+        raise error
+    # every row takes its alpha after its checks: parsed at the first row,
+    # or the closed-form optimum of each row
+    opt = args.alpha.strip().lower() == "opt"
+    alphas = None if opt else _parse_grid(args.alpha, parser, "--alpha")
+    if error is not None:
+        if opt:
+            # the rows before the invalid one may overflow first
+            for j, g in enumerate(gamma):
+                _alpha_formula(kind, np.array(delta0[: bad_i + (j < bad_j)]), g)
+        raise error
 
-    # one closed-form evaluation per reaction scaling over all its rows
+    # one array call per reaction scaling for its alpha column, then one
+    # closed-form evaluation per chunk of its rows
+    d0 = np.array(delta0)
+    n_alpha = 1 if opt else len(alphas)
+    alpha = {
+        g: np.broadcast_to(_alpha_formula(kind, d0, g)[:, None] if opt else alphas, (d0.size, n_alpha))
+        for g in dict.fromkeys(gamma)
+    }
     ck = mesh_ck(args.cells)
     step = max(1, _SWEEP_CHUNK // ck.size)
-    rho_lfa = [0.0] * len(rows)
-    for g in dict.fromkeys(gamma):
-        picked = [i for i, (config, _) in enumerate(rows) if config.gamma == g]
-        for start in range(0, len(picked), step):
-            chunk = picked[start : start + step]
-            d0s = np.array([[rows[i][0].delta0] for i in chunk])
-            alphas = np.array([[rows[i][1]] for i in chunk])
-            x = np.broadcast_to(ck, (len(chunk), ck.size))
-            for i, rho in zip(chunk, rho_on_ck_values(x, d0s, g, alphas, kind)):
-                rho_lfa[i] = rho
+    d_rows = np.repeat(d0, n_alpha)[:, None]
+    rho = {}
+    for g, a in alpha.items():
+        a_rows = a.reshape(-1, 1)
+        rho[g] = np.concatenate([
+            rho_on_ck_values(ck, d_rows[start : start + step], g, a_rows[start : start + step], kind)
+            for start in range(0, len(a_rows), step)
+        ])
+    # rows in output order: delta0, then gamma, then alpha
+    table = np.empty((d0.size, len(gamma), n_alpha, 4))
+    table[..., 0] = d0[:, None, None]
+    table[..., 1] = np.array(gamma)[:, None]
+    for j, g in enumerate(gamma):
+        table[:, j, :, 2] = alpha[g]
+        table[:, j, :, 3] = rho[g].reshape(d0.size, n_alpha)
+    table = table.reshape(-1, 4)
 
-    table = [[c.delta0, c.gamma, a, rho] for (c, a), rho in zip(rows, rho_lfa)]
     if args.dense:
-        for line, (config, a) in zip(table, rows):
-            line.append(assembled_rho(two_level_components(config, kind, a)))
-    for line in table:
-        if not all(map(math.isfinite, line[2:])):
-            raise ValueError(
-                f"sweep row delta0={_fmt(line[0])}, gamma={_fmt(line[1])}: "
-                f"alpha={_fmt(line[2])}, rho={', '.join(_fmt(v) for v in line[3:])} is not finite"
-            )
+        dense = [
+            assembled_rho(two_level_components(ProblemConfig(args.cells, d, g, args.bc), kind, a))
+            for d, g, a, _ in table.tolist()
+        ]
+        table = np.column_stack((table, dense))
+    bad = ~np.isfinite(table[:, 2:]).all(axis=1)
+    if bad.any():
+        line = table[bad.argmax()]
+        raise ValueError(
+            f"sweep row delta0={_fmt(line[0])}, gamma={_fmt(line[1])}: "
+            f"alpha={_fmt(line[2])}, rho={', '.join(_fmt(v) for v in line[3:])} is not finite"
+        )
     with _output(args.out) as out:
         header = "delta0,gamma,alpha,rho_lfa"
         out.write(header + (",rho_dense\n" if args.dense else "\n"))
-        for line in table:
-            out.write(",".join(_fmt(v) for v in line) + "\n")
+        out.write("".join(",".join(map(repr, line)) + "\n" for line in table.tolist()))
     return 0
 
 

@@ -3,18 +3,22 @@
 For every frequency the 4x4 two-grid block has two structural zero
 eigenvalues (rank-2 coarse correction) and two real nonzero ones,
 ``lambda_+ >= lambda_-``.  The spectrum is affine in the relaxation,
-``lambda = 1 - alpha*mu``, so :func:`eigenvalue_pair` computes the two
-``mu`` and applies ``alpha`` once.  One route serves every ``gamma``:
+``lambda = 1 - alpha*mu``, so the two ``mu`` come first and ``alpha``
+enters last.  One route serves every ``gamma``:
 ``1 - mu = (k -+ sqrt(rad)) / den`` with the tables of
 :mod:`dgtwolevel.rd_coefficients`, polynomials in ``s = 1 - c_k`` whose
 coefficients are polynomials in ``tau = 1/gamma``; pure diffusion is
 ``tau = 0``.  Radicands are clamped to zero within a relative roundoff
-band below zero.
+band below zero.  :func:`eigenvalue_pair` applies ``alpha`` to every
+pair; :func:`rho_on_ck_values` reduces the ``mu`` of a row to their
+extremes first, since ``fl(1 - fl(alpha mu))`` is monotone in ``mu``,
+and gives the same bits.
 
 At ``c_k = +-1`` the block splits, and the ``mu`` are rational in
 ``delta0`` and ``tau``: no square root, no cancellation at any ``gamma``.
 Those points take exact endpoint forms, also because the tables are
-``0/0`` at ``s = tau = 0``.
+``0/0`` at ``s = tau = 0``; :func:`rho_on_ck_values` takes them as four
+scalars.
 
 Error bound: ``|mu - mu_exact| <= 1e-14``, with ``mu_exact`` the tables
 in exact arithmetic at the same floating-point inputs (the test suite
@@ -64,10 +68,17 @@ def _guarded_sqrt(rad, scale):
     return np.sqrt(np.maximum(rad, 0.0))
 
 
-def _mu_pair(x, delta0, gamma, kind):
-    """The two ``mu`` at ``c_k = x`` from the tables in ``s = 1 - c_k``."""
-    x = np.asarray(x, dtype=float)
-    s = 1 - x
+def _mu_pair(s, q, delta0, gamma, kind, ends=None):
+    """The two ``mu`` at ``c_k = 1 - s = q - 1`` from the tables, in the
+    form the tables give them: ``(1 - mu_lo, 1 - mu_hi)``, which are
+    ``(k + root) / den`` and ``(k - root) / den``.
+
+    ``mu_lo <= mu_hi`` at every ``c_k`` but ``+-1``, where
+    :func:`_endpoint_pairs` gives the ``mu``.  ``ends`` masks the
+    ``c_k = +-1`` (``None``: there are none); their denominator, ``0`` at
+    ``s = tau = 0``, is taken as 1, but their entries enter the overflow
+    and radicand checks like every other.
+    """
     table = point_coefficients if kind == POINT else cell_coefficients
     # the table entries overflow for huge delta0 (from about 1e75 for the
     # point and 1e52 for the cell smoother), and their polynomials in s a
@@ -80,35 +91,46 @@ def _mu_pair(x, delta0, gamma, kind):
             # rad = e s^n + (1 + c_k) a(s) with n = len(a), 4 or 5
             e, *a = c[3:-3]
             sn = s * s
-            sn = sn * sn
+            sn *= sn
             if len(a) == 5:
-                sn = sn * s
-            q = 1 + x
-            rad = e * sn + q * horner(a, s)
-        finite = np.isfinite(c).all()
+                sn *= s
+            rad = q * horner(a, s)
+            rad += e * sn
+            try:
+                root = np.sqrt(rad)
+            except FloatingPointError:
+                # a radicand below zero: clamped or refused below, after
+                # the denominator check
+                root = None
+        # arrays for a column of penalties, plain floats otherwise
+        finite = np.isfinite(c).all() if isinstance(delta0, np.ndarray) else all(map(math.isfinite, c))
     except FloatingPointError:
         finite = False
     if not finite:
         raise OverflowError(errno.ERANGE, "the coefficient tables of the closed forms overflow")
-    plus, minus = x == 1.0, x == -1.0
-    ends = plus | minus
-    # the formula is 0/0 at s = tau = 0; the endpoint forms replace c_k = +-1
-    den = np.where(ends, 1.0, den)
+    if ends is not None:
+        den = np.where(ends, 1.0, den)
     # positive on the whole domain
     if den.min(initial=np.inf) <= 0:
         raise ClosedFormDomainError("non-positive eigenvalue-formula denominator")
-    if rad.min(initial=0.0) < 0:
+    if root is None:
         root = _guarded_sqrt(rad, abs(e) * sn + q * horner([abs(v) for v in a], s))
-    else:
-        root = np.sqrt(rad)
-    lo, hi = np.asarray(1 - (k + root) / den), np.asarray(1 - (k - root) / den)
-    if ends.any():
-        # extended precision where the platform has it, so that each mu
-        # comes within about half an ulp of its exact rational value
-        mus = _endpoint_mu(np.longdouble(delta0), 1 / np.longdouble(gamma), kind)
-        for dst, mu, where in zip((lo, hi, lo, hi), mus, (plus, plus, minus, minus)):
-            np.copyto(dst, np.float64(mu), where=where)
-    return lo, hi
+    lo = k + root
+    lo /= den
+    k -= root
+    k /= den
+    return lo, k
+
+
+def _endpoint_pairs(delta0, gamma, kind):
+    """The four ``mu`` of :func:`_endpoint_mu` at ``(delta0, gamma)`` as
+    float64, ``(plus_1, plus_2, minus_1, minus_2)``.
+
+    They are evaluated in extended precision where the platform has it,
+    so that each comes within about half an ulp of its exact rational
+    value.
+    """
+    return [np.float64(mu) for mu in _endpoint_mu(np.longdouble(delta0), 1 / np.longdouble(gamma), kind)]
 
 
 def _endpoint_mu(delta0, tau, kind, g=1):
@@ -147,14 +169,23 @@ def eigenvalue_pair(x, delta0, gamma, alpha, kind):
     """Vectorized ``(lambda_+, lambda_-)`` over ``x = c_k`` values.
 
     The two ``mu`` of ``lambda = 1 - alpha*mu`` come from one route for
-    every ``gamma``; this is the one place the relaxation enters.
-    ``delta0`` and ``alpha`` broadcast against ``x``: a column of ``m``
-    penalties or relaxations of shape ``(m, 1)`` against ``c_k`` of shape
-    ``(k,)`` or ``(m, k)`` gives ``(m, k)`` pairs, each equal to the pair
-    of its own scalar call.  ``gamma`` is a single value.
+    every ``gamma``, the relaxation enters last.  ``delta0`` and ``alpha``
+    broadcast against ``x``: a column of ``m`` penalties or relaxations of
+    shape ``(m, 1)`` against ``c_k`` of shape ``(k,)`` or ``(m, k)`` gives
+    ``(m, k)`` pairs, each equal to the pair of its own scalar call.
+    ``gamma`` is a single value.
     """
     check_smoother(kind)
-    a, b = (1 - alpha * mu for mu in _mu_pair(x, delta0, gamma, kind))
+    x = np.asarray(x, dtype=float)
+    plus, minus = x == 1.0, x == -1.0
+    ends = plus | minus
+    lo, hi = (np.asarray(1 - t) for t in _mu_pair(1 - x, 1 + x, delta0, gamma, kind, ends))
+    if ends.any():
+        for dst, mu, where in zip(
+            (lo, hi, lo, hi), _endpoint_pairs(delta0, gamma, kind), (plus, plus, minus, minus)
+        ):
+            np.copyto(dst, mu, where=where)
+    a, b = 1 - alpha * lo, 1 - alpha * hi
     return np.maximum(a, b), np.minimum(a, b)
 
 
@@ -166,17 +197,75 @@ def eigs_closed_form(ck: float, config: ProblemConfig, kind: str, alpha: float) 
     return EigenPair(float(hi), float(lo))
 
 
+def _per_row(value):
+    """A scalar as it is; a column of shape ``(m, 1)`` as ``(m,)``."""
+    return value[..., 0] if isinstance(value, np.ndarray) and value.ndim else value
+
+
+def _split(x):
+    """A row of ``c_k`` laid out for the tables: ``(s, q, ends, plus,
+    minus)``.
+
+    ``s = 1 - c_k`` and ``q = 1 + c_k`` hold the values other than ``+-1``
+    first, then ``1`` if the row holds it (``plus``), then ``-1`` if it
+    does (``minus``).  ``ends`` masks those last two, or is ``None``: their
+    ``mu`` come from the endpoint forms, but their table entries still
+    enter the overflow and radicand checks, as every ``c_k`` does.
+    """
+    at_end = np.abs(x) == 1.0
+    edge = x[at_end].tolist()
+    plus, minus = 1.0 in edge, -1.0 in edge
+    ck = np.concatenate((x[~at_end], [1.0] * plus + [-1.0] * minus))
+    ends = np.arange(ck.size) >= ck.size - plus - minus if plus or minus else None
+    return 1 - ck, 1 + ck, ends, plus, minus
+
+
 def rho_on_ck_values(x, delta0, gamma, alpha, kind):
     """Largest eigenvalue modulus over the given ``c_k`` values.
 
-    Reduces over the last axis of the broadcast pairs (see
-    :func:`eigenvalue_pair`): a ``float`` for scalar ``delta0`` and
-    ``alpha`` with one row of ``c_k``, an ``(m,)`` array for ``m`` rows.
+    Equal, bit for bit, to the largest ``|lambda|`` of
+    :func:`eigenvalue_pair` over the last axis: a ``float`` for scalar
+    ``delta0`` and ``alpha`` with one row of ``c_k``, an ``(m,)`` array
+    for ``m`` rows, with ``delta0`` and ``alpha`` scalars or columns of
+    shape ``(m, 1)``.
+
+    The ``mu`` are reduced to their extremes before ``alpha`` enters:
+    ``fl(1 - fl(alpha mu))`` is monotone in ``mu``, so the largest
+    ``|1 - alpha mu|`` sits at ``mu_min`` or ``mu_max``.  The pairs of
+    the tables count at the ``c_k`` other than ``+-1``, and the endpoint
+    ``mu`` join the extremes as four scalars (or columns).  ``c_k`` of
+    shape ``(m, k)``, one row each, take one call per row.
     """
-    hi, lo = eigenvalue_pair(x, delta0, gamma, alpha, kind)
-    rho = np.maximum(np.abs(hi), np.abs(lo))
-    rho = np.atleast_1d(rho).max(axis=-1)
-    return float(rho) if rho.ndim == 0 else rho
+    check_smoother(kind)
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        rows = np.broadcast_shapes(x.shape[:-1], np.shape(delta0)[:-1], np.shape(alpha)[:-1])
+        x = np.broadcast_to(x, rows + x.shape[-1:])
+        delta0, alpha = (np.broadcast_to(v, rows + (1,)) for v in (delta0, alpha))
+        return np.array([
+            rho_on_ck_values(x[i], delta0[i][0], gamma, alpha[i][0], kind) for i in np.ndindex(rows)
+        ]).reshape(rows)
+    if not x.size:
+        raise ValueError("rho_on_ck_values needs at least one c_k")
+    s, q, ends, plus, minus = _ASYMPTOTIC_SPLIT if x is ASYMPTOTIC_CK else _split(np.atleast_1d(x))
+    t_lo, t_hi = _mu_pair(s, q, delta0, gamma, kind, ends)
+    n = s.size - plus - minus
+    mu_min, mu_max = np.inf, -np.inf
+    if n:
+        # fl(1 - t) is monotone too: the least mu is 1 - the largest t
+        mu_min, mu_max = 1 - t_lo[..., :n].max(axis=-1), 1 - t_hi[..., :n].min(axis=-1)
+    if plus or minus:
+        p1, p2, m1, m2 = _endpoint_pairs(delta0, gamma, kind)
+        edge = ((p1, p2) if plus else ()) + ((m1, m2) if minus else ())
+        if isinstance(delta0, np.ndarray):
+            for mu in map(_per_row, edge):
+                mu_min, mu_max = np.minimum(mu_min, mu), np.maximum(mu_max, mu)
+        else:
+            # plain comparisons of scalars, at a tenth of a ufunc's cost
+            mu_min, mu_max = min(mu_min, *edge), max(mu_max, *edge)
+    alpha = _per_row(alpha)
+    rho = np.maximum(abs(1 - alpha * mu_min), abs(1 - alpha * mu_max))
+    return rho if isinstance(rho, np.ndarray) else float(rho)
 
 
 def mesh_ck(cells: int) -> np.ndarray:
@@ -189,6 +278,8 @@ def mesh_ck(cells: int) -> np.ndarray:
 #: frequency set of the asymptotic radius, the optima and their checks.
 ASYMPTOTIC_CK = np.linspace(-1.0, 1.0, 1001)
 ASYMPTOTIC_CK.flags.writeable = False
+# the grid is read-only, so rho_on_ck_values splits it once, here
+_ASYMPTOTIC_SPLIT = _split(ASYMPTOTIC_CK)
 
 
 def lfa_spectral_radius(config: ProblemConfig, kind: str, alpha: float) -> float:

@@ -45,8 +45,7 @@ class ProblemConfig:
         if self.cells < 4 or self.cells % 2 != 0:
             raise ValueError(f"cells must be even and >= 4, got {self.cells}")
         check_penalty(self.delta0)
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive (or inf), got {self.gamma}")
+        check_reaction(self.gamma)
         if self.bc not in BOUNDARY_MODES:
             raise ValueError(f"bc must be one of {BOUNDARY_MODES}, got {self.bc!r}")
 
@@ -73,3 +72,8 @@ def check_smoother(kind: str) -> str:
 def check_penalty(delta0: float) -> None:
     if not 1.0 <= delta0 < math.inf:
         raise ValueError(f"delta0 must be finite and >= 1, got {delta0}")
+
+
+def check_reaction(gamma: float) -> None:
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive (or inf), got {gamma}")

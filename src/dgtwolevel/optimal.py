@@ -7,10 +7,14 @@ eigenvalues equioscillate.  The paper's closed-form optimum takes the
 extremes over the four ``mu`` at the endpoint frequencies ``c_k = +-1``,
 which are rational in ``delta0`` and ``1/gamma``
 (``closed_forms._endpoint_mu``); each of its branch formulas is that
-expression for the endpoint pair of one regime.  The thresholds between
-the regimes, where two endpoint ``mu`` tie, name the branch a result
-reports; they do not enter ``alpha``.  As an independent check,
-:func:`alpha_opt_numeric` takes ``mu_min`` and ``mu_max`` over sampled
+expression for the endpoint pair of one regime.  Plain arithmetic, so
+one call takes a whole array of penalties, as ``sweep --alpha opt``
+does for each ``gamma``.  The thresholds between the regimes, where two
+endpoint ``mu`` tie, name the branch a result reports; they do not enter
+``alpha``.  None of them cancels as ``gamma -> 0``: ``delta_c2`` and
+``delta_c_minus`` take the root form that does not cancel, and
+``delta_c1`` sums a series in ``gamma`` below 1e-3.  As an independent
+check, :func:`alpha_opt_numeric` takes ``mu_min`` and ``mu_max`` over sampled
 closed-form pairs, interior frequencies included.
 """
 
@@ -23,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_forms import ASYMPTOTIC_CK, _endpoint_mu, eigenvalue_pair, rho_on_ck_values
-from .config import CELL, POINT, ProblemConfig, check_penalty, check_smoother
+from .config import CELL, POINT, ProblemConfig, check_penalty, check_reaction, check_smoother
+from .rd_coefficients import horner
 
 #: Penalty where the middle cell branch begins: real root of
 #: 4 d^3 - 8 d^2 + 4 d - 1.
@@ -141,7 +146,26 @@ def _delta_c_minus(g: float) -> float:
     return (num - math.sqrt(disc)) / (8.0 * g * (6.0 * g - 1.0))
 
 
+# Below this gamma, _delta_c1 sums the Taylor series of its root in gamma:
+# the closed form's numerator 4 + chi + 1/chi and its denominator 36 gamma
+# both tend to 0, so its relative error grows from about 2e-12 at the
+# cut-off to 0.26 at gamma = 1e-14.  The eight terms are exact to under
+# 1e-16 relative at the cut-off and below.
+_DELTA_C1_SERIES_BELOW = 1e-3
+
+#: The root of the cubic 144 g^2 d^3 + (48 g - 288 g^2) d^2 + (144 g^2 -
+#: 84 g + 5) d - 36 g^2 + 12 g - 9 that stays finite as gamma = g -> 0,
+#: as a series in g (exact rationals, from sympy).
+_DELTA_C1_SERIES = (
+    9 / 5, -408 / 125, 99972 / 3125, -5305392 / 15625, 7321928256 / 1953125,
+    -2041522361856 / 48828125, 560666697806592 / 1220703125,
+    -147198933857092608 / 30517578125,
+)
+
+
 def _delta_c1(gamma: float) -> float:
+    if gamma < _DELTA_C1_SERIES_BELOW:
+        return horner(_DELTA_C1_SERIES, gamma)
     g, t = _coordinates(gamma)
     inner = 12.0 * g * (
         27.0 * g * (8.0 * g * (g * (6.0 * g * (33.0 * g + 46.0 * t) + 155.0 * t * t)
@@ -204,8 +228,7 @@ def thresholds(gamma: float) -> Thresholds:
     overflow or nan: ``delta_c1``, ``delta_c2`` and ``delta_c_plus`` run
     in ``tau = 1/gamma`` from ``gamma = 1`` on.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive (or inf), got {gamma}")
+    check_reaction(gamma)
     if math.isinf(gamma):
         return Thresholds(
             gamma, math.inf, math.inf, DELTA0_TILDE_PLUS, DELTA0_TILDE_MINUS, math.inf, math.inf
@@ -256,21 +279,36 @@ def _regime(kind: str, delta0: float, gamma: float) -> tuple:
     return f"rd-cell-{tag}", used
 
 
-def _alpha_formula(kind: str, delta0: float, gamma: float) -> float:
+def _alpha_formula(kind: str, delta0, gamma: float):
     """The closed-form optimal relaxation, ``2 / (mu_min + mu_max)`` over
     the four endpoint ``mu`` at ``c_k = +-1``.
 
     Every branch formula of the paper is this expression for the pair of
     endpoint ``mu`` its regime names.  It evaluates in the coordinates of
     :func:`_coordinates`, so no ``gamma > 0`` overflows; a ``mu`` that
-    overflows at a huge ``delta0`` raises ``OverflowError``.
+    overflows at a huge ``delta0`` raises ``OverflowError``.  An array of
+    penalties gives the array of their optima in one call, each equal to
+    its scalar call, and raises where any of them would.
     """
     check_smoother(kind)
     g, t = _coordinates(gamma)
-    mu = _endpoint_mu(delta0, t, kind, g)
-    if not all(map(math.isfinite, mu)):
+    if isinstance(delta0, np.ndarray):
+        # numpy warns where Python floats overflow to inf quietly; the
+        # check below raises for both
+        with np.errstate(over="ignore", invalid="ignore"):
+            # plus_1 of the point smoother does not depend on delta0
+            mu = np.broadcast_arrays(*_endpoint_mu(delta0.astype(float), t, kind, g))
+            lo, hi = np.minimum.reduce(mu), np.maximum.reduce(mu)
+            finite = np.isfinite(lo).all() and np.isfinite(hi).all()
+            alpha = 2.0 / (lo + hi)
+    else:
+        mu = _endpoint_mu(delta0, t, kind, g)
+        finite = all(map(math.isfinite, mu))
+        if finite:
+            alpha = float(2.0 / (min(mu) + max(mu)))
+    if not finite:
         raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
-    return float(2.0 / (min(mu) + max(mu)))
+    return alpha
 
 
 def _alpha_rho(kind: str, delta0: float, gamma: float) -> tuple:
@@ -375,8 +413,7 @@ def crossover_check(gamma: float = math.inf) -> tuple:
     Raises ``ValueError`` unless ``gamma > 0`` (``inf`` is pure
     diffusion) and ``RuntimeError`` if the sign never changes.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive (or inf), got {gamma}")
+    check_reaction(gamma)
 
     def gap(d0):
         return _alpha_rho(CELL, d0, gamma)[1] - _alpha_rho(POINT, d0, gamma)[1]

@@ -31,10 +31,15 @@ radicand and denominator coefficients in that order.
 
 
 def horner(coeffs, u):
-    """``coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ...`` by Horner's rule."""
+    """``coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ...`` by Horner's rule.
+
+    ``acc * u`` is a new object, so an array adds the next coefficient in
+    place; each coefficient broadcasts to the shape of the product.
+    """
     acc = coeffs[-1]
     for c in coeffs[-2::-1]:
-        acc = acc * u + c
+        acc = acc * u
+        acc += c
     return acc
 
 

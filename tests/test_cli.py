@@ -132,6 +132,74 @@ def test_sweep_equals_row_by_row_reference(capsys, monkeypatch, kind, bc, alpha,
     assert out == "\n".join(lines) + "\n"
 
 
+GAMMA_ERROR = "error: gamma must be positive (or inf), got -1.0\n"
+DELTA0_ERROR = "error: delta0 must be finite and >= 1, got 0.5\n"
+ALPHA_OVERFLOW = "error: floating-point overflow: Numerical result out of range\n"
+TABLE_OVERFLOW = "error: floating-point overflow: the coefficient tables of the closed forms overflow\n"
+
+
+# rows run delta0 outer and gamma inner; a row checks cells, delta0, gamma
+# and bc, then takes its alpha; the first row that fails names the error
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["--delta0", "2,0.5", "--gamma", "1,-1"], 1, GAMMA_ERROR),
+        (["--delta0", "0.5,2", "--gamma", "1,-1"], 1, DELTA0_ERROR),
+        (["--cells", "3", "--delta0", "0.5", "--gamma=-1"], 1, "error: cells must be even and >= 4, got 3\n"),
+        (["--delta0", "2", "--gamma", "1,-1,0"], 1, GAMMA_ERROR),
+        (["--delta0", "1e300,0.5", "--gamma", "1"], 1, ALPHA_OVERFLOW),
+        (["--delta0", "2,1e300,0.5", "--gamma", "1"], 1, ALPHA_OVERFLOW),
+        (["--delta0", "1e300", "--gamma", "1,-1"], 1, ALPHA_OVERFLOW),
+        (["--delta0", "2,1e300", "--gamma", "1,-1"], 1, GAMMA_ERROR),
+        (["--delta0", "1e300,2", "--gamma", "inf,-1"], 1, ALPHA_OVERFLOW),
+        (["--delta0", "1e300", "--gamma=-1,1"], 1, GAMMA_ERROR),
+        (["--delta0", "0.5", "--alpha", "bogus"], 1, DELTA0_ERROR),
+        (["--delta0", "2,0.5", "--alpha", "bogus"], 2, "dgtwolevel: error: --alpha: cannot parse 'bogus'\n"),
+        (["--delta0", "2,0.5", "--gamma", "1,1e-300", "--alpha", "0.9"], 1, DELTA0_ERROR),
+        (["--delta0", "2,1e300", "--gamma", "1,2", "--alpha", "0.9"], 1, TABLE_OVERFLOW),
+        (["--delta0", "1,1e200", "--gamma", "1e-300,inf"], 1, ALPHA_OVERFLOW),
+    ],
+)
+@pytest.mark.parametrize("kind", ["cell", "point"])
+def test_sweep_first_error_follows_row_order(capsys, argv, code, err, kind):
+    # each distinct delta0 and gamma is checked once, and the alpha column
+    # is one call per gamma: the error printed is still the first row's
+    try:
+        got = run_cli(capsys, "sweep", "--smoother", kind, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        got = exc.code, captured.out, captured.err.splitlines()[-1] + "\n"
+    assert got == (code, "", err)
+
+
+def test_sweep_evaluates_the_closed_forms_once_per_gamma(capsys, monkeypatch):
+    # the alpha column and the radius of all rows of one gamma are one call
+    # each (per chunk of _SWEEP_CHUNK points), not one call per row
+    from dgtwolevel import closed_forms, optimal
+
+    calls = {"_endpoint_mu": 0, "_mu_pair": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(closed_forms, "_endpoint_mu")
+    counted(optimal, "_endpoint_mu")
+    counted(closed_forms, "_mu_pair")
+    code, out, _ = run_cli(
+        capsys, "sweep", "--smoother", "cell", "--delta0", "1:4:0.01", "--gamma", "inf,1"
+    )
+    assert code == 0 and len(out.splitlines()) == 1 + 2 * 301
+    chunks = -(-301 // (cli._SWEEP_CHUNK // 32))
+    # per gamma: the alpha column, and per chunk the tables and their endpoints
+    assert calls == {"_endpoint_mu": 2 * (1 + chunks), "_mu_pair": 2 * chunks}
+
+
 def test_sweep_dense_column_matches_lfa(capsys):
     code, out, _ = run_cli(
         capsys,

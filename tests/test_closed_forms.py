@@ -221,6 +221,101 @@ def test_broadcast_equals_scalar_loop_next_to_ck_one():
     broadcast_equals_scalar_loop(CELL, 1e4, x, delta0, alpha, stride=1)
 
 
+def largest_pair_modulus(x, delta0, gamma, alpha, kind):
+    """The radius as the largest ``|lambda|`` of the pairs over the last
+    axis: what :func:`rho_on_ck_values` must equal bit for bit."""
+    hi, lo = eigenvalue_pair(x, delta0, gamma, alpha, kind)
+    rho = np.maximum(np.abs(hi), np.abs(lo)).max(axis=-1)
+    return float(rho) if rho.ndim == 0 else rho
+
+
+# every frequency set the library samples: the asymptotic grid, meshes
+# with c_k = +-1 (J = 4 holds nothing else), only +1 (J = 6), and fine ones
+CK_SETS = [ASYMPTOTIC_CK, mesh_ck(4), mesh_ck(6), mesh_ck(64), mesh_ck(1024)]
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize("gamma", [math.inf, 1e4, 1.0, 0.05])
+def test_rho_is_the_largest_pair_modulus_bit_for_bit(kind, gamma):
+    # reducing mu to its extremes before alpha enters, and taking the
+    # endpoint mu as scalars, changes no bit: for scalar inputs and for
+    # columns of (delta0, alpha), relaxations above 1 included
+    delta0 = np.array([[1.0], [1.05], [1.45], [1.5], [2.0], [3.7], [10.0]])
+    alpha = np.array([[0.6], [0.9], [1.0], [1.1], [1.3], [0.8], [1.6]])
+    for x in CK_SETS:
+        rho = rho_on_ck_values(x, delta0, gamma, alpha, kind)
+        assert rho.shape == (len(delta0),)
+        assert np.array_equal(rho, largest_pair_modulus(x, delta0, gamma, alpha, kind))
+        for d, a, row in zip(delta0[:, 0].tolist(), alpha[:, 0].tolist(), rho.tolist()):
+            one = rho_on_ck_values(x, d, gamma, a, kind)
+            assert type(one) is float
+            assert one == row == largest_pair_modulus(x, d, gamma, a, kind)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from([POINT, CELL]),
+    x=st.sampled_from(CK_SETS),
+    delta0=st.floats(1.0, 50.0),
+    gamma=st.one_of(st.just(math.inf), st.floats(1e-3, 1e8)),
+    alpha=st.floats(0.0, 2.0),
+)
+def test_rho_equals_largest_pair_modulus_at_random_inputs(kind, x, delta0, gamma, alpha):
+    assert rho_on_ck_values(x, delta0, gamma, alpha, kind) == largest_pair_modulus(
+        x, delta0, gamma, alpha, kind
+    )
+
+
+def shifted_table(monkeypatch, table, index, amount):
+    """Shift entry ``index`` (0-based) of a coefficient table by ``amount``
+    where the closed forms read it."""
+    original = getattr(closed_forms, table)
+
+    def shifted(delta0, gamma):
+        coeffs = list(original(delta0, gamma))
+        coeffs[index] += amount
+        return tuple(coeffs)
+
+    monkeypatch.setattr(closed_forms, table, shifted)
+
+
+@pytest.mark.parametrize("x", CK_SETS[:3], ids=["asymptotic", "J4", "J6"])
+def test_rho_checks_the_radicand_at_c_k_one(monkeypatch, x):
+    # a0 of the point radicand is 0 at delta0 = 1 and gamma = inf; pushed
+    # below zero, the radicand 2 a0 at c_k = 1 is the only negative one.
+    # That c_k takes the endpoint forms, yet its radicand is still checked
+    shifted_table(monkeypatch, "point_coefficients", 4, -1e-3)
+    with pytest.raises(ClosedFormDomainError) as pair:
+        eigenvalue_pair(x, 1.0, math.inf, 0.9, POINT)
+    with pytest.raises(ClosedFormDomainError) as rho:
+        rho_on_ck_values(x, 1.0, math.inf, 0.9, POINT)
+    assert str(rho.value) == str(pair.value)
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize(
+    "delta0, gamma, error",
+    [
+        (0.1, math.inf, ClosedFormDomainError),
+        (0.1, 1.0, ClosedFormDomainError),
+        (1e300, 1.0, OverflowError),
+        (1e100, 1e-300, OverflowError),
+    ],
+)
+def test_rho_raises_where_the_pairs_raise(kind, delta0, gamma, error):
+    for x in CK_SETS:
+        try:
+            largest_pair_modulus(x, delta0, gamma, 0.9, kind)
+        except error as exc:
+            with pytest.raises(error) as rho:
+                rho_on_ck_values(x, delta0, gamma, 0.9, kind)
+            assert str(rho.value) == str(exc)
+        else:
+            assert rho_on_ck_values(x, delta0, gamma, 0.9, kind) == largest_pair_modulus(
+                x, delta0, gamma, 0.9, kind
+            )
+
+
 def test_closed_forms_bind_nothing_from_fourier():
     # one route for every gamma: no pair is re-evaluated from the 4x4 block
     for name, value in vars(closed_forms).items():

@@ -260,7 +260,9 @@ def endpoint_mu_exact(kind, delta0, gamma):
     return closed_forms._endpoint_mu(Fraction(delta0), Fraction(t), kind, Fraction(g))
 
 
-@pytest.mark.parametrize("gamma", np.geomspace(1e-3, 1e300, 31))
+@pytest.mark.parametrize(
+    "gamma", [*np.geomspace(1e-300, 1e-3, 30, endpoint=False), *np.geomspace(1e-3, 1e300, 31)]
+)
 def test_thresholds_are_endpoint_ties(gamma):
     # every threshold sits where two endpoint mu tie, to rounding, at
     # every gamma that names it
@@ -275,6 +277,32 @@ def test_thresholds_are_endpoint_ties(gamma):
             continue
         mu = endpoint_mu_exact(kind, edge, gamma)
         assert abs(mu[i] - mu[j]) <= 1e-12 * max(mu), (kind, edge, i, j)
+
+
+def test_delta_c1_series_is_the_finite_root():
+    # the series _delta_c1 sums below its cut-off solves the cubic of the
+    # plus_2 / minus_1 tie up to the first term it drops
+    sympy = pytest.importorskip("sympy")
+    g, d = sympy.symbols("g d", positive=True)
+    mu = closed_forms._endpoint_mu(d, 1, CELL, g)
+    cubic = sympy.factor(sympy.numer(sympy.together(mu[1] - mu[2]))) / g
+    coeffs = [sympy.Rational(c) for c in (9, -408, 99972, -5305392, 7321928256, -2041522361856,
+                                          560666697806592, -147198933857092608)]
+    scale = [5, 125, 3125, 15625, 1953125, 48828125, 1220703125, 30517578125]
+    series = sum(c / s * g**i for i, (c, s) in enumerate(zip(coeffs, scale)))
+    assert [float(c / s) for c, s in zip(coeffs, scale)] == list(optimal._DELTA_C1_SERIES)
+    left = sympy.Poly(sympy.expand(cubic.subs(d, series)), g)
+    assert all(left.coeff_monomial(g**i) == 0 for i in range(len(coeffs)))
+
+
+@pytest.mark.parametrize("gamma", [1e-14, 1e-17, 1e-300])
+def test_small_gamma_cell_regime_between_delta_c2_and_delta_c1(gamma):
+    # delta_c2 -> 5/3 and delta_c1 -> 9/5 as gamma -> 0; the cubic's
+    # closed form for delta_c1 read 2.27, -465 and 1.2e285 here, and
+    # named 1.7 a rd-cell-D penalty at 1e-17
+    th = thresholds(gamma)
+    assert th.delta_c2 < 1.7 < th.delta_c1 <= 1.8
+    assert optimal._regime(CELL, 1.7, gamma)[0] == "rd-cell-C"
 
 
 @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.1])

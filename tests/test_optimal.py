@@ -1,5 +1,6 @@
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,34 @@ def test_rd_overflow_raises(kind):
     # the endpoint mu of the closed-form optimum overflow at this penalty
     with pytest.raises(OverflowError):
         alpha_opt_rd(kind, 1e300, 1.0)
+
+
+ALPHA_PENALTIES = [1.0, 1.05, DELTA0_TILDE_PLUS, 1.45, 1.5, 2.0, 3.7, 10.0, 1e8, 1e50]
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("gamma", [math.inf, 1e300, 1e4, 1.0, 0.05, 1e-300])
+def test_alpha_formula_array_equals_scalar_calls(kind, gamma):
+    # sweep takes its alpha column in one call: every entry is the bits
+    # of its own scalar call
+    column = optimal._alpha_formula(kind, np.array(ALPHA_PENALTIES), gamma)
+    assert column.shape == (len(ALPHA_PENALTIES),)
+    assert column.tolist() == [optimal._alpha_formula(kind, d, gamma) for d in ALPHA_PENALTIES]
+    assert optimal._alpha_formula(kind, np.array([]), gamma).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("gamma", [math.inf, 1e4, 1.0])
+def test_alpha_formula_array_overflow_raises_without_warning(kind, gamma):
+    # numpy warns on the overflow that Python floats take quietly to inf;
+    # the array call raises the scalar call's error and warns nothing
+    with pytest.raises(OverflowError) as scalar:
+        optimal._alpha_formula(kind, 1e300, gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as column:
+            optimal._alpha_formula(kind, np.array([2.0, 1e300, 3.0]), gamma)
+    assert column.value.args == scalar.value.args
 
 
 @pytest.mark.parametrize("delta0", [math.inf, math.nan])
