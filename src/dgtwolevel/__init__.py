@@ -31,7 +31,6 @@ from .fourier import (
 )
 from .optimal import (
     DELTA0_TILDE_MINUS,
-    SMOOTHING_ONLY_ALPHA,
     DELTA0_TILDE_PLUS,
     DELTA_C_CROSSOVER,
     RelaxationResult,

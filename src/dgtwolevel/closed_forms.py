@@ -10,14 +10,15 @@ enters last.  One route serves every ``gamma``:
 coefficients are polynomials in ``tau = 1/gamma``; pure diffusion is
 ``tau = 0``.  Radicands are clamped to zero within a relative roundoff
 band below zero.  :func:`eigenvalue_pair` applies ``alpha`` to every
-pair; :func:`rho_on_ck_values` reduces the ``mu`` of a row to their
-extremes first, since ``fl(1 - fl(alpha mu))`` is monotone in ``mu``,
-and gives the same bits.
+pair.  A radius over a row of ``c_k`` reads only the extremes
+``(mu_min, mu_max)`` of :func:`_mu_extremes`: :func:`rho_on_ck_values`
+is ``max |1 - alpha mu|`` over them, the same bits as the largest pair
+modulus since ``fl(1 - fl(alpha mu))`` is monotone in ``mu``.
 
 At ``c_k = +-1`` the block splits, and the ``mu`` are rational in
 ``delta0`` and ``tau``: no square root, no cancellation at any ``gamma``.
 Those points take exact endpoint forms, also because the tables are
-``0/0`` at ``s = tau = 0``; :func:`rho_on_ck_values` takes them as four
+``0/0`` at ``s = tau = 0``; :func:`_mu_extremes` takes them as four
 scalars.
 
 Error bound: ``|mu - mu_exact| <= 1e-14``, with ``mu_exact`` the tables
@@ -122,15 +123,28 @@ def _mu_pair(s, q, delta0, gamma, kind, ends=None):
     return lo, k
 
 
+def _coordinates(gamma):
+    """``(g, t)`` with ``t / g = 1/gamma``: ``(1, 1/gamma)`` for
+    ``gamma >= 1`` and ``(gamma, 1)`` below, so that a form homogeneous in
+    ``(g, t)`` forms no power of a number above 1 at any ``gamma > 0``.
+
+    The endpoint forms and the regime thresholds take it; at ``t = 1``
+    the thresholds are the paper's forms in ``gamma``."""
+    return (1.0, 1.0 / gamma) if gamma >= 1.0 else (gamma, 1.0)
+
+
 def _endpoint_pairs(delta0, gamma, kind):
     """The four ``mu`` of :func:`_endpoint_mu` at ``(delta0, gamma)`` as
     float64, ``(plus_1, plus_2, minus_1, minus_2)``.
 
     They are evaluated in extended precision where the platform has it,
     so that each comes within about half an ulp of its exact rational
-    value.
+    value, and in the coordinates of :func:`_coordinates`, so that no
+    power of ``1/gamma`` overflows where extended precision is plain
+    double.
     """
-    return [np.float64(mu) for mu in _endpoint_mu(np.longdouble(delta0), 1 / np.longdouble(gamma), kind)]
+    g, t = _coordinates(np.longdouble(gamma))
+    return [np.float64(mu) for mu in _endpoint_mu(np.longdouble(delta0), t, kind, g)]
 
 
 def _endpoint_mu(delta0, tau, kind, g=1):
@@ -220,39 +234,25 @@ def _split(x):
     return 1 - ck, 1 + ck, ends, plus, minus
 
 
-def rho_on_ck_values(x, delta0, gamma, alpha, kind):
-    """Largest eigenvalue modulus over the given ``c_k`` values.
+def _mu_extremes(x, delta0, gamma, kind):
+    """``(mu_min, mu_max)`` over one row ``x`` of ``c_k``: scalars for a
+    scalar ``delta0``, ``(m,)`` arrays for a column of shape ``(m, 1)``.
 
-    Equal, bit for bit, to the largest ``|lambda|`` of
-    :func:`eigenvalue_pair` over the last axis: a ``float`` for scalar
-    ``delta0`` and ``alpha`` with one row of ``c_k``, an ``(m,)`` array
-    for ``m`` rows, with ``delta0`` and ``alpha`` scalars or columns of
-    shape ``(m, 1)``.
-
-    The ``mu`` are reduced to their extremes before ``alpha`` enters:
-    ``fl(1 - fl(alpha mu))`` is monotone in ``mu``, so the largest
-    ``|1 - alpha mu|`` sits at ``mu_min`` or ``mu_max``.  The pairs of
-    the tables count at the ``c_k`` other than ``+-1``, and the endpoint
-    ``mu`` join the extremes as four scalars (or columns).  ``c_k`` of
-    shape ``(m, k)``, one row each, take one call per row.
+    The pairs of the tables count at the ``c_k`` other than ``+-1``, and
+    the endpoint ``mu`` join the extremes as four scalars (or columns).
+    Raises ``ValueError`` for an empty row and for ``c_k`` of more than
+    one axis.
     """
     check_smoother(kind)
     x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        rows = np.broadcast_shapes(x.shape[:-1], np.shape(delta0)[:-1], np.shape(alpha)[:-1])
-        x = np.broadcast_to(x, rows + x.shape[-1:])
-        delta0, alpha = (np.broadcast_to(v, rows + (1,)) for v in (delta0, alpha))
-        return np.array([
-            rho_on_ck_values(x[i], delta0[i][0], gamma, alpha[i][0], kind) for i in np.ndindex(rows)
-        ]).reshape(rows)
-    if not x.size:
-        raise ValueError("rho_on_ck_values needs at least one c_k")
+    if x.ndim > 1 or not x.size:
+        raise ValueError(f"need one row of at least one c_k, got shape {x.shape}")
     s, q, ends, plus, minus = _ASYMPTOTIC_SPLIT if x is ASYMPTOTIC_CK else _split(np.atleast_1d(x))
     t_lo, t_hi = _mu_pair(s, q, delta0, gamma, kind, ends)
     n = s.size - plus - minus
     mu_min, mu_max = np.inf, -np.inf
     if n:
-        # fl(1 - t) is monotone too: the least mu is 1 - the largest t
+        # fl(1 - t) is monotone: the least mu is 1 - the largest t
         mu_min, mu_max = 1 - t_lo[..., :n].max(axis=-1), 1 - t_hi[..., :n].min(axis=-1)
     if plus or minus:
         p1, p2, m1, m2 = _endpoint_pairs(delta0, gamma, kind)
@@ -263,6 +263,23 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
         else:
             # plain comparisons of scalars, at a tenth of a ufunc's cost
             mu_min, mu_max = min(mu_min, *edge), max(mu_max, *edge)
+    return mu_min, mu_max
+
+
+def rho_on_ck_values(x, delta0, gamma, alpha, kind):
+    """Largest eigenvalue modulus over one row ``x`` of ``c_k`` values.
+
+    Equal, bit for bit, to the largest ``|lambda|`` of
+    :func:`eigenvalue_pair` over the row: a ``float`` for scalar
+    ``delta0`` and ``alpha``, an ``(m,)`` array when either is a column
+    of shape ``(m, 1)``.  Raises ``ValueError`` for ``c_k`` of more than
+    one axis.
+
+    It is ``max |1 - alpha mu|`` over the extremes of
+    :func:`_mu_extremes`: ``fl(1 - fl(alpha mu))`` is monotone in ``mu``,
+    so the largest ``|1 - alpha mu|`` sits at ``mu_min`` or ``mu_max``.
+    """
+    mu_min, mu_max = _mu_extremes(x, delta0, gamma, kind)
     alpha = _per_row(alpha)
     rho = np.maximum(abs(1 - alpha * mu_min), abs(1 - alpha * mu_max))
     return rho if isinstance(rho, np.ndarray) else float(rho)

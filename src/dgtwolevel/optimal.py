@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_forms import ASYMPTOTIC_CK, _endpoint_mu, eigenvalue_pair, rho_on_ck_values
+from .closed_forms import ASYMPTOTIC_CK, _coordinates, _endpoint_mu, eigenvalue_pair, rho_on_ck_values
 from .config import CELL, POINT, ProblemConfig, check_penalty, check_reaction, check_smoother
 from .rd_coefficients import horner
 
@@ -45,9 +45,6 @@ DELTA_C_CROSSOVER = float(
     + np.cbrt(54.0 - 6.0 * math.sqrt(33.0)) / 6.0
     + np.cbrt(0.25 + math.sqrt(33.0) / 36.0)
 )
-
-#: Relaxation from a smoothing-only analysis (reference data, not used here).
-SMOOTHING_ONLY_ALPHA = {POINT: 4.0 / 5.0, CELL: 2.0 / 3.0}
 
 # Width of the interval ``crossover_check`` returns.
 _CROSSOVER_WIDTH = 1e-3
@@ -113,16 +110,6 @@ def gamma_c_point(delta0: float) -> float:
     return (math.sqrt(4.0 * (d - 1.0) * d + 5.0) + 2.0 * d - 3.0) / (12.0 * (2.0 * d - 1.0))
 
 
-def _coordinates(gamma: float) -> tuple:
-    """``(g, t)`` with ``t / g = 1/gamma``: ``(1, 1/gamma)`` for
-    ``gamma >= 1`` and ``(gamma, 1)`` below, so that a form homogeneous in
-    ``(g, t)`` forms no power of a number above 1 at any ``gamma > 0``.
-
-    The thresholds that take it are written so; at ``t = 1`` they are the
-    paper's forms in ``gamma``."""
-    return (1.0, 1.0 / gamma) if gamma >= 1.0 else (gamma, 1.0)
-
-
 def _delta_c_plus(gamma: float) -> float:
     g, t = _coordinates(gamma)
     num = -5.0 * t**3 + 9.0 * g * (6.0 * g * g + 8.0 * g * t + t * t)
@@ -177,9 +164,14 @@ def _delta_c1(gamma: float) -> float:
     )
     # the real cube root; the paper's auxiliary xi is g * chi at t = 1
     chi = float(np.cbrt(arg))
-    return -(
+    d = -(
         4.0 * (t - 6.0 * g) + chi + (12.0 * g * (12.0 * g + 5.0 * t) + t * t) / chi
     ) / (36.0 * g)
+    # the closed form cancels to 2e-12 relative near the cut-off; a Newton
+    # step on the cubic, homogeneous in (g, t), restores full precision
+    c0, c1 = -36.0 * g * g + 12.0 * g * t - 9.0 * t * t, 144.0 * g * g - 84.0 * g * t + 5.0 * t * t
+    c2, c3 = 48.0 * g * t - 288.0 * g * g, 144.0 * g * g
+    return d - horner((c0, c1, c2, c3), d) / horner((c1, 2.0 * c2, 3.0 * c3), d)
 
 
 def _delta_c2(gamma: float) -> float:
@@ -285,7 +277,7 @@ def _alpha_formula(kind: str, delta0, gamma: float):
 
     Every branch formula of the paper is this expression for the pair of
     endpoint ``mu`` its regime names.  It evaluates in the coordinates of
-    :func:`_coordinates`, so no ``gamma > 0`` overflows; a ``mu`` that
+    ``closed_forms._coordinates``, so no ``gamma > 0`` overflows; a ``mu`` that
     overflows at a huge ``delta0`` raises ``OverflowError``.  An array of
     penalties gives the array of their optima in one call, each equal to
     its scalar call, and raises where any of them would.
@@ -412,6 +404,14 @@ def crossover_check(gamma: float = math.inf) -> tuple:
     bisects it to an interval ``(lo, hi)`` no wider than 1e-3.
     Raises ``ValueError`` unless ``gamma > 0`` (``inf`` is pure
     diffusion) and ``RuntimeError`` if the sign never changes.
+
+    The first sign change is not the only one.  For ``gamma`` from about
+    0.1 to 1 the gap changes sign twice on ``[1.05, 10]``: the point
+    smoother wins just above ``delta0 = 1``, the cell smoother in the
+    middle, and the point smoother again from about 2.0 to 2.8 on.  So at
+    ``gamma = 1`` this returns the low crossing near 1.078, and the one
+    near 2.1 is not reported; at ``gamma = 0.05`` the low one lies below
+    the scan's start at 1.05, and the high one near 2.77 is returned.
     """
     check_reaction(gamma)
 

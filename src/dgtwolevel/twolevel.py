@@ -1,8 +1,8 @@
 """Two-level preconditioner, stationary iteration and dense spectra.
 
-``build_iteration_matrix`` assembles the dense error propagation ``E``
-through the solver's own smoother and coarse solve, all columns in one
-batched apply.
+``build_iteration_matrix`` assembles the dense error propagation ``E =
+I - B A`` from ``apply_preconditioner``, the preconditioner ``B`` that
+``stationary_solve`` applies, on batches of columns of ``A``.
 ``assembled_mu`` gives the assembled two-grid spectrum without ``E``:
 the nonzero eigenvalues of ``E`` with exact coarse solves are ``1 -
 alpha mu`` for the ``mu`` of one symmetric-definite pencil of half its
@@ -44,6 +44,8 @@ _RATE_STEPS = 10
 _STAGNATION_STEPS = 50
 # Largest matrix the dense eigensolvers take.
 _DESK_SCALE = 1024
+# Columns per batched apply in build_iteration_matrix.
+_E_COLUMNS = 64
 
 
 class EigenSolverError(RuntimeError):
@@ -120,17 +122,20 @@ def apply_preconditioner(tl: TwoLevelComponents, g: np.ndarray) -> np.ndarray:
 
 
 def build_iteration_matrix(tl: TwoLevelComponents) -> np.ndarray:
-    """Dense error-propagation matrix
-    ``E = (I - P A0^{-1} R A)(I - alpha D^{-1} A)``.
+    """Dense error-propagation matrix ``E = I - B A`` of one step of
+    :func:`stationary_solve`, ``B`` the preconditioner of
+    :func:`apply_preconditioner`: that is ``E = (I - P A0^{-1} R A)(I -
+    alpha D^{-1} A)``.
 
-    Every column is smoothed and coarse-solved in one batched apply.
+    ``B`` acts on ``_E_COLUMNS`` columns of the dense ``A`` per batched
+    apply, which bounds the apply's temporaries to a few ``n x
+    _E_COLUMNS`` blocks beside ``A`` and ``E``.
     """
     A = tl.A.toarray()
-    n = A.shape[0]
-    correct = np.eye(n) - tl.P @ tl.coarse_solve(tl.R @ A)
-    relaxed = tl.alpha * tl.smooth(A)
-    del A  # freed before the product and its two temporaries
-    return correct @ (np.eye(n) - relaxed)
+    E = np.eye(len(A))
+    for j in range(0, len(A), _E_COLUMNS):
+        E[:, j : j + _E_COLUMNS] -= apply_preconditioner(tl, A[:, j : j + _E_COLUMNS])
+    return E
 
 
 def _check_desk_scale(size: int) -> None:
@@ -206,8 +211,8 @@ def _dense_rho(tl: TwoLevelComponents) -> float:
     # benchmark's per-layer metrics, which time build_iteration_matrix and
     # spectral_radius_dense through sweep --dense, keep this route until
     # ROADMAP item 1; then assembled_rho is max |1 - alpha mu| of
-    # assembled_mu on every mesh.  E is built first because its build sets
-    # the peak memory
+    # assembled_mu on every mesh.  E is built first: beside Z, AZ and K its
+    # build would raise the peak memory
     E = build_iteration_matrix(tl)
     Z, AZ, K = _complement_gram(tl)
     H = AZ.T @ (E @ Z)

@@ -183,12 +183,12 @@ def test_horner_radicand_matches_power_sum(kind, gamma):
 def broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, stride):
     """Check that a column of (delta0, alpha) rows against one row of c_k,
     or one row each, gives exactly the pairs of one call per row and per
-    point (every ``stride``-th)."""
+    point (every ``stride``-th), and the radius against the one row exactly
+    that of one call per row."""
     rows = np.array([np.roll(x, 3 * i) for i in range(len(delta0))])
     for ck in (x, rows):
         hi, lo = eigenvalue_pair(ck, delta0, gamma, alpha, kind)
-        rho = rho_on_ck_values(ck, delta0, gamma, alpha, kind)
-        assert hi.shape == lo.shape == rows.shape and rho.shape == (len(delta0),)
+        assert hi.shape == lo.shape == rows.shape
         for i, (d, a) in enumerate(zip(delta0[:, 0].tolist(), alpha[:, 0].tolist())):
             xi = np.broadcast_to(ck, rows.shape)[i]
             row_hi, row_lo = eigenvalue_pair(xi, d, gamma, a, kind)
@@ -196,8 +196,11 @@ def broadcast_equals_scalar_loop(kind, gamma, x, delta0, alpha, stride):
             for j in range(0, xi.size, stride):
                 point_hi, point_lo = eigenvalue_pair(float(xi[j]), d, gamma, a, kind)
                 assert point_hi == hi[i, j] and point_lo == lo[i, j]
-            row_rho = rho_on_ck_values(xi, d, gamma, a, kind)
-            assert type(row_rho) is float and row_rho == rho[i]
+    rho = rho_on_ck_values(x, delta0, gamma, alpha, kind)
+    assert rho.shape == (len(delta0),)
+    for i, (d, a) in enumerate(zip(delta0[:, 0].tolist(), alpha[:, 0].tolist())):
+        row_rho = rho_on_ck_values(x, d, gamma, a, kind)
+        assert type(row_rho) is float and row_rho == rho[i]
 
 
 @pytest.mark.parametrize("kind", [POINT, CELL])
@@ -264,6 +267,13 @@ def test_rho_equals_largest_pair_modulus_at_random_inputs(kind, x, delta0, gamma
     assert rho_on_ck_values(x, delta0, gamma, alpha, kind) == largest_pair_modulus(
         x, delta0, gamma, alpha, kind
     )
+
+
+@pytest.mark.parametrize("delta0", [1.5, np.array([[1.5], [2.0]])], ids=["scalar", "column"])
+def test_rho_takes_one_row_of_c_k(delta0):
+    rows = np.array([mesh_ck(16), mesh_ck(16)])
+    with pytest.raises(ValueError, match=r"need one row of at least one c_k, got shape \(2, 8\)"):
+        rho_on_ck_values(rows, delta0, 1.0, 0.9, CELL)
 
 
 def shifted_table(monkeypatch, table, index, amount):

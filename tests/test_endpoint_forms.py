@@ -256,7 +256,7 @@ def test_rational_cell_thresholds_are_exact_ties(name, edge, pair):
 
 def endpoint_mu_exact(kind, delta0, gamma):
     """The four endpoint ``mu`` in exact rationals at float inputs."""
-    g, t = optimal._coordinates(gamma)
+    g, t = closed_forms._coordinates(gamma)
     return closed_forms._endpoint_mu(Fraction(delta0), Fraction(t), kind, Fraction(g))
 
 
@@ -293,6 +293,19 @@ def test_delta_c1_series_is_the_finite_root():
     assert [float(c / s) for c, s in zip(coeffs, scale)] == list(optimal._DELTA_C1_SERIES)
     left = sympy.Poly(sympy.expand(cubic.subs(d, series)), g)
     assert all(left.coeff_monomial(g**i) == 0 for i in range(len(coeffs)))
+
+
+@pytest.mark.parametrize("gamma", np.geomspace(1e-4, 1e2, 40))
+def test_delta_c1_is_the_cubic_root_to_rounding(gamma):
+    # the closed form alone was 2.1e-12 off at gamma = 1e-3, 3.7e-13 at
+    # 5e-3 and 7.6e-14 at 1e-2, where the series no longer serves
+    mpmath = pytest.importorskip("mpmath")
+    edge = optimal._delta_c1(gamma)
+    with mpmath.workdps(60):
+        g = mpmath.mpf(gamma)
+        cubic = (144 * g**2, 48 * g - 288 * g**2, 144 * g**2 - 84 * g + 5, -36 * g**2 + 12 * g - 9)
+        root = mpmath.findroot(lambda d: mpmath.polyval(cubic, d), mpmath.mpf(edge))
+        assert abs(edge - root) <= 4 * np.finfo(float).eps * root
 
 
 @pytest.mark.parametrize("gamma", [1e-14, 1e-17, 1e-300])
@@ -333,6 +346,19 @@ def test_endpoint_pairs_match_blocks(kind):
                     ev = ev[np.argsort(-np.abs(ev))][:2].real
                     ref = (ev.max(), ev.min())
                     assert np.abs(np.subtract(pair, ref)).max() < 1e-10, (gamma, delta0, ck)
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize("gamma", [1e-300, 1e-200, 1e-160])
+def test_endpoint_mu_stay_finite_without_extended_precision(monkeypatch, kind, gamma):
+    # where long double is plain double, 1/gamma squared overflowed below
+    # gamma of about 1e-154: the point mu read (0.5, nan, nan, nan)
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    for delta0 in (1.0, 1.05, 1.5, 2.0, 3.7, 10.0, 1e6):
+        mu = closed_forms._endpoint_pairs(delta0, gamma, kind)
+        for value, exact in zip(mu, endpoint_mu_exact(kind, delta0, gamma)):
+            assert math.isfinite(value)
+            assert abs(Fraction(float(value)) - exact) <= math.ulp(float(exact)), (delta0, exact)
 
 
 def test_endpoint_pair_keeps_its_limit_at_huge_gamma():

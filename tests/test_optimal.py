@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgtwolevel import (
     CELL,
@@ -28,7 +30,7 @@ from dgtwolevel import (
     thresholds,
     two_level_components,
 )
-from dgtwolevel.closed_forms import eigenvalue_pair, rho_on_ck_values
+from dgtwolevel.closed_forms import ASYMPTOTIC_CK, _mu_extremes, eigenvalue_pair, rho_on_ck_values
 
 
 def test_point_formula_values():
@@ -60,16 +62,6 @@ def test_poisson_rejects_low_delta0():
 def test_poisson_rejects_non_finite_delta0(delta0):
     with pytest.raises(ValueError, match="delta0 must be finite and >= 1"):
         alpha_opt_poisson(CELL, delta0)
-
-
-def test_smoothing_only_reference_constants():
-    # reference values from optimizing the smoother alone; the two-level
-    # optima differ from these, which is the whole point
-    from dgtwolevel import SMOOTHING_ONLY_ALPHA
-
-    assert SMOOTHING_ONLY_ALPHA[POINT] == 0.8
-    assert SMOOTHING_ONLY_ALPHA[CELL] == 2 / 3
-    assert alpha_opt_poisson(CELL, 2.0).alpha_opt != SMOOTHING_ONLY_ALPHA[CELL]
 
 
 def test_threshold_constants():
@@ -366,6 +358,18 @@ def test_crossover_reads_no_regime(monkeypatch, gamma, bracket):
     assert crossover_check(gamma) == bracket
 
 
+def test_crossover_reports_the_first_of_two_sign_changes():
+    # at gamma = 1 the point smoother wins just above delta0 = 1 and again
+    # from about 2.1 on, the cell smoother in between; the scan brackets
+    # the low crossing and never sees the high one
+    def gap(d0):
+        return alpha_opt_rd(CELL, d0, 1.0).rho_predicted - alpha_opt_rd(POINT, d0, 1.0).rho_predicted
+
+    lo, hi = crossover_check(1.0)
+    assert lo == pytest.approx(1.078125, abs=1e-12) and 1.0789 < hi < 1.0790
+    assert gap(1.05) > 0.0 > gap(1.5) and gap(2.0) < 0.0 < gap(2.2)
+
+
 def test_rho_matches_at_crossover():
     d = DELTA_C_CROSSOVER
     assert alpha_opt_poisson(CELL, d).rho_predicted == pytest.approx(
@@ -420,6 +424,23 @@ def test_numeric_lfa_matches_brute_force_scan(kind, gamma):
         assert rho_on_ck_values(x, delta0, gamma, res.alpha_opt, kind) == pytest.approx(
             res.rho_predicted, abs=1e-8
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from([POINT, CELL]),
+    delta0=st.floats(1.001, 50.0),
+    gamma=st.one_of(st.just(math.inf), st.floats(1e-3, 1e8)),
+)
+def test_numeric_optimum_is_that_of_the_mu_extremes(kind, delta0, gamma):
+    # alpha_opt_numeric reads mu back from the pairs at alpha = 1; the
+    # extremes every radius is reduced from give its optimum to rounding
+    res = alpha_opt_numeric(ProblemConfig(64, delta0, gamma), kind)
+    mu_min, mu_max = _mu_extremes(ASYMPTOTIC_CK, delta0, gamma, kind)
+    alpha = 2.0 / (mu_min + mu_max)
+    eps = np.finfo(float).eps
+    assert abs(res.alpha_opt - alpha) <= 4 * eps * alpha
+    assert abs(res.rho_predicted - max(abs(1 - alpha * mu_min), abs(1 - alpha * mu_max))) <= 4 * eps
 
 
 @pytest.mark.parametrize("cells", [64, 192])

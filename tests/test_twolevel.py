@@ -22,6 +22,7 @@ from dgtwolevel import (
     stationary_solve,
     two_level_components,
 )
+from dgtwolevel import twolevel
 from dgtwolevel.blocks import BlockDiagonal, BlockTridiagonal
 from dgtwolevel.cli import main
 from dgtwolevel.closed_forms import mesh_ck
@@ -99,6 +100,16 @@ def test_iteration_matrix_vs_preconditioner_columns():
     for j in range(0, n, 3):
         col = np.eye(n)[:, j] - apply_preconditioner(tl, A[:, j])
         assert np.abs(E[:, j] - col).max() < 1e-12
+
+
+@pytest.mark.parametrize("columns", [1, 7, 80, 1000])
+def test_iteration_matrix_does_not_depend_on_its_column_batches(monkeypatch, columns):
+    # J = 40: 80 columns, so the default batches of 64 leave a part batch;
+    # batches narrower than numpy's vector width may round differently
+    tl = two_level_components(ProblemConfig(40, 1.7, 0.5, PERIODIC), CELL, 0.9)
+    E = build_iteration_matrix(tl)
+    monkeypatch.setattr(twolevel, "_E_COLUMNS", columns)
+    assert np.abs(build_iteration_matrix(tl) - E).max() <= 4 * np.finfo(float).eps
 
 
 def test_unrelaxed_point_dirichlet_converges():
