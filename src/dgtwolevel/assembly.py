@@ -27,7 +27,7 @@ solve goes through it.
 
 import numpy as np
 
-from .blocks import BlockDiagonal, BlockTridiagonal, CellStencil
+from .blocks import BlockDiagonal, BlockTridiagonal, CellStencil, _inverse_2x2
 from .config import CELL, DIRICHLET, PERIODIC, POINT, ProblemConfig, check_smoother
 
 # Linear interpolation weights over the four fine unknowns of a coarse
@@ -117,7 +117,13 @@ def assemble_smoother(config: ProblemConfig, kind: str) -> BlockDiagonal:
     by one unknown.  The Dirichlet point smoother keeps 1x1 corner blocks
     holding the operator's diagonal entry at the unpaired boundary
     unknowns; in the shifted layout both sit in the last block, with a
-    zero coupling.  ``SingularBlockError.block_index`` counts blocks in
+    zero coupling.
+
+    Raises ``SingularBlockError`` when a block has ``|ad - bc| < 1e-14
+    max(1, m)^2``, ``m`` its largest absolute entry, tested by
+    ``blocks._inverse_2x2`` without forming the square, so that blocks
+    past ``1e154`` are judged like any other;
+    ``SingularBlockError.block_index`` counts blocks in
     ``smoother_partition`` order.
     """
     J = config.cells
@@ -130,16 +136,14 @@ def assemble_smoother(config: ProblemConfig, kind: str) -> BlockDiagonal:
         corner = 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
         blocks[-1] = [[corner, 0.0], [0.0, corner]]
     blocks /= config.h**2
-    D = BlockDiagonal(blocks, shift=0 if kind == CELL else 1)
-    scale = np.maximum(1.0, np.abs(blocks).max(axis=(1, 2)) ** 2)
-    singular = np.flatnonzero(np.abs(D.determinants()) < 1e-14 * scale)
+    singular = np.flatnonzero(_inverse_2x2(blocks, 1e-14)[1])
     if singular.size:
         j = int(singular[0])
         # shifted Dirichlet point blocks: block j is group j + 1, and the
         # last block holds the corner groups 0 and J
         index = (j + 1) % J if corners else j
         raise SingularBlockError(index, f"singular smoother block {blocks[j].tolist()}")
-    return D
+    return BlockDiagonal(blocks, shift=0 if kind == CELL else 1)
 
 
 def assemble_transfer(cells: int) -> tuple:
@@ -157,25 +161,31 @@ def assemble_transfer(cells: int) -> tuple:
     return R, CellStencil(2.0 * R.stencil.T, cells // 2)
 
 
+def _pair_blocks(first, second, inner, outer) -> tuple:
+    """``(own, next)`` 4x4 blocks of coarse cells that each join two fine
+    cells with diagonal blocks ``first``, ``second`` coupled by ``inner``,
+    and couple their second fine cell to the next coarse cell's first by
+    ``outer``; 2x2 blocks give 4x4 blocks, stacks of them stacks, and
+    ``inner`` and ``outer`` may be scalars."""
+    own, nxt = np.zeros((2,) + np.shape(first)[:-2] + (4, 4))
+    own[..., :2, :2], own[..., 2:, 2:], own[..., :2, 2:] = first, second, inner
+    own[..., 2:, :2] = np.swapaxes(own[..., :2, 2:], -1, -2)
+    nxt[..., 2:, :2] = outer
+    return own, nxt
+
+
 def assemble_coarse(A: BlockTridiagonal, R: CellStencil, P: CellStencil) -> BlockTridiagonal:
     """Galerkin coarse operator ``A0 = R A P`` on the J/2 paired cells.
 
-    Coarse cell M joins fine cells 2M and 2M + 1, so its diagonal block
-    is ``R_M A_M P_M`` with ``A_M`` the 4x4 block of the pair, and only
-    the fine coupling from cell 2M + 1 to 2M + 2 reaches the next coarse
-    cell.
+    Coarse cell M joins fine cells 2M and 2M + 1, so its blocks are
+    ``R own P`` and ``R next P`` for the ``_pair_blocks`` of the pair:
+    only the fine coupling from cell 2M + 1 to 2M + 2 reaches the next
+    coarse cell.
     """
     n = A.shape[0]
     if R.shape != (n // 2, n) or P.shape != (n, n // 2) or R.stencil.shape != (2, 4):
         raise ValueError(
             f"incompatible shapes: A {A.shape}, R {R.shape}, P {P.shape}"
         )
-    inner = A.upper[0::2]
-    pair = np.zeros((A.cells // 2, 4, 4))
-    pair[:, :2, :2] = A.diag[0::2]
-    pair[:, 2:, 2:] = A.diag[1::2]
-    pair[:, :2, 2:] = inner
-    pair[:, 2:, :2] = np.swapaxes(inner, 1, 2)
-    diag = R.stencil @ pair @ P.stencil
-    upper = R.stencil[:, 2:] @ A.upper[1::2] @ P.stencil[:2, :]
-    return BlockTridiagonal(diag, upper)
+    own, nxt = _pair_blocks(A.diag[0::2], A.diag[1::2], A.upper[0::2], A.upper[1::2])
+    return BlockTridiagonal(R.stencil @ own @ P.stencil, R.stencil @ nxt @ P.stencil)

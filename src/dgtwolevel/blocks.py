@@ -96,6 +96,31 @@ class _Bands:
         return (self.bands * window).sum(axis=0)
 
 
+def _inverse_2x2(M: np.ndarray, tol: float = 0.0) -> tuple:
+    """``(inverse, singular)`` for a stack ``(..., 2, 2)`` of real or
+    complex blocks.
+
+    Each block is divided by the power of two ``s`` just above ``m``, its
+    largest absolute entry (at most ``2^1023``), which is exact; the
+    inverse is ``adj(M/s) / (det(M/s) s)``.  So nothing overflows or
+    underflows unless the inverse does, and wherever ``adj(M) / det(M)``
+    stays in range the two agree bit for bit.  A block is ``singular``
+    when ``det(M) = 0`` or ``|det(M)| < tol max(1, m)^2``; its inverse is
+    then meaningless.
+    """
+    m = np.abs(M).max(axis=(-2, -1))
+    s = np.ldexp(1.0, np.minimum(np.frexp(m)[1], 1023))
+    (a, b), (c, d) = np.moveaxis(M / s[..., None, None], (-2, -1), (0, 1))
+    det = a * d - b * c
+    # the test divided by s^2, except where s < 1: no side overflows, and
+    # it rounds as on det(M) itself
+    shrink, size = np.minimum(s, 1.0) ** 2, np.maximum(m, 1.0) / np.maximum(s, 1.0)
+    singular = (det == 0.0) | (np.abs(det) * shrink < tol * size**2)
+    adjugate = np.stack((d, -b, -c, a), axis=-1).reshape(M.shape)
+    with np.errstate(over="ignore"):  # det s is inf only where the inverse underflows
+        return adjugate / (np.where(singular, 1.0, det) * s)[..., None, None], singular
+
+
 def _shift_off_constants(M: np.ndarray) -> np.ndarray:
     """``M`` plus the all-ones matrix times its largest absolute entry over
     its size: invertible when ``M`` is symmetric and singular on the
@@ -194,20 +219,14 @@ class BlockDiagonal:
         n = 2 * self.blocks.shape[0]
         return (n, n)
 
-    def determinants(self) -> np.ndarray:
-        """``ad - bc`` of every block."""
-        b = self.blocks
-        return b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-
     def inverse(self) -> "BlockDiagonal":
-        """Every block inverted by its adjugate; raises
+        """Every block inverted by ``_inverse_2x2``, which does not
+        overflow where the inverse does not; raises
         ``numpy.linalg.LinAlgError`` when a block is exactly singular."""
-        det = self.determinants()
-        if not det.all():
-            raise np.linalg.LinAlgError(f"singular block {int(np.flatnonzero(det == 0)[0])}")
-        (a, b), (c, d) = np.moveaxis(self.blocks, 0, -1)
-        adjugate = np.stack((d, -b, -c, a), axis=-1).reshape(-1, 2, 2)
-        return BlockDiagonal(adjugate / det[:, None, None], self.shift)
+        inverse, singular = _inverse_2x2(self.blocks)
+        if singular.any():
+            raise np.linalg.LinAlgError(f"singular block {int(np.flatnonzero(singular)[0])}")
+        return BlockDiagonal(inverse, self.shift)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 1:

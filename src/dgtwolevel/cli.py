@@ -186,6 +186,19 @@ def _first_invalid_row(args, delta0, gamma):
     return len(delta0), 0, None
 
 
+def _finite_rows(table: np.ndarray) -> np.ndarray:
+    """``table``, or ``ValueError`` naming its first row with a non-finite
+    alpha or rho."""
+    bad = ~np.isfinite(table[:, 2:]).all(axis=1)
+    if bad.any():
+        line = table[bad.argmax()]
+        raise ValueError(
+            f"sweep row delta0={_fmt(line[0])}, gamma={_fmt(line[1])}: "
+            f"alpha={_fmt(line[2])}, rho={', '.join(_fmt(v) for v in line[3:])} is not finite"
+        )
+    return table
+
+
 def cmd_sweep(args, parser) -> int:
     delta0 = _parse_grid(args.delta0, parser, "--delta0")
     gamma = _parse_grid(args.gamma, parser, "--gamma", allow_inf=True)
@@ -229,21 +242,13 @@ def cmd_sweep(args, parser) -> int:
     for j, g in enumerate(gamma):
         table[:, j, :, 2] = alpha[g]
         table[:, j, :, 3] = rho[g].reshape(d0.size, n_alpha)
-    table = table.reshape(-1, 4)
-
+    table = _finite_rows(table.reshape(-1, 4))
     if args.dense:
         dense = [
             assembled_rho(two_level_components(ProblemConfig(args.cells, d, g, args.bc), kind, a))
             for d, g, a, _ in table.tolist()
         ]
-        table = np.column_stack((table, dense))
-    bad = ~np.isfinite(table[:, 2:]).all(axis=1)
-    if bad.any():
-        line = table[bad.argmax()]
-        raise ValueError(
-            f"sweep row delta0={_fmt(line[0])}, gamma={_fmt(line[1])}: "
-            f"alpha={_fmt(line[2])}, rho={', '.join(_fmt(v) for v in line[3:])} is not finite"
-        )
+        table = _finite_rows(np.column_stack((table, dense)))
     with _output(args.out) as out:
         header = "delta0,gamma,alpha,rho_lfa"
         out.write(header + (",rho_dense\n" if args.dense else "\n"))

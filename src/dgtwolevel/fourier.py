@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import _inverse_2x2
 from .config import CELL, ProblemConfig, check_smoother
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -147,15 +148,12 @@ def _grid_factors(t) -> tuple:
 
 
 def _solve_2x2(M: np.ndarray) -> np.ndarray:
-    """Inverse of each 2x2 block of ``M``, falling back to the
-    pseudo-inverse where the coarse constant mode makes a block singular
+    """Inverse of each 2x2 block of ``M`` by ``blocks._inverse_2x2``, which
+    does not overflow where the inverse does not, falling back to the
+    pseudo-inverse where ``|det| < 1e-12 max(1, m)^2`` (``m`` the largest
+    absolute entry): the coarse constant mode makes a block singular
     (pure diffusion at c_k = 1)."""
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    singular = np.abs(det) < 1e-12 * np.maximum(1.0, np.abs(M).max(axis=(-2, -1)) ** 2)
-    adjugate = np.stack(
-        [M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]], axis=-1
-    ).reshape(M.shape)
-    inverse = adjugate / np.where(singular, 1.0, det)[..., None, None]
+    inverse, singular = _inverse_2x2(M, 1e-12)
     if singular.any():
         inverse[singular] = np.linalg.pinv(M[singular])
     return inverse

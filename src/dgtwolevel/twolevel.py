@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
+    _pair_blocks,
     assemble_coarse,
     assemble_operator,
     assemble_smoother,
@@ -100,12 +101,21 @@ def two_level_components(config: ProblemConfig, kind: str, alpha: float) -> TwoL
 
     Raises ``ValueError`` for pure diffusion at ``delta0 = 1``, where the
     operator is singular on the alternating mode and no iteration
-    converges, and for a non-finite ``alpha``.
+    converges, for a non-finite ``alpha``, and where the assembled
+    entries leave no floating-point headroom: ``16 (delta0 + 1/(3 gamma))
+    J^2``, sixteen times the interior diagonal entry, is not finite.  That
+    is gamma below about ``3e-308 J^2``, and every subnormal gamma, whose
+    ``1/gamma`` overflows.
     """
     if config.is_poisson and config.delta0 == 1.0:
         raise ValueError(
             "the two-level method needs delta0 > 1 at gamma = inf: at delta0 = 1 the "
             "pure diffusion operator is singular on the alternating mode"
+        )
+    if not math.isfinite(16.0 * (config.delta0 + config.inv_gamma / 3.0) * config.cells**2):
+        raise ValueError(
+            f"gamma={config.gamma} at J={config.cells}: the assembled operators leave no "
+            "floating-point headroom; the closed forms (sweep without --dense) still answer"
         )
     return TwoLevelComponents(assemble_operator(config), assemble_smoother(config, kind), alpha)
 
@@ -225,24 +235,12 @@ def _uniform(*stacks: np.ndarray) -> bool:
     return all((stack == stack[:1]).all() for stack in stacks)
 
 
-def _pair_blocks(first, second, inner, outer) -> tuple:
-    """``(self, next)`` 4x4 blocks of a coarse cell that joins two fine
-    cells with diagonal blocks ``first``, ``second`` coupled by ``inner``,
-    and couples its second fine cell to the next coarse cell's first by
-    ``outer``."""
-    own, nxt = np.zeros((4, 4)), np.zeros((4, 4))
-    own[:2, :2], own[2:, 2:] = first, second
-    own[:2, 2:], own[2:, :2] = inner, np.transpose(inner)
-    nxt[2:, :2] = outer
-    return own, nxt
-
-
 def _coarse_cell_blocks(tl: TwoLevelComponents):
-    """The ``(self, next)`` blocks per coarse cell of ``A``, ``D^{-1}``
+    """The ``(own, next)`` blocks per coarse cell of ``A``, ``D^{-1}``
     (4x4) and ``A0`` (2x2), or ``None`` unless each is the same, bit for
     bit, on every coarse cell.
 
-    Row block ``M`` of such an operator holds ``self`` on the diagonal,
+    Row block ``M`` of such an operator holds ``own`` on the diagonal,
     ``next`` in column block ``M + 1`` and ``next^T`` in ``M - 1``, modulo
     the coarse cells: a periodic mesh.  A Dirichlet mesh fails the test
     on its boundary blocks and its zero wrap coupling.

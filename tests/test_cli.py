@@ -531,6 +531,34 @@ def test_non_finite_sweep_row_is_an_error_line(capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_dense_sweep_row_is_the_same_error_line(capsys):
+    # the closed-form columns are checked before the dense column is built
+    argv = ("sweep", "--smoother", "cell", "--cells", "8", "--alpha", "1.7e308")
+    lines = [run_cli(capsys, *argv, *dense) for dense in ((), ("--dense",))]
+    assert lines[0] == lines[1]
+    code, out, err = lines[1]
+    assert code == 1 and out == ""
+    assert err == "error: sweep row delta0=2.0, gamma=inf: alpha=1.7e+308, rho=inf is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv, tol",
+    [
+        (("--bc", "periodic", "--smoother", "point", "--cells", "192", "--gamma", "1e-151"), 1e-12),
+        (("--bc", "dirichlet", "--smoother", "cell", "--cells", "64", "--gamma", "1e-160"), 5e-4),
+    ],
+)
+def test_dense_sweep_matches_lfa_where_block_determinants_overflow(capsys, argv, tol):
+    # block entries past 1.3e154 overflowed a plain ad - bc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "sweep", "--delta0", "2", "--dense", *argv)
+    assert code == 0 and err == ""
+    _, _, _, rho_lfa, rho_dense = (float(v) for v in out.splitlines()[1].split(","))
+    assert abs(rho_dense - rho_lfa) <= tol
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_spectrum_row_is_an_error_line(capsys):
     code, out, err = run_cli(
         capsys, "spectrum", "--smoother", "point", "--delta0", "2", "--gamma", "1", "--alpha", "1.7e308"

@@ -13,6 +13,7 @@ from dgtwolevel import (
     assemble_operator,
     block_circulant,
     build_iteration_matrix,
+    eigenvalue_pair,
     fourier_basis,
     symbol_blocks,
     symbols_at_ck,
@@ -180,6 +181,23 @@ def test_degenerate_coarse_block_at_ck_one():
     assert np.all(np.isfinite(ev))
     assert np.sort(np.abs(ev))[0] < 1e-12
     assert np.abs(ev - 1.0).min() < 1e-12
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("gamma", [1e-155, 1e-200, 1e-300])
+def test_symbols_at_tiny_gamma_give_the_closed_form_pair(gamma, kind):
+    # the coarse blocks pass 1.3e154 here, where a plain ad - bc overflows
+    ck = np.linspace(-1.0, 1.0, 9)
+    ev = np.linalg.eigvals(symbols_at_ck(2.0, gamma, kind, 1.0, ck).Ehat)
+    # two eigenvalues per block are the zeros of the coarse correction
+    pair = np.take_along_axis(ev, np.argsort(np.abs(ev), axis=-1)[:, 2:], axis=-1)
+    assert np.abs(pair.imag).max() < 1e-14
+    closed = np.sort(np.stack(eigenvalue_pair(ck, 2.0, gamma, 1.0, kind), axis=-1), axis=-1)
+    assert np.abs(np.sort(pair.real, axis=-1) - closed).max() < 1e-14
+
+
+def test_two_grid_eigenvalues_stay_finite_at_tiny_gamma():
+    assert np.isfinite(two_grid_eigenvalues(ProblemConfig(1024, 2.0, 1e-150), POINT, 1.0)).all()
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import dgtwolevel
+from dgtwolevel.blocks import _inverse_2x2
 from dgtwolevel import (
     CELL,
     DIRICHLET,
@@ -517,14 +518,46 @@ def test_block_diagonal_inverse_is_the_adjugate():
     rng = np.random.default_rng(5)
     blocks = rng.uniform(-1.0, 1.0, (1000, 2, 2))
     D = BlockDiagonal(blocks, shift=1)
-    assert np.array_equal(D.determinants(), blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0])
-    assert np.abs(D.determinants() - np.linalg.det(blocks)).max() < 1e-15
     reference = np.linalg.inv(blocks)
     error = np.abs(D.inverse().blocks - reference).max(axis=(1, 2)) / np.abs(reference).max(axis=(1, 2))
     assert (error < 2.0 * EPS * np.linalg.cond(blocks)).all()
     blocks[7] = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(np.linalg.LinAlgError, match="singular block 7"):
         BlockDiagonal(blocks).inverse()
+
+
+def _random_blocks(seed: int, count: int = 2000) -> np.ndarray:
+    """Blocks whose entries have random signs and magnitudes in [1e-50, 1e50]."""
+    rng = np.random.default_rng(seed)
+    return rng.choice((-1.0, 1.0), (count, 2, 2)) * 10.0 ** rng.uniform(-50.0, 50.0, (count, 2, 2))
+
+
+def test_inverse_2x2_is_the_adjugate_bit_for_bit():
+    # dividing each block by a power of two is exact, so in range the
+    # scaled adjugate formula rounds like the plain one
+    M = _random_blocks(7)
+    (a, b), (c, d) = np.moveaxis(M, 0, -1)
+    det = a * d - b * c
+    plain = np.stack((d, -b, -c, a), axis=-1).reshape(M.shape) / det[:, None, None]
+    inverse, singular = _inverse_2x2(M)
+    assert not singular.any()
+    assert np.array_equal(inverse, plain)
+    complex_blocks = M * np.exp(1j * np.random.default_rng(8).uniform(0.0, 6.3, M.shape))
+    (a, b), (c, d) = np.moveaxis(complex_blocks, 0, -1)
+    plain = np.stack((d, -b, -c, a), axis=-1).reshape(M.shape) / (a * d - b * c)[:, None, None]
+    assert np.array_equal(_inverse_2x2(complex_blocks)[0], plain)
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+def test_inverse_2x2_stays_accurate_far_from_one(power):
+    # at 2^600 the plain determinant overflows, at 2^-600 it underflows
+    M = _random_blocks(9)
+    with np.errstate(all="ignore"):
+        inverse = _inverse_2x2(np.ldexp(M, power))[0]
+    assert np.isfinite(inverse).all()
+    reference = np.linalg.inv(M)
+    error = np.abs(np.ldexp(inverse, power) - reference).max(axis=(1, 2))
+    assert (error <= 4.0 * EPS * np.linalg.cond(M) * np.abs(reference).max(axis=(1, 2))).all()
 
 
 def test_operators_reject_mismatched_columns():

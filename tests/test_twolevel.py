@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,39 @@ def test_dense_optimum_refuses_large_dirichlet_meshes_before_building():
 def test_components_reject_a_non_finite_relaxation(bc, alpha):
     with pytest.raises(ValueError, match=f"relaxation alpha must be finite, got {alpha}"):
         two_level_components(ProblemConfig(16, 2.0, 1.0, bc), CELL, alpha)
+
+
+# gamma across the end of the float range, down to the smallest subnormal
+HEADROOM_GAMMAS = [float(g) for g in np.geomspace(1e-310, 1e-290, 21)] + [5e-324]
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize(
+    "bc, cells, tol",
+    [(PERIODIC, J, 1e-9) for J in (4, 64, 1024)] + [(DIRICHLET, J, 5e-4) for J in (4, 64, 192)],
+)
+def test_tiny_gamma_answers_or_refuses_for_headroom(bc, cells, tol, kind):
+    # each gamma either matches the closed forms or is refused up front:
+    # never a warning, a LAPACK error or a wrong radius
+    refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in HEADROOM_GAMMAS:
+            alpha = float(_alpha_formula(kind, 2.0, gamma))
+            rho_lfa = float(lfa_spectral_radius(ProblemConfig(cells, 2.0, gamma), kind, alpha))
+            config = ProblemConfig(cells, 2.0, gamma, bc)
+            try:
+                tl = two_level_components(config, kind, alpha)
+            except ValueError as exc:
+                assert str(exc) == (
+                    f"gamma={gamma} at J={cells}: the assembled operators leave no "
+                    "floating-point headroom; the closed forms (sweep without --dense) still answer"
+                )
+                refused += 1
+                continue
+            assert abs(assembled_rho(tl) - rho_lfa) <= tol, gamma
+    # the smallest gammas are refused at every mesh, the largest at none
+    assert 2 <= refused < len(HEADROOM_GAMMAS) - 5
 
 
 def perturbed(tl, operator, cell, factor):
