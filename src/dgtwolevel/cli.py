@@ -199,6 +199,19 @@ def _finite_rows(table: np.ndarray) -> np.ndarray:
     return table
 
 
+def _dense_row(args, kind, delta0, gamma, alpha, rho_lfa) -> float:
+    """The row's ``rho_dense``; an overflow becomes ``ValueError`` naming
+    the row, as in ``_finite_rows``."""
+    try:
+        config = ProblemConfig(args.cells, delta0, gamma, args.bc)
+        return assembled_rho(two_level_components(config, kind, alpha))
+    except OverflowError as exc:
+        raise ValueError(
+            f"sweep row delta0={_fmt(delta0)}, gamma={_fmt(gamma)}: alpha={_fmt(alpha)}, "
+            f"rho={_fmt(rho_lfa)}: {exc.args[-1]}"
+        ) from exc
+
+
 def cmd_sweep(args, parser) -> int:
     delta0 = _parse_grid(args.delta0, parser, "--delta0")
     gamma = _parse_grid(args.gamma, parser, "--gamma", allow_inf=True)
@@ -229,12 +242,14 @@ def cmd_sweep(args, parser) -> int:
     step = max(1, _SWEEP_CHUNK // ck.size)
     d_rows = np.repeat(d0, n_alpha)[:, None]
     rho = {}
-    for g, a in alpha.items():
-        a_rows = a.reshape(-1, 1)
-        rho[g] = np.concatenate([
-            rho_on_ck_values(ck, d_rows[start : start + step], g, a_rows[start : start + step], kind)
-            for start in range(0, len(a_rows), step)
-        ])
+    # a huge alpha overflows alpha * mu to inf: _finite_rows names the row
+    with np.errstate(over="ignore"):
+        for g, a in alpha.items():
+            a_rows = a.reshape(-1, 1)
+            rho[g] = np.concatenate([
+                rho_on_ck_values(ck, d_rows[start : start + step], g, a_rows[start : start + step], kind)
+                for start in range(0, len(a_rows), step)
+            ])
     # rows in output order: delta0, then gamma, then alpha
     table = np.empty((d0.size, len(gamma), n_alpha, 4))
     table[..., 0] = d0[:, None, None]
@@ -244,10 +259,7 @@ def cmd_sweep(args, parser) -> int:
         table[:, j, :, 3] = rho[g].reshape(d0.size, n_alpha)
     table = _finite_rows(table.reshape(-1, 4))
     if args.dense:
-        dense = [
-            assembled_rho(two_level_components(ProblemConfig(args.cells, d, g, args.bc), kind, a))
-            for d, g, a, _ in table.tolist()
-        ]
+        dense = [_dense_row(args, kind, *line) for line in table.tolist()]
         table = _finite_rows(np.column_stack((table, dense)))
     with _output(args.out) as out:
         header = "delta0,gamma,alpha,rho_lfa"
@@ -302,7 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default="-")
     sub.set_defaults(func=cmd_validate)
 
-    sub = subs.add_parser("crossover", help="narrow down the smoother break-even penalty")
+    sub = subs.add_parser(
+        "crossover",
+        help="bracket the first penalty from 1.05 up where cell and point smoothers break even",
+    )
     sub.add_argument("--gamma", default="inf")
     sub.add_argument("--out", default="-")
     sub.set_defaults(func=cmd_crossover)

@@ -279,10 +279,29 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
     :func:`_mu_extremes`: ``fl(1 - fl(alpha mu))`` is monotone in ``mu``,
     so the largest ``|1 - alpha mu|`` sits at ``mu_min`` or ``mu_max``.
     """
-    mu_min, mu_max = _mu_extremes(x, delta0, gamma, kind)
-    alpha = _per_row(alpha)
+    return _rho_of_extremes(*_mu_extremes(x, delta0, gamma, kind), _per_row(alpha))
+
+
+def _rho_of_extremes(mu_min, mu_max, alpha):
+    """``max |1 - alpha mu|`` at the two extremes of some ``mu``: a
+    ``float`` for scalars, an ``(m,)`` array for columns."""
     rho = np.maximum(abs(1 - alpha * mu_min), abs(1 - alpha * mu_max))
     return rho if isinstance(rho, np.ndarray) else float(rho)
+
+
+def _endpoint_rho(delta0, gamma, alpha, kind):
+    """``max |1 - alpha mu|`` over the four ``mu`` of
+    :func:`_endpoint_pairs`, for scalar ``delta0`` and ``alpha``: the
+    radius on ``c_k = +-1`` alone, in microseconds.
+
+    For ``alpha >= 0`` it is never above :func:`rho_on_ck_values` at the
+    same arguments over a row that holds ``+-1`` (``ASYMPTOTIC_CK``, or
+    ``mesh_ck(J)`` with ``J`` divisible by 4), bit for bit: that row's
+    ``mu`` extremes enclose these four, both take the same float
+    expression, and ``fl(1 - fl(alpha mu))`` is monotone in ``mu``.
+    """
+    mu = _endpoint_pairs(delta0, gamma, kind)
+    return _rho_of_extremes(min(mu), max(mu), alpha)
 
 
 def mesh_ck(cells: int) -> np.ndarray:

@@ -26,7 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_forms import ASYMPTOTIC_CK, _coordinates, _endpoint_mu, eigenvalue_pair, rho_on_ck_values
+from .closed_forms import (
+    ASYMPTOTIC_CK, _coordinates, _endpoint_mu, _endpoint_rho, eigenvalue_pair, rho_on_ck_values,
+)
 from .config import CELL, POINT, ProblemConfig, check_penalty, check_reaction, check_smoother
 from .rd_coefficients import horner
 
@@ -303,14 +305,10 @@ def _alpha_formula(kind: str, delta0, gamma: float):
     return alpha
 
 
-def _alpha_rho(kind: str, delta0: float, gamma: float) -> tuple:
-    """The closed-form ``alpha`` and its radius on ``ASYMPTOTIC_CK``."""
-    alpha = _alpha_formula(kind, delta0, gamma)
-    return alpha, rho_on_ck_values(ASYMPTOTIC_CK, delta0, gamma, alpha, kind)
-
-
 def _closed_form(kind: str, delta0: float, gamma: float) -> RelaxationResult:
-    alpha, rho = _alpha_rho(kind, delta0, gamma)
+    """The closed-form ``alpha``, its radius on ``ASYMPTOTIC_CK`` and its regime."""
+    alpha = _alpha_formula(kind, delta0, gamma)
+    rho = rho_on_ck_values(ASYMPTOTIC_CK, delta0, gamma, alpha, kind)
     branch, used = _regime(kind, delta0, gamma)
     return RelaxationResult(alpha, rho, branch, [(name, float(value)) for name, value in used])
 
@@ -398,12 +396,26 @@ def alpha_opt_numeric(config: ProblemConfig, kind: str) -> RelaxationResult:
 def crossover_check(gamma: float = math.inf) -> tuple:
     """Locate the penalty where cell and point smoothers perform equally.
 
-    Scans ``delta0 in [1, 10]`` upward in steps of 0.05 for the first
+    Scans ``delta0 in [1.05, 10]`` upward in steps of 0.05 for the first
     sign change of ``rho_cell - rho_point``, the radii of the closed-form
     optimum (``alpha_opt``'s ``rho_predicted``, without its regime), and
     bisects it to an interval ``(lo, hi)`` no wider than 1e-3.
     Raises ``ValueError`` unless ``gamma > 0`` (``inf`` is pure
     diffusion) and ``RuntimeError`` if the sign never changes.
+
+    Only the sign of the gap is read, and one exact radius settles it at
+    most penalties.  The radius on ``c_k = +-1`` alone
+    (``closed_forms._endpoint_rho``, microseconds) is never above the
+    radius on ``ASYMPTOTIC_CK``, bit for bit.  So the smoother whose
+    endpoint radius is smaller takes its exact radius first; if that is
+    below the other smoother's endpoint radius, it is below that
+    smoother's exact radius too, and the sign is known.  Otherwise the
+    second exact radius is taken and the two subtract as before.  At
+    ``gamma`` = inf, 1e4, 1 and 0.05 no penalty needs the second one.
+    The brackets are those of taking both radii at every penalty: the
+    closed forms raise nothing and give no ``nan`` at ``delta0`` in
+    ``[1.05, 10]`` for any ``gamma > 0``, so a skipped radius hides no
+    error, and a ``nan`` endpoint radius would only take both.
 
     The first sign change is not the only one.  For ``gamma`` from about
     0.1 to 1 the gap changes sign twice on ``[1.05, 10]``: the point
@@ -415,23 +427,34 @@ def crossover_check(gamma: float = math.inf) -> tuple:
     """
     check_reaction(gamma)
 
-    def gap(d0):
-        return _alpha_rho(CELL, d0, gamma)[1] - _alpha_rho(POINT, d0, gamma)[1]
+    def rho(d0, alpha, kind):
+        return rho_on_ck_values(ASYMPTOTIC_CK, d0, gamma, alpha, kind)
+
+    def cell_wins(d0):
+        # rho_cell - rho_point < 0, from one exact radius where the other's
+        # endpoint radius, a lower bound of it, decides
+        a_cell, a_point = _alpha_formula(CELL, d0, gamma), _alpha_formula(POINT, d0, gamma)
+        e_cell = _endpoint_rho(d0, gamma, a_cell, CELL)
+        e_point = _endpoint_rho(d0, gamma, a_point, POINT)
+        if e_cell <= e_point:
+            r_cell = rho(d0, a_cell, CELL)
+            return r_cell < e_point or r_cell - rho(d0, a_point, POINT) < 0.0
+        r_point = rho(d0, a_point, POINT)
+        return not r_point < e_cell and rho(d0, a_cell, CELL) - r_point < 0.0
 
     # start just above 1: both smoothers stall exactly at delta0 = 1
     grid = np.arange(1.05, 10.0 + 1e-9, 0.05)
-    flo = gap(grid[0])
+    wlo = cell_wins(grid[0])
     for lo, hi in zip(grid[:-1], grid[1:]):
-        fhi = gap(hi)
-        if (flo < 0.0) != (fhi < 0.0):
+        whi = cell_wins(hi)
+        if wlo != whi:
             lo, hi = float(lo), float(hi)
             while hi - lo > _CROSSOVER_WIDTH:
                 mid = 0.5 * (lo + hi)
-                fmid = gap(mid)
-                if (fmid < 0.0) == (flo < 0.0):
-                    lo, flo = mid, fmid
+                if cell_wins(mid) == wlo:
+                    lo = mid
                 else:
                     hi = mid
             return lo, hi
-        flo = fhi
-    raise RuntimeError("no crossover: rho_cell - rho_point keeps its sign on [1, 10]")
+        wlo = whi
+    raise RuntimeError("no crossover: rho_cell - rho_point keeps its sign on [1.05, 10]")

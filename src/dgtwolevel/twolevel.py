@@ -18,6 +18,7 @@ meshes (Dirichlet) take it densely, up to desk scale.
 compression.
 """
 
+import errno
 import math
 from dataclasses import dataclass, field
 
@@ -222,12 +223,22 @@ def _dense_rho(tl: TwoLevelComponents) -> float:
     # spectral_radius_dense through sweep --dense, keep this route until
     # ROADMAP item 1; then assembled_rho is max |1 - alpha mu| of
     # assembled_mu on every mesh.  E is built first: beside Z, AZ and K its
-    # build would raise the peak memory
-    E = build_iteration_matrix(tl)
+    # build would raise the peak memory.  A huge alpha overflows E (alpha
+    # D^{-1} A times the columns of A) or C where the radius is finite:
+    # an error, not numpy warnings and a failing eigensolve
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _finite(build_iteration_matrix(tl), tl)
     Z, AZ, K = _complement_gram(tl)
-    H = AZ.T @ (E @ Z)
-    C = K @ H @ K.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = _finite(K @ (AZ.T @ (E @ Z)) @ K.T, tl)
     return spectral_radius_dense(0.5 * (C + C.T))
+
+
+def _finite(M: np.ndarray, tl: TwoLevelComponents) -> np.ndarray:
+    """``M``, or ``OverflowError`` when an entry is not finite."""
+    if not np.isfinite(M).all():
+        raise OverflowError(errno.ERANGE, f"the iteration matrix E at alpha={tl.alpha!r} overflows")
+    return M
 
 
 def _uniform(*stacks: np.ndarray) -> bool:
@@ -343,12 +354,18 @@ def assembled_rho(tl: TwoLevelComponents) -> float:
     6.6e-8 off.  Every other cycle (Dirichlet meshes) takes ``C``
     densely (``_dense_rho``), from ``E``, up to J = 1024; over J 4 to
     192, both smoothers, delta0 1.01 to 10 and alpha 0.6 to 1.1 it
-    agrees with ``spectral_radius_dense(E)`` to 1.1e-14.
+    agrees with ``spectral_radius_dense(E)`` to 1.1e-14.  There an
+    ``alpha`` so large that ``E`` or ``C`` overflows (from about 1e307)
+    raises ``OverflowError``; a periodic radius beyond the float range is
+    ``inf``.
     """
     if _coarse_cell_blocks(tl) is None:
         rho = _dense_rho(tl)
     else:
-        rho = float(np.abs(1.0 - tl.alpha * assembled_mu(tl)).max())
+        mu = assembled_mu(tl)
+        # a radius beyond the float range rounds to inf, without a warning
+        with np.errstate(over="ignore"):
+            rho = float(np.abs(1.0 - tl.alpha * mu).max())
     return max(rho, 1.0) if tl._A0_factor.constant_kernel else rho
 
 

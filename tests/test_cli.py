@@ -520,9 +520,8 @@ def test_table_overflow_is_an_error_line(capsys, argv):
     assert err == "error: floating-point overflow: the coefficient tables of the closed forms overflow\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_sweep_row_is_an_error_line(capsys):
-    # a relaxation this large overflows alpha * mu to inf
+    # a relaxation this large overflows alpha * mu to inf, without a numpy warning
     code, out, err = run_cli(
         capsys, "sweep", "--smoother", "point", "--delta0", "2,3", "--gamma", "1", "--alpha", "1.7e308"
     )
@@ -530,7 +529,6 @@ def test_non_finite_sweep_row_is_an_error_line(capsys):
     assert err.startswith("error: sweep row delta0=2.0, gamma=1.0: alpha=1.7e+308, rho=inf ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_dense_sweep_row_is_the_same_error_line(capsys):
     # the closed-form columns are checked before the dense column is built
     argv = ("sweep", "--smoother", "cell", "--cells", "8", "--alpha", "1.7e308")
@@ -539,6 +537,21 @@ def test_non_finite_dense_sweep_row_is_the_same_error_line(capsys):
     code, out, err = lines[1]
     assert code == 1 and out == ""
     assert err == "error: sweep row delta0=2.0, gamma=inf: alpha=1.7e+308, rho=inf is not finite\n"
+
+
+def test_dense_sweep_row_whose_iteration_matrix_overflows_is_an_error_line(capsys):
+    # rho_lfa is finite, but alpha D^{-1} A times the columns of A overflows
+    # inside the Dirichlet E; the periodic route builds no E
+    argv = ("sweep", "--smoother", "cell", "--cells", "8", "--dense", "--alpha", "1e308")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: sweep row delta0=2.0, gamma=inf: alpha=1e+308, rho=1.5e+308: "
+        "the iteration matrix E at alpha=1e+308 overflows\n"
+    )
+    code, out, err = run_cli(capsys, *argv, "--bc", "periodic")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "2.0,inf,1e+308,1.5e+308,1.4999999999999998e+308"
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from dgtwolevel.closed_forms import (
     mesh_ck,
     rho_on_ck_values,
 )
+from dgtwolevel.optimal import _alpha_formula
 from dgtwolevel.rd_coefficients import cell_coefficients, point_coefficients
 
 
@@ -267,6 +268,27 @@ def test_rho_equals_largest_pair_modulus_at_random_inputs(kind, x, delta0, gamma
     assert rho_on_ck_values(x, delta0, gamma, alpha, kind) == largest_pair_modulus(
         x, delta0, gamma, alpha, kind
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from([POINT, CELL]),
+    cells=st.sampled_from([None, 4, 8, 12, 64, 100, 1024]),
+    delta0=st.floats(1.0, 1e3),
+    gamma=st.one_of(st.just(math.inf), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+    alpha=st.one_of(st.none(), st.floats(0.0, 3.0, exclude_min=True)),
+)
+def test_endpoint_rho_is_a_lower_bound_bit_for_bit(kind, cells, delta0, gamma, alpha):
+    # a row holding c_k = +-1 has mu extremes that enclose the four endpoint
+    # mu, and fl(1 - fl(alpha mu)) is monotone in mu; alpha None is the
+    # closed-form optimum
+    x = ASYMPTOTIC_CK if cells is None else mesh_ck(cells)
+    assert x.min() == -1.0 and x.max() == 1.0
+    if alpha is None:
+        alpha = _alpha_formula(kind, delta0, gamma)
+    bound = closed_forms._endpoint_rho(delta0, gamma, alpha, kind)
+    assert type(bound) is float
+    assert bound <= rho_on_ck_values(x, delta0, gamma, alpha, kind)
 
 
 @pytest.mark.parametrize("delta0", [1.5, np.array([[1.5], [2.0]])], ids=["scalar", "column"])

@@ -334,9 +334,42 @@ def full_scan_crossover(gamma, width=1e-3):
     raise RuntimeError("no crossover")
 
 
-@pytest.mark.parametrize("gamma", [math.inf, 1e4, 10.0, 1.0, 0.2, 0.05])
+def crossover_outcome(search, gamma):
+    """The bracket of ``search(gamma)``, or ``"none"`` where it finds no sign change."""
+    try:
+        return search(gamma)
+    except RuntimeError:
+        return "none"
+
+
+@pytest.mark.parametrize(
+    "gamma", [math.inf, 10.0, 1.0, 0.2, 0.05, *np.logspace(-3.0, 4.0, 25).tolist()]
+)
 def test_crossover_equals_full_scan(gamma):
-    assert crossover_check(gamma) == full_scan_crossover(gamma)
+    # both radii at every scan penalty, subtracted: the pruned scan of
+    # crossover_check must give the same bracket, or find none where it
+    # finds none (gamma below about 0.01)
+    assert crossover_outcome(crossover_check, gamma) == crossover_outcome(full_scan_crossover, gamma)
+
+
+@pytest.mark.parametrize("gamma, penalties", [(math.inf, 30), (1e4, 30), (1.0, 8), (0.05, 42)])
+def test_crossover_takes_one_exact_radius_per_penalty(monkeypatch, gamma, penalties):
+    # the endpoint radius bounds the exact one from below, so one exact
+    # radius settles the sign at each penalty the scan and the bisection
+    # visit; both radii at each would be 2 * penalties calls
+    alphas, radii = [], []
+
+    def counted(log, function):
+        def call(*args):
+            log.append(args)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(optimal, "_alpha_formula", counted(alphas, optimal._alpha_formula))
+    monkeypatch.setattr(optimal, "rho_on_ck_values", counted(radii, rho_on_ck_values))
+    crossover_check(gamma)
+    assert len(alphas) == 2 * penalties
+    assert len(radii) == len({args[1] for args in radii}) == penalties
 
 
 @pytest.mark.parametrize(
