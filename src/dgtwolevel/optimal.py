@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_forms import (
-    ASYMPTOTIC_CK, _coordinates, _endpoint_mu, _endpoint_rho, eigenvalue_pair, rho_on_ck_values,
+    ASYMPTOTIC_CK, _coordinates, _endpoint_mu, _endpoint_rho, _rho_of_extremes, eigenvalue_pair,
+    rho_on_ck_values,
 )
 from .config import CELL, POINT, ProblemConfig, check_penalty, check_reaction, check_smoother
 from .rd_coefficients import horner
@@ -389,8 +390,7 @@ def alpha_opt_numeric(config: ProblemConfig, kind: str) -> RelaxationResult:
             "so no relaxation parameter converges"
         )
     alpha = 2.0 / (mu_min + mu_max)
-    rho = max(abs(1.0 - alpha * mu_min), abs(1.0 - alpha * mu_max))
-    return RelaxationResult(alpha, rho, "numeric-lfa", [])
+    return RelaxationResult(alpha, _rho_of_extremes(mu_min, mu_max, alpha), "numeric-lfa", [])
 
 
 def crossover_check(gamma: float = math.inf) -> tuple:

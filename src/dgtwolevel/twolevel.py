@@ -3,19 +3,28 @@
 ``build_iteration_matrix`` assembles the dense error propagation ``E =
 I - B A`` from ``apply_preconditioner``, the preconditioner ``B`` that
 ``stationary_solve`` applies, on batches of columns of ``A``.
-``assembled_mu`` gives the assembled two-grid spectrum without ``E``:
-the nonzero eigenvalues of ``E`` with exact coarse solves are ``1 -
-alpha mu`` for the ``mu`` of one symmetric-definite pencil of half its
-size, on the A-orthogonal complement of the coarse space (Falgout,
-Vassilevski and Zikatanov, NLAA 12, 2005), which ``_complement_gram``
-spans.  The pencil cancels the coarse correction, so it does not depend
-on how accurate ``coarse_solve`` is.  Where the assembled operators
-repeat one block pattern on every coarse cell (periodic meshes), the
-pencil splits into one 2x2 pencil per coarse frequency, read off those
-blocks and solved for all frequencies at once, at any mesh size; other
-meshes (Dirichlet) take it densely, up to desk scale.
-``assembled_rho`` is the exact two-grid spectral radius from the same
-compression.
+
+``assembled_mu`` and ``assembled_rho`` give the exact two-grid spectrum
+without ``E``, from one symmetric-definite pencil ``(Z^T A D^{-1} A Z,
+Z^T A Z)`` of half its size (Falgout, Vassilevski and Zikatanov, "On
+two-grid convergence estimates", NLAA 12, 2005).  ``Z`` spans the
+A-orthogonal complement of the coarse space, and ``_complement`` gives
+it with ``AZ = A Z`` and ``K = L^{-1}``, ``G = AZ^T Z = L L^T``.  The
+exact ``E`` maps everything into ``range(Z)`` (plus the constant vector
+when ``A0`` has a constant kernel), and ``E Z = Z G^{-1} H`` there with
+``H = AZ^T E Z``.  As ``AZ^T P = 0``, ``H = AZ^T (I - alpha D^{-1} A)
+Z``: the coarse correction, and with it any error of ``coarse_solve``,
+drops out.  So ``E`` has the eigenvalues of the symmetric ``C = K H K^T
+= I - alpha K AZ^T D^{-1} AZ K^T``, that is ``1 - alpha mu`` for the
+``mu`` of the pencil, plus n/2 zeros, plus the eigenvalue 1 of the
+untouched constant vector (``E 1 = 1``) on a constant kernel.
+
+One evaluator, ``_pencil_mu``, solves the pencil on two kinds of input.
+Where the assembled operators repeat one block pattern on every coarse
+cell (periodic meshes), ``_coarse_cell_blocks`` gives their coarse-cell
+Fourier symbols, and the pencil splits into one 2x2 pencil per coarse
+frequency, all solved at once, at any mesh size.  Other meshes
+(Dirichlet) take the whole mesh (``_whole_mesh``), up to desk scale.
 """
 
 import errno
@@ -38,6 +47,7 @@ from .blocks import (
     CyclicReduction,
     _shift_off_constants,
 )
+from .closed_forms import _rho_of_extremes
 from .config import ProblemConfig
 
 # Residual ratios averaged by ``convergence_factor``.
@@ -178,31 +188,26 @@ def _stencil_complement(P: CellStencil) -> np.ndarray:
     return np.linalg.qr(stencil, mode="complete")[0][:, stencil.shape[1] :]
 
 
-def _complement_gram(tl: TwoLevelComponents) -> tuple:
-    """``(Z, AZ, K)``: a basis ``Z`` (n x n/2, dense) of the A-orthogonal
-    complement of the coarse space, ``AZ = A Z`` and ``K = L^{-1}`` for
-    the Cholesky factor ``L`` of ``Z^T A Z``, so that ``K Z^T A Z K^T =
-    I``.
+def _complement(A, A0, W, R, P) -> tuple:
+    """``(Z, AZ, AZ^H, K)``: a basis ``Z`` of the A-orthogonal complement
+    of the coarse space, ``AZ = A Z`` and ``K = L^{-1}`` for the Cholesky
+    factor ``L`` of ``G = AZ^H Z``, so that ``K G K^H = I``.
 
-    ``Z = W - P X``.  The ``CellStencil`` ``W`` holds, per coarse cell,
-    the orthonormal complement of the prolongation stencil, so ``W^T P =
-    0`` and ``W^T Z = I``; ``A0 X = R A W`` makes ``P^T A Z = 0``.  ``X``
-    comes from LAPACK's LU on the dense ``A0``, which keeps ``|P^T A Z|``
-    below 1e-15 of ``|A|`` even where ``A0`` is nearly singular (with the
-    cyclic reduction it reached 5.6e-10 at gamma = 1e13 and 1.6e-6 at
-    1e14.5, periodic, J 64 and 192).  On a constant kernel
-    ``A0`` gets ``CyclicReduction``'s all-ones shift, the columns of ``Z``
-    stay off the constant vector, and ``Z^T A Z`` is still definite.
-    Raises ``ValueError`` when it is not (an operator singular or
-    indefinite off the coarse space).
+    ``Z = W - P X`` with ``A0 X = R A W``: ``W`` spans, per coarse cell,
+    the orthonormal complement of the prolongation stencil, so ``W^H P =
+    0`` and ``W^H Z = I``, and ``P^H A Z = 0``.  Only ``@`` and
+    ``np.linalg.solve`` act, so the operators are either the
+    coarse-frequency stacks of ``_coarse_cell_blocks`` (one small pencil
+    per frequency) or those of ``_whole_mesh``; either way ``A0`` is
+    shifted off the constants on a constant kernel (only its ``k = 0``
+    block is singular there), the columns of ``Z`` stay off the constant
+    vector, and ``G`` is still definite.  Raises ``ValueError`` when it is
+    not (an operator singular or indefinite off the coarse space).
     """
-    W = CellStencil(_stencil_complement(tl.P), tl.P.groups).toarray()
-    A0 = tl.A0.toarray()
-    if tl._A0_factor.constant_kernel:
-        A0 = _shift_off_constants(A0)
-    Z = W - tl.P @ np.linalg.solve(A0, tl.R @ (tl.A @ W))
-    AZ = tl.A @ Z
-    return Z, AZ, _inverse_cholesky(AZ.T @ Z)
+    Z = W - P @ np.linalg.solve(A0, R @ (A @ W))
+    AZ = A @ Z
+    AZ_h = AZ.conj().swapaxes(-2, -1)
+    return Z, AZ, AZ_h, _inverse_cholesky(AZ_h @ Z)
 
 
 def _inverse_cholesky(G: np.ndarray) -> np.ndarray:
@@ -214,9 +219,36 @@ def _inverse_cholesky(G: np.ndarray) -> np.ndarray:
         raise ValueError(f"operator is singular or indefinite off the coarse space: {exc}") from exc
 
 
+def _pencil_mu(Dinv, A, A0, W, R, P) -> np.ndarray:
+    """The ``mu`` of ``assembled_mu``, ascending: the eigenvalues of ``K
+    AZ^H D^{-1} AZ K^H`` from ``_complement``, per frequency or at once."""
+    _, AZ, AZ_h, K = _complement(A, A0, W, R, P)
+    mu = np.linalg.eigvalsh(K @ (AZ_h @ (Dinv @ AZ)) @ K.conj().swapaxes(-2, -1))
+    return np.sort(mu, axis=None)
+
+
+def _whole_mesh(tl: TwoLevelComponents) -> tuple:
+    """``(D^{-1}, A, A0, W, R, P)`` of the whole mesh, for ``_complement``:
+    the structured ``D^{-1}``, ``A``, ``R`` and ``P``, the dense ``A0``
+    (shifted off the constants on a constant kernel) and ``W``.  Raises
+    ``ValueError`` above desk scale, before anything dense is built.
+
+    ``X`` of ``_complement`` comes from LAPACK's LU on this dense ``A0``,
+    which keeps ``|P^T A Z|`` below 1e-15 of ``|A|`` even where ``A0`` is
+    nearly singular (with the cyclic reduction it reached 5.6e-10 at gamma
+    = 1e13 and 1.6e-6 at 1e14.5, periodic, J 64 and 192).
+    """
+    _check_desk_scale(tl.A.shape[0] // 2)
+    A0 = tl.A0.toarray()
+    if tl._A0_factor.constant_kernel:
+        A0 = _shift_off_constants(A0)
+    W = CellStencil(_stencil_complement(tl.P), tl.P.groups).toarray()
+    return tl._D_inverse, tl.A, A0, W, tl.R, tl.P
+
+
 def _dense_rho(tl: TwoLevelComponents) -> float:
     """Two-grid radius over the complement from the dense compression
-    ``C = K Z^T A E Z K^T`` of size J (see ``assembled_rho``)."""
+    ``C = K AZ^T E Z K^T`` of size J (see the module docstring)."""
     _check_desk_scale(tl.A.shape[0] // 2)
     # H from the assembled E rather than from the smoother alone: only the
     # benchmark's per-layer metrics, which time build_iteration_matrix and
@@ -228,9 +260,9 @@ def _dense_rho(tl: TwoLevelComponents) -> float:
     # an error, not numpy warnings and a failing eigensolve
     with np.errstate(over="ignore", invalid="ignore"):
         E = _finite(build_iteration_matrix(tl), tl)
-    Z, AZ, K = _complement_gram(tl)
+    Z, _, AZ_h, K = _complement(*_whole_mesh(tl)[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        C = _finite(K @ (AZ.T @ (E @ Z)) @ K.T, tl)
+        C = _finite(K @ (AZ_h @ (E @ Z)) @ K.T, tl)
     return spectral_radius_dense(0.5 * (C + C.T))
 
 
@@ -247,14 +279,18 @@ def _uniform(*stacks: np.ndarray) -> bool:
 
 
 def _coarse_cell_blocks(tl: TwoLevelComponents):
-    """The ``(own, next)`` blocks per coarse cell of ``A``, ``D^{-1}``
-    (4x4) and ``A0`` (2x2), or ``None`` unless each is the same, bit for
-    bit, on every coarse cell.
+    """``(D^{-1}, A, A0, W, R, P)`` per coarse frequency, for
+    ``_complement``, or ``None`` unless ``A``, ``D^{-1}`` and ``A0`` repeat
+    the same blocks, bit for bit, on every coarse cell.
 
     Row block ``M`` of such an operator holds ``own`` on the diagonal,
     ``next`` in column block ``M + 1`` and ``next^T`` in ``M - 1``, modulo
     the coarse cells: a periodic mesh.  A Dirichlet mesh fails the test
-    on its boundary blocks and its zero wrap coupling.
+    on its boundary blocks and its zero wrap coupling.  At ``z = exp(2 pi
+    i k / (J/2))`` the operator has the symbol ``own + next z + next^T
+    conj(z)``: ``(J/2, 4, 4)`` stacks for ``D^{-1}`` and ``A``, ``(J/2,
+    2, 2)`` for ``A0``, whose ``k = 0`` block takes the all-ones shift on a
+    constant kernel, and the stencils of ``W``, ``R`` and ``P``.
     """
     A, Dinv, A0 = tl.A, tl._D_inverse, tl.A0
     even, odd = Dinv.blocks[0::2], Dinv.blocks[1::2]
@@ -270,84 +306,39 @@ def _coarse_cell_blocks(tl: TwoLevelComponents):
         smoother = own, nxt
     else:
         smoother = _pair_blocks(even[0], odd[0], 0.0, 0.0)
-    return _pair_blocks(*(block[0] for block in fine)), smoother, (A0.diag[0], A0.upper[0])
-
-
-def _frequency_mu(tl: TwoLevelComponents, blocks: tuple) -> np.ndarray:
-    """The ``mu`` of ``assembled_mu`` from the coarse-cell Fourier blocks
-    ``blocks`` of ``_coarse_cell_blocks``, as ``(J/2, 2)``: one 2x2
-    Hermitian pencil per coarse frequency, all frequencies stacked.
-
-    At ``z = exp(2 pi i k / (J/2))`` an operator with blocks ``(S, N)``
-    has the symbol ``S + N z + N^T conj(z)``.  Per frequency, as in
-    ``_complement_gram``: ``Z = W - P X`` with ``A0 X = R A W``, ``G =
-    (A Z)^H Z = L L^H`` and ``F = (A Z)^H D^{-1} (A Z)``; the ``mu`` are
-    the eigenvalues of ``K F K^H``, ``K = L^{-1}``.  On a constant kernel
-    only the ``k = 0`` block of ``A0`` is singular, and it gets the
-    all-ones shift.
-    """
-    cells = tl.A0.cells
-    z = np.exp(2j * np.pi * np.arange(cells) / cells)[:, None, None]
-    A, Dinv, A0 = (own + nxt * z + nxt.T * z.conj() for own, nxt in blocks)
+    pairs = (smoother, _pair_blocks(*(block[0] for block in fine)), (A0.diag[0], A0.upper[0]))
+    z = np.exp(2j * np.pi * np.arange(A0.cells) / A0.cells)[:, None, None]
+    Dinv, A, A0 = (own + nxt * z + nxt.T * z.conj() for own, nxt in pairs)
     if tl._A0_factor.constant_kernel:
         A0[0] = _shift_off_constants(A0[0])
-    W = _stencil_complement(tl.P)
-    Z = W - tl.P.stencil @ np.linalg.solve(A0, tl.R.stencil @ (A @ W))
-    AZ = A @ Z
-    AZ_h = AZ.conj().swapaxes(1, 2)
-    K = _inverse_cholesky(AZ_h @ Z)
-    return np.linalg.eigvalsh(K @ (AZ_h @ Dinv @ AZ) @ K.conj().swapaxes(1, 2))
+    return Dinv, A, A0, _stencil_complement(tl.P), tl.R.stencil, tl.P.stencil
 
 
 def assembled_mu(tl: TwoLevelComponents) -> np.ndarray:
-    """The J eigenvalues ``mu``, ascending, of the symmetric-definite
-    pencil ``(Z^T A D^{-1} A Z, Z^T A Z)`` of the assembled operators:
-    ``1 - alpha mu`` are the nonzero eigenvalues of the exact two-grid
-    ``E`` (Falgout, Vassilevski and Zikatanov, "On two-grid convergence
-    estimates", NLAA 12, 2005).  ``alpha`` does not enter.  When ``A0``
-    has a constant kernel (periodic pure diffusion, or a reaction term
-    lost to rounding against the penalty), ``E`` also has the eigenvalue
-    1 of the constant vector, which is not among these ``mu``.
+    """The J eigenvalues ``mu``, ascending, of the pencil of the module
+    docstring; ``alpha`` does not enter.  When ``A0`` has a constant
+    kernel (periodic pure diffusion, or a reaction term lost to rounding
+    against the penalty), ``E`` also has the eigenvalue 1 of the constant
+    vector, which is not among these ``mu``.
 
-    ``Z`` spans the A-orthogonal complement of the coarse space
-    (``_complement_gram``).  Where ``A``, ``D^{-1}`` and ``A0`` repeat the
-    same blocks on every coarse cell (every periodic mesh) the pencil
-    splits into one 2x2 pencil per coarse frequency (``_frequency_mu``):
-    O(J) work and memory at any J.  Every other mesh (Dirichlet) takes
-    ``K Z^T A D^{-1} A Z K^T`` densely, up to J = 1024; larger meshes
-    raise ``ValueError`` before anything dense is built.  Raises
-    ``ValueError`` also when ``Z^T A Z`` is not definite.
+    Periodic meshes solve it per coarse frequency (``_coarse_cell_blocks``):
+    O(J) work and memory at any J.  Every other mesh (Dirichlet) solves it
+    whole (``_whole_mesh``), up to J = 1024; larger meshes raise
+    ``ValueError`` before anything dense is built.  Raises ``ValueError``
+    also when ``Z^T A Z`` is not definite.
     """
-    blocks = _coarse_cell_blocks(tl)
-    if blocks is not None:
-        return np.sort(_frequency_mu(tl, blocks), axis=None)
-    _check_desk_scale(tl.A.shape[0] // 2)
-    _, AZ, K = _complement_gram(tl)
-    C = K @ (AZ.T @ tl.smooth(AZ)) @ K.T
-    return np.linalg.eigvalsh(0.5 * (C + C.T))
+    return _pencil_mu(*(_coarse_cell_blocks(tl) or _whole_mesh(tl)))
 
 
 def assembled_rho(tl: TwoLevelComponents) -> float:
     """Exact two-grid spectral radius: that of ``E =
-    build_iteration_matrix(tl)`` with exact coarse solves, through a
-    similarity of half its size.
+    build_iteration_matrix(tl)`` with exact coarse solves, ``max |1 -
+    alpha mu|`` over ``assembled_mu`` (see the module docstring), and at
+    least 1 when ``A0`` has a constant kernel.
 
-    With ``Z``, ``AZ`` and ``K = L^{-1}``, ``G = Z^T A Z = L L^T``, from
-    ``_complement_gram``, the exact ``E`` maps everything into
-    ``range(Z)`` (plus the constant vector on a constant kernel), and
-    ``E Z = Z M`` there with ``M = G^{-1} H``, ``H = AZ^T E Z``.  As
-    ``AZ^T P = 0``, ``H = AZ^T (I - alpha D^{-1} A) Z``: the coarse
-    correction inside ``E``, and with it any error of ``coarse_solve``,
-    drops out, so this radius does not check the coarse solve.  ``H`` is
-    symmetric, and the exact ``E`` has the eigenvalues of the symmetric
-    ``C = K H K^T = I - alpha K Z^T A D^{-1} A Z K^T``, that is ``1 -
-    alpha mu`` for the ``mu`` of ``assembled_mu``, plus n/2 zeros, and
-    plus the eigenvalue 1 of the untouched constant vector (``E 1 = 1``)
-    when ``A0`` has a constant kernel.
-
-    Periodic meshes take ``max |1 - alpha mu|`` over ``assembled_mu``,
-    from its frequency route: O(J) work at any J.  Over J 4 to 192, gamma inf to 1e-3, delta0 1.05 to
-    10, alpha 0.7, 1.1 and the optimum, and both smoothers, that is
+    Periodic meshes take it at the two extreme ``mu`` of the frequency
+    route: O(J) work at any J.  Over J 4 to 192, gamma inf to 1e-3, delta0
+    1.05 to 10, alpha 0.7, 1.1 and the optimum, and both smoothers, that is
     within 4.4e-15 of the dense ``C``; with finite gamma, up to the
     constant-kernel switch, it is within 3.6e-15 of the closed-form
     frequency analysis (J 4 to 1024), where ``eigvals(E)`` is up to
@@ -359,13 +350,15 @@ def assembled_rho(tl: TwoLevelComponents) -> float:
     raises ``OverflowError``; a periodic radius beyond the float range is
     ``inf``.
     """
-    if _coarse_cell_blocks(tl) is None:
+    stacks = _coarse_cell_blocks(tl)
+    if stacks is None:
         rho = _dense_rho(tl)
     else:
-        mu = assembled_mu(tl)
-        # a radius beyond the float range rounds to inf, without a warning
+        mu = _pencil_mu(*stacks)
+        # fl(1 - fl(alpha mu)) is monotone in mu; a radius beyond the float
+        # range rounds to inf, without a warning
         with np.errstate(over="ignore"):
-            rho = float(np.abs(1.0 - tl.alpha * mu).max())
+            rho = _rho_of_extremes(mu[0], mu[-1], tl.alpha)
     return max(rho, 1.0) if tl._A0_factor.constant_kernel else rho
 
 

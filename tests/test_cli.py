@@ -441,6 +441,34 @@ def test_grid_of_a_million_values_is_accepted():
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--smoother", "cell", "--delta0", "1,2"],
+         "spectrum expects a single --delta0 and --gamma"),
+        (["spectrum", "--smoother", "cell", "--alpha", "0.5,0.9"], "spectrum expects a single --alpha"),
+        (["optimize", "--smoother", "cell", "--gamma", "1,2"],
+         "optimize expects a single --delta0 and --gamma"),
+        (["crossover", "--gamma", "1,2"], "crossover expects a single --gamma"),
+        (["sweep", "--smoother", "cell", "--delta0", "1:2"],
+         "--delta0: range must be lo:hi:step, got '1:2'"),
+        (["sweep", "--smoother", "cell", "--delta0", "3:1:1"], "--delta0: bad range '3:1:1'"),
+        (["sweep", "--smoother", "cell", "--delta0", "1:2:0"], "--delta0: bad range '1:2:0'"),
+        (["sweep", "--smoother", "cell", "--delta0", "1:999999:1,1,1"],
+         "--delta0: more than 1000000 values in '1:999999:1,1,1'"),
+        (["sweep", "--smoother", "cell", "--alpha", ""], "--alpha: cannot parse ''"),
+    ],
+)
+def test_usage_error_names_its_cause(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dgtwolevel")
+    assert captured.err.endswith(f"dgtwolevel: error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [("--delta0", "inf"), ("--delta0", "1:inf:1"), ("--alpha", "nan"), ("--alpha", "inf"),
      ("--gamma", "nan")],
@@ -571,7 +599,6 @@ def test_dense_sweep_matches_lfa_where_block_determinants_overflow(capsys, argv,
     assert abs(rho_dense - rho_lfa) <= tol
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_spectrum_row_is_an_error_line(capsys):
     code, out, err = run_cli(
         capsys, "spectrum", "--smoother", "point", "--delta0", "2", "--gamma", "1", "--alpha", "1.7e308"

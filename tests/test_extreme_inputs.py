@@ -26,6 +26,8 @@ def _commands(gamma: str, smoother: str):
         problem = ["--smoother", smoother, "--delta0", delta0, "--gamma", gamma]
         yield ["optimize", *problem]
         yield ["spectrum", *problem, "--cells", "6"]
+        # alpha times the smoothed spectrum overflows a pair to -inf
+        yield ["spectrum", *problem, "--cells", "6", "--alpha", "1.7e308"]
         for bc in ("periodic", "dirichlet"):
             for cells in ("4", "6", "64"):
                 yield ["sweep", *problem, "--bc", bc, "--cells", cells, "--dense"]

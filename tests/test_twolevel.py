@@ -32,9 +32,8 @@ from dgtwolevel.optimal import _alpha_formula
 from dgtwolevel.twolevel import (
     TwoLevelComponents,
     _coarse_cell_blocks,
-    _complement_gram,
     _dense_rho,
-    _frequency_mu,
+    _pencil_mu,
 )
 
 
@@ -181,18 +180,36 @@ def test_frequency_route_equals_dense_compression(kind, cells):
             config = ProblemConfig(cells, delta0, gamma, PERIODIC)
             for alpha in (_alpha_formula(kind, config.delta0, config.gamma), 0.7, 1.1):
                 tl = two_level_components(config, kind, alpha)
-                blocks = _coarse_cell_blocks(tl)
-                assert blocks is not None
-                rho = np.abs(1.0 - alpha * _frequency_mu(tl, blocks)).max()
+                stacks = _coarse_cell_blocks(tl)
+                assert stacks is not None
+                rho = np.abs(1.0 - alpha * _pencil_mu(*stacks)).max()
                 worst = max(worst, abs(rho - _dense_rho(tl)))
     assert worst <= 1e-14
 
 
 def dense_pencil_mu(tl):
-    """The ``mu`` of the pencil ``(Z^T A D^{-1} A Z, Z^T A Z)``, densely,
-    on any mesh."""
-    Z, AZ, _ = _complement_gram(tl)
-    return np.sort(np.linalg.eigvals(np.linalg.solve(AZ.T @ Z, AZ.T @ tl.smooth(AZ))).real)
+    """The ``mu`` of the pencil ``(Z^T A D^{-1} A Z, Z^T A Z)`` from dense
+    matrices, by eigvals, on any mesh: ``Z = W - P A0^{-1} R A W`` for
+    ``W`` the orthonormal complement of ``range(P)`` by one QR, and ``A0``
+    shifted off the constants on a constant kernel."""
+    A, Dinv, R, P, A0 = (op.toarray() for op in (tl.A, tl._D_inverse, tl.R, tl.P, tl.A0))
+    if tl._A0_factor.constant_kernel:
+        A0 += np.abs(A0).max() / len(A0)
+    W = np.linalg.qr(P, mode="complete")[0][:, P.shape[1] :]
+    Z = W - P @ np.linalg.solve(A0, R @ A @ W)
+    AZ = A @ Z
+    return np.sort(np.linalg.eigvals(np.linalg.solve(AZ.T @ Z, AZ.T @ Dinv @ AZ)).real)
+
+
+def assert_whole_mesh_pencil(tl):
+    """``assembled_mu`` on a mesh without coarse-cell symmetry against the
+    eigvals oracle, and ``max |1 - alpha mu|`` over it against the dense
+    compression of ``E``."""
+    assert _coarse_cell_blocks(tl) is None
+    mu = assembled_mu(tl)
+    assert mu.shape == (tl.A.cells,) and np.all(np.diff(mu) >= 0.0)
+    assert np.abs(mu - dense_pencil_mu(tl)).max() <= 1e-13
+    assert np.abs(1.0 - tl.alpha * mu).max() == pytest.approx(_dense_rho(tl), abs=1e-14)
 
 
 @pytest.mark.parametrize("cells", [4, 6, 8, 16, 64, 192])
@@ -213,12 +230,15 @@ def test_periodic_assembled_mu_is_the_dense_pencil(kind, cells):
 @pytest.mark.parametrize("kind", [CELL, POINT])
 def test_dirichlet_assembled_mu_is_the_dense_pencil(kind):
     tl = two_level_components(ProblemConfig(16, 1.5, 1.0, DIRICHLET), kind, 0.9)
-    assert _coarse_cell_blocks(tl) is None
-    mu = assembled_mu(tl)
-    assert np.abs(mu - dense_pencil_mu(tl)).max() <= 1e-13
     # 1 - alpha mu are the nonzero eigenvalues of E
-    rho = np.abs(1.0 - tl.alpha * mu).max()
+    rho = np.abs(1.0 - tl.alpha * assembled_mu(tl)).max()
     assert rho == pytest.approx(spectral_radius_dense(build_iteration_matrix(tl)), abs=1e-12)
+    for cells in (4, 6, 16, 64):
+        for gamma in (math.inf, 1e8, 1e4, 1.0, 0.05, 1e-3):
+            for delta0 in (1.05, 2.0, 10.0):
+                config = ProblemConfig(cells, delta0, gamma, DIRICHLET)
+                for alpha in (_alpha_formula(kind, delta0, gamma), 1.1):
+                    assert_whole_mesh_pencil(two_level_components(config, kind, alpha))
 
 
 @pytest.mark.parametrize("kind", [CELL, POINT])
@@ -302,20 +322,40 @@ def test_one_perturbed_cell_falls_back_to_the_dense_route(kind, operator, cell):
     assert abs(rho - assembled_rho(tl)) > 1e-6
 
 
-@pytest.mark.parametrize("kind", [CELL, POINT])
-def test_operator_bent_off_the_coarse_space_falls_back(kind):
-    # c v v^T with v = (0, 1, -1, 0) on the pair block of coarse cell 3:
-    # P^T v = 0, so A0 stays the same bit for bit and only the check of
-    # A's own blocks sees the bend
-    tl = two_level_components(ProblemConfig(16, 2.0, 1.0, PERIODIC), kind, 0.9)
+def bent_off_the_coarse_space(tl):
+    """A copy of the cycle ``tl`` with ``c v v^T``, ``v = (0, 1, -1, 0)``,
+    added on the pair block of coarse cell 3: ``P^T v = 0`` and ``v`` is
+    off the constants, so ``A0`` and the kernel of ``A`` stay the same."""
     diag, upper = tl.A.diag.copy(), tl.A.upper.copy()
     diag[6, 1, 1] += 64.0
     diag[7, 0, 0] += 64.0
     upper[6, 1, 0] -= 64.0
-    bent = TwoLevelComponents(BlockTridiagonal(diag, upper), tl.D, tl.alpha)
+    return TwoLevelComponents(BlockTridiagonal(diag, upper), tl.D, tl.alpha)
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_operator_bent_off_the_coarse_space_falls_back(kind):
+    # A0 stays the same bit for bit, so only the check of A's own blocks
+    # sees the bend
+    tl = two_level_components(ProblemConfig(16, 2.0, 1.0, PERIODIC), kind, 0.9)
+    bent = bent_off_the_coarse_space(tl)
     assert np.array_equal(bent.A0.diag, tl.A0.diag) and np.array_equal(bent.A0.upper, tl.A0.upper)
     assert _coarse_cell_blocks(bent) is None
     assert assembled_rho(bent) == _dense_rho(bent)
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("gamma", [math.inf, 1e4, 1.0, 0.05])
+def test_assembled_mu_on_perturbed_periodic_meshes_is_the_whole_pencil(kind, gamma):
+    # a perturbed smoother keeps A, so at gamma = inf the dense A0 takes
+    # the all-ones shift; so does the bend of A off the coarse space
+    tl = two_level_components(ProblemConfig(16, 2.0, gamma, PERIODIC), kind, 0.9)
+    bents = [perturbed(tl, "D", cell, 1.01) for cell in (4, 15)] + [bent_off_the_coarse_space(tl)]
+    if math.isfinite(gamma):
+        bents += [perturbed(tl, "A", cell, 1.01) for cell in (6, 7)]
+    for bent in bents:
+        assert bent._A0_factor.constant_kernel == math.isinf(gamma)
+        assert_whole_mesh_pencil(bent)
 
 
 @pytest.mark.parametrize("kind", [CELL, POINT])
@@ -353,6 +393,24 @@ def test_stationary_zero_rhs():
     hist = stationary_solve(tl, np.zeros(16), tol=1e-10, maxit=5)
     assert hist.converged and hist.iterations == 0
     assert hist.residual_norms == [0.0]
+
+
+def test_stationary_solve_stopped_by_maxit_returns_its_last_iterate():
+    tl = two_level_components(ProblemConfig(64, 2.0, 1.0, DIRICHLET), CELL, 0.9)
+    f = np.random.default_rng(1).standard_normal(128)
+    hist = stationary_solve(tl, f, tol=1e-14, maxit=3)
+    assert not (hist.converged or hist.diverged or hist.stagnated)
+    assert hist.iterations == 3 and len(hist.residual_norms) == 4
+    u = np.zeros(128)
+    for _ in range(3):
+        u += apply_preconditioner(tl, f - tl.A @ u)
+    assert np.array_equal(hist.solution, u)
+    assert hist.residual_norms[-1] == np.linalg.norm(f - tl.A @ u)
+
+
+@pytest.mark.parametrize("norms", [[], [0.0], [2.0], [0.0, 0.0], [2.0, 0.0]])
+def test_convergence_factor_needs_two_positive_residuals(norms):
+    assert convergence_factor(IterationHistory(norms, max(len(norms) - 1, 0), False)) == 0.0
 
 
 def test_stationary_invalid_arguments():
