@@ -342,6 +342,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except OverflowError as exc:
         print(f"error: floating-point overflow: {exc.args[-1]}", file=sys.stderr)
         return 1

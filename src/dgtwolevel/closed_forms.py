@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import POINT, ProblemConfig, check_smoother
+from .config import POINT, ProblemConfig, check_penalty, check_reaction, check_smoother
 from .rd_coefficients import cell_coefficients, horner, point_coefficients
 
 _CLAMP = 1e-12
@@ -162,7 +162,8 @@ def _endpoint_mu(delta0, tau, kind, g=1):
     d, t = delta0 * g, tau
     s2, s3, s6 = 2 * d + t, 3 * d + t, 6 * d + t
     q = 8 * d * t + 24 * d * g + t * t - 12 * g * g
-    u, v = t + 3 * g, 12 * d + t - 12 * g
+    # 12 g (delta0 - 1) rather than 12 d - 12 g, which cancels as delta0 -> 1
+    u, v = t + 3 * g, 12 * g * (delta0 - 1) + t
     if kind == POINT:
         w = s6 - 3 * g
         return (
@@ -187,10 +188,12 @@ def eigenvalue_pair(x, delta0, gamma, alpha, kind):
     broadcast against ``x``: a column of ``m`` penalties or relaxations of
     shape ``(m, 1)`` against ``c_k`` of shape ``(k,)`` or ``(m, k)`` gives
     ``(m, k)`` pairs, each equal to the pair of its own scalar call.
-    ``gamma`` is a single value.
+    ``gamma`` is a single value.  Raises ``ValueError`` outside the
+    domain (:func:`_check_domain`).
     """
     check_smoother(kind)
     x = np.asarray(x, dtype=float)
+    _check_domain(x, delta0, gamma)
     plus, minus = x == 1.0, x == -1.0
     ends = plus | minus
     lo, hi = (np.asarray(1 - t) for t in _mu_pair(1 - x, 1 + x, delta0, gamma, kind, ends))
@@ -203,10 +206,32 @@ def eigenvalue_pair(x, delta0, gamma, alpha, kind):
     return np.maximum(a, b), np.minimum(a, b)
 
 
+def _extremes(values) -> tuple:
+    """``(min, max)`` of an array (none of an empty one), or a scalar twice."""
+    if isinstance(values, np.ndarray):
+        return (values.min(), values.max()) if values.size else ()
+    return values, values
+
+
+def _check_domain(x, delta0, gamma) -> None:
+    """``ClosedFormDomainError``, with the message of ``ProblemConfig``,
+    unless every ``delta0`` is finite and at least 1, every ``gamma``
+    positive or inf and every ``c_k`` of ``x`` in ``[-1, 1]``: a few
+    comparisons, none over ``ASYMPTOTIC_CK``."""
+    try:
+        for value in _extremes(delta0):
+            check_penalty(value)
+        for value in _extremes(gamma):
+            check_reaction(value)
+    except ValueError as exc:
+        raise ClosedFormDomainError(*exc.args) from None
+    for value in () if x is ASYMPTOTIC_CK else _extremes(np.asarray(x)):
+        if not -1.0 <= value <= 1.0:
+            raise ClosedFormDomainError(f"c_k must lie in [-1, 1], got {value}")
+
+
 def eigs_closed_form(ck: float, config: ProblemConfig, kind: str, alpha: float) -> EigenPair:
     """Closed-form nonzero eigenvalues at a single ``c_k`` value."""
-    if not -1.0 <= ck <= 1.0:
-        raise ValueError(f"c_k must lie in [-1, 1], got {ck}")
     hi, lo = eigenvalue_pair(ck, config.delta0, config.gamma, alpha, kind)
     return EigenPair(float(hi), float(lo))
 
@@ -278,7 +303,9 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
     It is ``max |1 - alpha mu|`` over the extremes of
     :func:`_mu_extremes`: ``fl(1 - fl(alpha mu))`` is monotone in ``mu``,
     so the largest ``|1 - alpha mu|`` sits at ``mu_min`` or ``mu_max``.
+    Raises ``ValueError`` outside the domain (:func:`_check_domain`).
     """
+    _check_domain(x, delta0, gamma)
     return _rho_of_extremes(*_mu_extremes(x, delta0, gamma, kind), _per_row(alpha))
 
 

@@ -40,10 +40,7 @@ class ProblemConfig:
     bc: str = PERIODIC
 
     def __post_init__(self):
-        if not isinstance(self.cells, numbers.Integral):
-            raise ValueError(f"cells must be an integer, got {self.cells!r}")
-        if self.cells < 4 or self.cells % 2 != 0:
-            raise ValueError(f"cells must be even and >= 4, got {self.cells}")
+        check_cells(self.cells)
         check_penalty(self.delta0)
         check_reaction(self.gamma)
         if self.bc not in BOUNDARY_MODES:
@@ -67,6 +64,13 @@ def check_smoother(kind: str) -> str:
     if kind not in SMOOTHERS:
         raise ValueError(f"smoother must be one of {SMOOTHERS}, got {kind!r}")
     return kind
+
+
+def check_cells(cells: int) -> None:
+    if not isinstance(cells, numbers.Integral):
+        raise ValueError(f"cells must be an integer, got {cells!r}")
+    if cells < 4 or cells % 2 != 0:
+        raise ValueError(f"cells must be even and >= 4, got {cells}")
 
 
 def check_penalty(delta0: float) -> None:

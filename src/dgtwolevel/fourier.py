@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import _inverse_2x2
-from .config import CELL, ProblemConfig, check_smoother
+from .closed_forms import _check_domain
+from .config import CELL, ProblemConfig, check_penalty, check_smoother
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -164,9 +165,16 @@ def symbols_at_angle(t, delta0, inv_gamma, kind: str, alpha, scale: float = 1.0)
 
     ``t``, ``delta0``, ``inv_gamma`` and ``alpha`` broadcast against each
     other: each block carries their leading axes (``Rhat`` and ``Phat``
-    those of ``t`` only), and scalars give single blocks.
+    those of ``t`` only), and scalars give single blocks.  Raises
+    ``ValueError`` unless every ``delta0`` is finite and at least 1 and
+    every ``inv_gamma`` finite and at least 0.
     """
     check_smoother(kind)
+    for value in (np.min(delta0), np.max(delta0)):
+        check_penalty(value)
+    for value in (np.min(inv_gamma), np.max(inv_gamma)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"inv_gamma must be finite and >= 0, got {value}")
     Ql, Qr, Ql0, Qr0 = _grid_factors(t)
     Ahat = scale * (Ql @ _stencil_rows(delta0, inv_gamma, None) @ Qr)
     Dhat = scale * (Ql @ _stencil_rows(delta0, inv_gamma, kind) @ Qr)
@@ -194,9 +202,11 @@ def symbol_blocks(freq: Frequency, config: ProblemConfig, kind: str, alpha: floa
 
 def symbols_at_ck(delta0, gamma, kind: str, alpha, ck) -> SymbolSet:
     """Symbol blocks parameterized by ``c_k`` directly (mesh-free mode);
-    the arguments broadcast as in :func:`symbols_at_angle`."""
+    the arguments broadcast as in :func:`symbols_at_angle`.  Raises
+    ``ValueError`` outside the domain of ``closed_forms._check_domain``."""
+    _check_domain(ck, delta0, gamma)
     inv_gamma = 1.0 / np.asarray(gamma, dtype=float)
-    t = 0.5 * np.arccos(np.clip(ck, -1.0, 1.0))
+    t = 0.5 * np.arccos(ck)
     return symbols_at_angle(t, delta0, inv_gamma, kind, alpha)
 
 

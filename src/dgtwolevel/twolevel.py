@@ -25,6 +25,19 @@ cell (periodic meshes), ``_coarse_cell_blocks`` gives their coarse-cell
 Fourier symbols, and the pencil splits into one 2x2 pencil per coarse
 frequency, all solved at once, at any mesh size.  Other meshes
 (Dirichlet) take the whole mesh (``_whole_mesh``), up to desk scale.
+
+A Dirichlet mesh of J cells is the odd subspace of the periodic mesh of
+2J cells: with ``Q = [I; -reverse(I)]``, ``A_per Q = 4 Q A_dir``, the same
+for both smoothers, and ``R_per Q = Q_c R_dir``, ``P_per Q_c = Q P_dir``
+for ``Q_c`` the same map on coarse unknowns (the 4 is the ``1/h^2`` of
+the halved cell).  The boundary face's doubled penalty and the point
+smoother's 1x1 corners are exactly the couplings to the mirrored cells.
+So the sine form of the frequency analysis (Stueben and Trottenberg
+1982; Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001) splits the
+Dirichlet ``E`` into one 4x4 block per coarse frequency ``k = 0 .. J/2``
+in the orthonormal basis of ``_sine_basis``.  ``_dense_rho`` reads the
+Dirichlet radius off those blocks where ``_odd_fold`` finds the mesh to be
+such a fold, and keeps the dense compression of ``E`` for any other.
 """
 
 import errno
@@ -41,6 +54,7 @@ from .assembly import (
     assemble_transfer,
 )
 from .blocks import (
+    _EPS,
     BlockDiagonal,
     BlockTridiagonal,
     CellStencil,
@@ -165,17 +179,18 @@ def _check_desk_scale(size: int) -> None:
 
 
 def spectral_radius_dense(M: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a dense square matrix.
+    """Largest eigenvalue modulus of a dense square matrix, or over a
+    stack ``(..., m, m)`` of square blocks.
 
-    An exactly symmetric matrix goes to the symmetric eigensolver
-    (``eigvalsh``), any other to the nonsymmetric one (Hessenberg
-    reduction plus shifted QR); matrices are restricted to desk scale.
+    Exactly symmetric blocks go to the symmetric eigensolver
+    (``eigvalsh``), any others to the nonsymmetric one (Hessenberg
+    reduction plus shifted QR); blocks are restricted to desk scale.
     """
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {M.shape}")
-    _check_desk_scale(M.shape[0])
-    solver = np.linalg.eigvalsh if np.array_equal(M, M.T) else np.linalg.eigvals
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
+        raise ValueError(f"need a square matrix or a stack of them, got shape {M.shape}")
+    _check_desk_scale(M.shape[-1])
+    solver = np.linalg.eigvalsh if np.array_equal(M, M.swapaxes(-2, -1)) else np.linalg.eigvals
     try:
         return float(np.abs(solver(M)).max())
     except np.linalg.LinAlgError as exc:
@@ -247,7 +262,9 @@ def _whole_mesh(tl: TwoLevelComponents) -> tuple:
 
 
 def _dense_rho(tl: TwoLevelComponents) -> float:
-    """Two-grid radius over the complement from the dense compression
+    """Two-grid radius of ``E`` on a mesh without coarse-cell symmetry:
+    from its sine blocks on the odd fold of a uniform pattern
+    (``_odd_fold``, ``_sine_basis``), otherwise from the dense compression
     ``C = K AZ^T E Z K^T`` of size J (see the module docstring)."""
     _check_desk_scale(tl.A.shape[0] // 2)
     # H from the assembled E rather than from the smoother alone: only the
@@ -256,14 +273,108 @@ def _dense_rho(tl: TwoLevelComponents) -> float:
     # ROADMAP item 1; then assembled_rho is max |1 - alpha mu| of
     # assembled_mu on every mesh.  E is built first: beside Z, AZ and K its
     # build would raise the peak memory.  A huge alpha overflows E (alpha
-    # D^{-1} A times the columns of A) or C where the radius is finite:
-    # an error, not numpy warnings and a failing eigensolve
+    # D^{-1} A times the columns of A), C or the sine blocks where the
+    # radius is finite: an error, not numpy warnings and a failing
+    # eigensolve
     with np.errstate(over="ignore", invalid="ignore"):
         E = _finite(build_iteration_matrix(tl), tl)
+        if _odd_fold(tl):
+            return spectral_radius_dense(_finite(_sine_blocks(E), tl))
     Z, _, AZ_h, K = _complement(*_whole_mesh(tl)[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         C = _finite(K @ (AZ_h @ (E @ Z)) @ K.T, tl)
     return spectral_radius_dense(0.5 * (C + C.T))
+
+
+def _sine_basis(cells: int) -> tuple:
+    """The odd-reflection sine basis ``F`` of a Dirichlet mesh of J =
+    ``cells`` cells, as its two tables of coefficients ``(near, far)``,
+    each ``(2 (J/2 + 1), J/2)``.
+
+    ``F`` has four orthonormal columns per coarse frequency ``k = 0 ..
+    J/2``, ``theta = 2 pi k / J``.  On coarse cell ``M`` (unknowns ``4M
+    .. 4M + 3``, those of fine cells ``2M`` and ``2M + 1``) column ``2l``
+    puts ``cos(theta M)`` on unknown ``l`` and ``-cos(theta (M + 1))`` on
+    unknown ``3 - l``, and column ``2l + 1`` puts ``sin(theta M)`` and
+    ``sin(theta (M + 1))`` there, for ``l = 0, 1``: row ``t (J/2 + 1) +
+    k`` of ``near`` holds the normalized entries on unknown ``l`` of the
+    cosine (``t = 0``) or sine (``t = 1``) column, and the same row of
+    ``far`` those on unknown ``3 - l``.  These are the mesh's vectors
+    whose odd extension to the periodic mesh of 2J cells lies in its
+    coarse frequencies ``+-k``.  The sine columns of ``k = 0`` and ``k =
+    J/2`` vanish and are zero, so the ranks are 2, 4, ..., 4, 2, 2J in
+    all.
+    """
+    coarse = cells // 2
+    k, M = np.arange(coarse + 1)[:, None], np.arange(coarse + 1)
+    # theta M reduced mod 2 pi on integers, so that no large angle rounds
+    angle = 2.0 * np.pi * (k * M % cells) / cells
+    # the column norm is sqrt(J/2), and sqrt(J) for the cosines of k = 0
+    # and J/2
+    ends = (k == 0) | (k == coarse)
+    cos = np.cos(angle) / np.sqrt(np.where(ends, cells, coarse))
+    sin = np.where(ends, 0.0, np.sin(angle) / np.sqrt(coarse))
+    return np.concatenate((cos[:, :-1], sin[:, :-1])), np.concatenate((-cos[:, 1:], sin[:, 1:]))
+
+
+def _sine_blocks(E: np.ndarray) -> np.ndarray:
+    """The ``(J/2 + 1, 4, 4)`` stack of ``F_k^T E F_k`` for the
+    ``_sine_basis`` ``F`` of ``E``'s mesh.  Columns ``2l`` and ``2l + 1``
+    of ``F`` are nonzero on unknowns ``l`` and ``3 - l`` of each coarse
+    cell only, so their rows of ``F^T E`` are two products with a quarter
+    of the rows of ``E`` each, and each 2x2 part of a block sums over the
+    coarse cells only."""
+    n = len(E)
+    near, far = _sine_basis(n // 2)
+    frequencies = len(near) // 2
+    near_k, far_k = (table.reshape(2, frequencies, -1) for table in (near, far))
+    blocks = np.empty((frequencies, 4, 4))
+    for l in (0, 1):
+        FE = near @ E[l::4]
+        FE += far @ E[3 - l::4]
+        # (cosine or sine, k, coarse cell, unknown)
+        FE = FE.reshape(2, frequencies, n // 4, 4)
+        for m in (0, 1):
+            part = np.einsum("tkM,skM->kts", FE[..., m], near_k)
+            part += np.einsum("tkM,skM->kts", FE[..., 3 - m], far_k)
+            blocks[:, 2 * l : 2 * l + 2, 2 * m : 2 * m + 2] = part
+    return blocks
+
+
+def _odd_fold(tl: TwoLevelComponents) -> bool:
+    """Whether ``tl`` is a Dirichlet mesh that is the odd fold of a uniform
+    pattern, to within 8 eps of the largest interior entry of ``A`` and of
+    ``D``: then ``E`` is block diagonal in ``_sine_basis``.
+
+    The interior blocks of ``A`` repeat one diagonal block ``d`` and one
+    coupling ``u`` with ``d = S d S`` and ``u^T = S u S`` (``S`` the 2x2
+    swap: the pattern is its own mirror image), the boundary blocks are
+    ``d - u^T S`` and ``d - u S`` (the couplings to the mirrored cells,
+    whose traces are those of the boundary cells swapped and negated), and
+    the wrap block is exactly zero: a periodic mesh fails there even where
+    its couplings are below the rounding of ``d`` (gamma near 1e-300).
+    The cell smoother repeats one block ``b = S b S``; the point smoother
+    repeats one node block ``b = S b S``, and its corner block, the two
+    boundary unknowns, is ``diag(b00 - b01, b11 - b10)``.
+    """
+    A, D = tl.A, tl.D.blocks
+    d, u = A.diag[1], A.upper[0]
+    swap = np.s_[..., ::-1, ::-1]
+    b = D[0]
+    if tl.D.shift:
+        corner = np.diag([b[0, 0] - b[0, 1], b[1, 1] - b[1, 0]])
+        smoother = (D[:-1] - b, D[-1] - corner, b - b[swap])
+    else:
+        smoother = (D - b, b - b[swap])
+    operator = (
+        A.diag[1:-1] - d, A.upper[:-1] - u, d - d[swap], u.T - u[swap],
+        A.diag[0] - (d - u.T[:, ::-1]), A.diag[-1] - (d - u[:, ::-1]),
+    )
+    scales = (max(np.abs(d).max(), np.abs(u).max()), np.abs(b).max())
+    return not A.upper[-1].any() and all(
+        max(np.abs(gap).max() for gap in gaps) <= 8.0 * _EPS * scale
+        for gaps, scale in zip((operator, smoother), scales)
+    )
 
 
 def _finite(M: np.ndarray, tl: TwoLevelComponents) -> np.ndarray:
@@ -342,13 +453,17 @@ def assembled_rho(tl: TwoLevelComponents) -> float:
     within 4.4e-15 of the dense ``C``; with finite gamma, up to the
     constant-kernel switch, it is within 3.6e-15 of the closed-form
     frequency analysis (J 4 to 1024), where ``eigvals(E)`` is up to
-    6.6e-8 off.  Every other cycle (Dirichlet meshes) takes ``C``
-    densely (``_dense_rho``), from ``E``, up to J = 1024; over J 4 to
-    192, both smoothers, delta0 1.01 to 10 and alpha 0.6 to 1.1 it
-    agrees with ``spectral_radius_dense(E)`` to 1.1e-14.  There an
-    ``alpha`` so large that ``E`` or ``C`` overflows (from about 1e307)
-    raises ``OverflowError``; a periodic radius beyond the float range is
-    ``inf``.
+    6.6e-8 off.  Every other cycle takes its radius from ``E``
+    (``_dense_rho``), up to J = 1024: the odd fold of a uniform pattern (a
+    Dirichlet mesh) from the ``J/2 + 1`` sine blocks of ``E``, within 3e-15
+    of the dense compression ``C`` over J 4 to 192, both smoothers, gamma
+    inf to 1e-3, delta0 1.05 to 10, alpha 1.1 and the optimum; any other
+    mesh from ``C`` itself, which agrees with
+    ``spectral_radius_dense(E)`` to 1.1e-14 over J 4 to 192, both
+    smoothers, delta0 1.01 to 10 and alpha 0.6 to 1.1.  There an
+    ``alpha`` so large that ``E``, its blocks or ``C`` overflow (from about
+    1e307) raises ``OverflowError``; a periodic radius beyond the float
+    range is ``inf``.
     """
     stacks = _coarse_cell_blocks(tl)
     if stacks is None:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .assembly import assemble_operator
 from .closed_forms import ASYMPTOTIC_CK, ClosedFormDomainError, eigenvalue_pair, eigs_closed_form
-from .config import CELL, PERIODIC, POINT, ProblemConfig
+from .config import CELL, PERIODIC, POINT, ProblemConfig, check_cells
 from .fourier import symbols_at_ck, two_grid_eigenvalues, verify_block_diagonalization
 from .optimal import (
     DELTA0_TILDE_PLUS,
@@ -56,8 +56,10 @@ def run_validation(cells: int = 64) -> list:
     spectrum, and the thresholds by the paper's printed values.  Nothing
     checks ``alpha`` across the regime thresholds: it is
     ``2 / (mu_min + mu_max)`` over the endpoint ``mu`` and reads no
-    threshold.
+    threshold.  Raises ``ValueError`` for a mesh ``ProblemConfig``
+    refuses.
     """
+    check_cells(cells)
     checks = []
     rng = np.random.default_rng(2024)
 

@@ -290,6 +290,15 @@ def test_validate_warns_when_quarter_frequency_missing(capsys):
     assert "quarter_frequency_touch" not in captured.out
 
 
+@pytest.mark.parametrize("cells", ["7", "2", "1", "-3"])
+def test_validate_refuses_a_mesh_no_other_command_builds(capsys, cells):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "validate", "--cells", cells)
+    assert code == 1 and out == ""
+    assert err == f"error: cells must be even and >= 4, got {cells}\n"
+
+
 def test_crossover_output(capsys):
     code, out, _ = run_cli(capsys, "crossover", "--gamma", "inf")
     assert code == 0
@@ -349,6 +358,19 @@ def test_output_file(tmp_path, capsys):
     content = path.read_text()
     assert content.startswith("k,c_k,lambda_plus,lambda_minus\n")
     assert len(content.strip().splitlines()) == 1 + 4
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    missing = tmp_path / "missing" / "x.csv"
+    for argv, path, reason in (
+        (["sweep", "--smoother", "cell", "--out", str(tmp_path)], tmp_path, "Is a directory"),
+        (["crossover", "--gamma", "1", "--out", str(missing)], missing, "No such file or directory"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: cannot write {path}: {reason}\n"
+    assert not missing.parent.exists()
 
 
 def test_floats_round_trip(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -353,3 +354,61 @@ def test_closed_forms_bind_nothing_from_fourier():
     for name, value in vars(closed_forms).items():
         assert value is not fourier, name
         assert getattr(value, "__module__", None) != fourier.__name__, name
+
+
+OUTSIDE_THE_DOMAIN = [
+    # (c_k, delta0, gamma, message)
+    (0.5, 2.0, 0.0, "gamma must be positive (or inf), got 0.0"),
+    (0.5, 2.0, -1.0, "gamma must be positive (or inf), got -1.0"),
+    (0.5, 2.0, math.nan, "gamma must be positive (or inf), got nan"),
+    (0.5, 0.5, 1.0, "delta0 must be finite and >= 1, got 0.5"),
+    (0.5, math.inf, 1.0, "delta0 must be finite and >= 1, got inf"),
+    (0.5, math.nan, 1.0, "delta0 must be finite and >= 1, got nan"),
+    (0.5, np.array([[2.0], [0.9]]), 1.0, "delta0 must be finite and >= 1, got 0.9"),
+    (3.0, 2.0, 1.0, "c_k must lie in [-1, 1], got 3.0"),
+    (np.array([0.5, -1.5]), 2.0, 1.0, "c_k must lie in [-1, 1], got -1.5"),
+    (math.nan, 2.0, 1.0, "c_k must lie in [-1, 1], got nan"),
+]
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize("ck, delta0, gamma, message", OUTSIDE_THE_DOMAIN)
+def test_public_closed_forms_refuse_inputs_outside_their_domain(kind, ck, delta0, gamma, message):
+    # eigenvalue_pair(0.5, 2, 0, 1, cell) used to give (0, 0), c_k = 3 a
+    # pair, and symbols_at_ck clipped c_k = 3 to 1 and warned at gamma = 0
+    calls = (
+        lambda: eigenvalue_pair(ck, delta0, gamma, 1.0, kind),
+        lambda: rho_on_ck_values(np.atleast_1d(ck), delta0, gamma, 1.0, kind),
+        lambda: symbols_at_ck(delta0, gamma, kind, 1.0, ck),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ClosedFormDomainError) as exc:
+                call()
+            assert str(exc.value) == message
+            assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "delta0, inv_gamma, message",
+    [
+        (0.5, 1.0, "delta0 must be finite and >= 1, got 0.5"),
+        (2.0, -1.0, "inv_gamma must be finite and >= 0, got -1.0"),
+        (2.0, math.inf, "inv_gamma must be finite and >= 0, got inf"),
+        (2.0, np.array([0.0, math.nan]), "inv_gamma must be finite and >= 0, got nan"),
+    ],
+)
+def test_symbols_at_angle_refuse_inputs_outside_their_domain(delta0, inv_gamma, message):
+    with pytest.raises(ValueError) as exc:
+        fourier.symbols_at_angle(0.3, delta0, inv_gamma, CELL, 1.0)
+    assert str(exc.value) == message
+
+
+def test_domain_edges_still_answer():
+    # delta0 = 1, gamma = inf and c_k = +-1 are inside; 1/gamma = 0 too
+    for kind in (POINT, CELL):
+        hi, lo = eigenvalue_pair(np.array([-1.0, 0.0, 1.0]), 1.0, math.inf, 0.5, kind)
+        assert np.isfinite(hi).all() and np.isfinite(lo).all()
+        assert np.isfinite(symbols_at_ck(1.0, math.inf, kind, 0.5, -1.0).Ehat).all()
+        assert np.isfinite(fourier.symbols_at_angle(0.0, 1.0, 0.0, kind, 0.5).Ehat).all()

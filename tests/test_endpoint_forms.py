@@ -436,3 +436,22 @@ def test_extreme_inputs_give_rows_or_one_error_line(capsys, argv):
     else:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("extended", [True, False])
+@pytest.mark.parametrize("kind", [POINT, CELL])
+def test_endpoint_mu_keep_their_digits_as_delta0_nears_one(monkeypatch, kind, extended):
+    # plus_2 has the factor 12 g (delta0 - 1) + t; written 12 d + t - 12 g
+    # it cancelled at delta0 = 1: 6.8e-5 off at gamma = 1e15, 13% at 1e18,
+    # and 0 from 1e19 on, even in extended precision
+    if not extended:
+        monkeypatch.setattr(np, "longdouble", np.float64)
+    gammas = [*np.geomspace(1e-300, 1e300, 61), 1e15, 1e17, 1e18, 1e19]
+    worst = 0.0
+    for gamma in map(float, gammas):
+        for delta0 in (1.0, 1.0 + 2.0**-52, 1.0001, 1.001, 1.05, 1.5, 2.0, 10.0, 1e4, 1e8):
+            mu = closed_forms._endpoint_pairs(delta0, gamma, kind)
+            for value, exact in zip(mu, endpoint_mu_exact(kind, delta0, gamma)):
+                assert exact != 0
+                worst = max(worst, abs(Fraction(float(value)) / exact - 1))
+    assert worst <= 4 * np.finfo(float).eps
