@@ -103,8 +103,8 @@ def _mu_pair(s, q, delta0, gamma, kind, ends=None):
                 # a radicand below zero: clamped or refused below, after
                 # the denominator check
                 root = None
-        # arrays for a column of penalties, plain floats otherwise
-        finite = np.isfinite(c).all() if isinstance(delta0, np.ndarray) else all(map(math.isfinite, c))
+        # arrays for a column of penalties or gammas, plain floats otherwise
+        finite = np.isfinite(c).all() if _is_column(delta0, gamma) else all(map(math.isfinite, c))
     except FloatingPointError:
         finite = False
     if not finite:
@@ -123,13 +123,25 @@ def _mu_pair(s, q, delta0, gamma, kind, ends=None):
     return lo, k
 
 
+def _is_column(delta0, gamma) -> bool:
+    """Whether ``delta0`` or ``gamma`` is an array rather than a scalar."""
+    return isinstance(delta0, np.ndarray) or isinstance(gamma, np.ndarray)
+
+
 def _coordinates(gamma):
     """``(g, t)`` with ``t / g = 1/gamma``: ``(1, 1/gamma)`` for
     ``gamma >= 1`` and ``(gamma, 1)`` below, so that a form homogeneous in
     ``(g, t)`` forms no power of a number above 1 at any ``gamma > 0``.
 
-    The endpoint forms and the regime thresholds take it; at ``t = 1``
-    the thresholds are the paper's forms in ``gamma``."""
+    ``gamma`` is a scalar or an array; each element of an array takes its
+    own pair, in arrays of its shape and dtype.  The endpoint forms and
+    the regime thresholds take it; at ``t = 1`` the thresholds are the
+    paper's forms in ``gamma``."""
+    if isinstance(gamma, np.ndarray):
+        one = np.ones_like(gamma)
+        big = gamma >= 1.0
+        # 1 / max(gamma, 1) is 1/gamma where it is kept: no overflow
+        return np.where(big, one, gamma), np.where(big, 1.0 / np.maximum(gamma, one), one)
     return (1.0, 1.0 / gamma) if gamma >= 1.0 else (gamma, 1.0)
 
 
@@ -141,7 +153,8 @@ def _endpoint_pairs(delta0, gamma, kind):
     so that each comes within about half an ulp of its exact rational
     value, and in the coordinates of :func:`_coordinates`, so that no
     power of ``1/gamma`` overflows where extended precision is plain
-    double.
+    double.  ``delta0`` and ``gamma`` are scalars or arrays that
+    broadcast; arrays give four arrays of their broadcast shape.
     """
     g, t = _coordinates(np.longdouble(gamma))
     return [np.float64(mu) for mu in _endpoint_mu(np.longdouble(delta0), t, kind, g)]
@@ -184,12 +197,15 @@ def eigenvalue_pair(x, delta0, gamma, alpha, kind):
     """Vectorized ``(lambda_+, lambda_-)`` over ``x = c_k`` values.
 
     The two ``mu`` of ``lambda = 1 - alpha*mu`` come from one route for
-    every ``gamma``, the relaxation enters last.  ``delta0`` and ``alpha``
-    broadcast against ``x``: a column of ``m`` penalties or relaxations of
-    shape ``(m, 1)`` against ``c_k`` of shape ``(k,)`` or ``(m, k)`` gives
-    ``(m, k)`` pairs, each equal to the pair of its own scalar call.
-    ``gamma`` is a single value.  Raises ``ValueError`` outside the
-    domain (:func:`_check_domain`).
+    every ``gamma``, the relaxation enters last.  ``delta0``, ``gamma``
+    and ``alpha`` broadcast against ``x``: a column of ``m`` penalties,
+    gammas or relaxations of shape ``(m, 1)`` against ``c_k`` of shape
+    ``(k,)`` or ``(m, k)`` gives ``(m, k)`` pairs, each equal to the pair
+    of its own scalar call; so do ``m`` samples of each as four arrays of
+    shape ``(m,)``.  Each ``gamma`` takes its own branch of the tables
+    (:func:`~dgtwolevel.rd_coefficients._in_tau`).  Raises ``ValueError``
+    outside the domain (:func:`_check_domain`), and ``OverflowError`` if
+    the tables overflow at any element.
     """
     check_smoother(kind)
     x = np.asarray(x, dtype=float)
@@ -260,8 +276,9 @@ def _split(x):
 
 
 def _mu_extremes(x, delta0, gamma, kind):
-    """``(mu_min, mu_max)`` over one row ``x`` of ``c_k``: scalars for a
-    scalar ``delta0``, ``(m,)`` arrays for a column of shape ``(m, 1)``.
+    """``(mu_min, mu_max)`` over one row ``x`` of ``c_k``: scalars for
+    scalar ``delta0`` and ``gamma``, ``(m,)`` arrays where either is a
+    column of shape ``(m, 1)``.
 
     The pairs of the tables count at the ``c_k`` other than ``+-1``, and
     the endpoint ``mu`` join the extremes as four scalars (or columns).
@@ -282,7 +299,7 @@ def _mu_extremes(x, delta0, gamma, kind):
     if plus or minus:
         p1, p2, m1, m2 = _endpoint_pairs(delta0, gamma, kind)
         edge = ((p1, p2) if plus else ()) + ((m1, m2) if minus else ())
-        if isinstance(delta0, np.ndarray):
+        if _is_column(delta0, gamma):
             for mu in map(_per_row, edge):
                 mu_min, mu_max = np.minimum(mu_min, mu), np.maximum(mu_max, mu)
         else:
@@ -296,9 +313,9 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
 
     Equal, bit for bit, to the largest ``|lambda|`` of
     :func:`eigenvalue_pair` over the row: a ``float`` for scalar
-    ``delta0`` and ``alpha``, an ``(m,)`` array when either is a column
-    of shape ``(m, 1)``.  Raises ``ValueError`` for ``c_k`` of more than
-    one axis.
+    ``delta0``, ``gamma`` and ``alpha``, an ``(m,)`` array when any is a
+    column of shape ``(m, 1)``.  Raises ``ValueError`` for ``c_k`` of more
+    than one axis.
 
     It is ``max |1 - alpha mu|`` over the extremes of
     :func:`_mu_extremes`: ``fl(1 - fl(alpha mu))`` is monotone in ``mu``,

@@ -239,28 +239,36 @@ def fourier_basis(cells: int) -> np.ndarray:
 
 
 def block_circulant(blocks) -> np.ndarray:
-    """Assemble the block-circulant matrix whose first block row is ``blocks``."""
+    """Assemble the block-circulant matrix whose first block row is
+    ``blocks``, shape ``(J, 2, 2)``; a stack ``(..., J, 2, 2)`` of first
+    block rows gives a stack of matrices."""
     blocks = np.asarray(blocks, dtype=float)
-    J = len(blocks)
+    J = blocks.shape[-3]
     offset = (np.arange(J) - np.arange(J)[:, None]) % J
     # block (i, j) is blocks[(j - i) % J]
-    return blocks[offset].transpose(0, 2, 1, 3).reshape(2 * J, 2 * J)
+    C = blocks[..., offset, :, :].swapaxes(-3, -2)
+    return C.reshape(blocks.shape[:-3] + (2 * J, 2 * J))
 
 
 def verify_block_diagonalization(blocks, cells: int) -> tuple:
     """Residuals of the block-diagonalization of a block-circulant matrix.
 
-    Returns ``(off_block_residual, unitarity_residual)`` where the first
-    is the largest modulus of ``Q* C Q`` outside its 2x2 diagonal blocks
-    and the second is ``max|Q* Q - I|``.
+    ``blocks`` is the first block row, shape ``(cells, 2, 2)``, or a stack
+    ``(..., cells, 2, 2)`` of them: one basis and one stacked ``Q* C Q``
+    serve the whole stack.  Returns ``(off_block_residual,
+    unitarity_residual)`` where the first is the largest modulus of
+    ``Q* C Q`` outside its 2x2 diagonal blocks over the stack, the same
+    bits as the largest of one call per matrix, and the second is
+    ``max|Q* Q - I|``.
     """
-    if len(blocks) != cells:
+    blocks = np.asarray(blocks, dtype=float)
+    if blocks.ndim < 3 or blocks.shape[-3] != cells:
         raise ValueError(f"need {cells} blocks for a {2 * cells}x{2 * cells} circulant")
     C = block_circulant(blocks)
     Q = fourier_basis(cells)
     M = Q.conj().T @ C @ Q
-    off = M.reshape(cells, 2, cells, 2).copy()
+    off = M.reshape(M.shape[:-2] + (cells, 2, cells, 2)).copy()
     diagonal = np.arange(cells)
-    off[diagonal, :, diagonal, :] = 0.0
+    off[..., diagonal, :, diagonal, :] = 0.0
     unitarity = np.abs(Q.conj().T @ Q - np.eye(2 * cells)).max()
     return float(np.abs(off).max()), float(unitarity)

@@ -29,6 +29,8 @@ The test suite checks the tables exactly against the 4x4 block at
 radicand and denominator coefficients in that order.
 """
 
+import numpy as np
+
 
 def horner(coeffs, u):
     """``coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ...`` by Horner's rule.
@@ -47,16 +49,36 @@ def _in_tau(rows, n, gamma):
     """Each row ``(c_0, c_1, ...)`` of coefficients of ``tau^j`` as its
     polynomial in ``tau = 1/gamma``, times ``min(1, gamma)**n``.
 
-    The factor is the same for every row of one call and cancels in the
-    eigenvalue formulas.  The polynomial runs in ``tau`` for
+    The factor is the same for every row at one ``gamma`` and cancels in
+    the eigenvalue formulas.  The polynomial runs in ``tau`` for
     ``gamma >= 1`` (``tau = 0`` at ``gamma = inf``) and in ``gamma``, with
     the row reversed, below 1, so no power of a number above 1 is formed:
     every ``gamma > 0`` stays in range.
+
+    ``gamma`` is a scalar or an array that broadcasts against the entries
+    of the rows.  Each element takes its own branch: both polynomials run
+    at ``u = min(gamma, 1/gamma) <= 1``, the same bits as ``tau`` or
+    ``gamma`` of a scalar call, and ``np.where`` picks one.  A branch no
+    element takes is not evaluated.  An overflow in a dropped value raises
+    nothing; one in a kept value is an inf entry, as it is for a scalar
+    ``gamma`` outside ``np.errstate(over="raise")``.
     """
-    if gamma >= 1:
-        tau = 1 / gamma
-        return [horner(row, tau) for row in rows]
-    return [horner((0,) * (n + 1 - len(row)) + row[::-1], gamma) for row in rows]
+    if not isinstance(gamma, np.ndarray):
+        if gamma >= 1:
+            tau = 1 / gamma
+            return [horner(row, tau) for row in rows]
+        return [horner((0,) * (n + 1 - len(row)) + row[::-1], gamma) for row in rows]
+    in_tau = gamma >= 1
+    # 1 / max(gamma, 1) is tau where gamma >= 1 and 1 elsewhere: no overflow
+    u = np.minimum(gamma, 1 / np.maximum(gamma, 1.0))
+    if in_tau.all():
+        return [horner(row, u) for row in rows]
+    flipped = [(0,) * (n + 1 - len(row)) + row[::-1] for row in rows]
+    if not in_tau.any():
+        return [horner(row, u) for row in flipped]
+    # the dropped branch may overflow where the kept one does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [np.where(in_tau, horner(a, u), horner(b, u)) for a, b in zip(rows, flipped)]
 
 
 def point_coefficients(delta0: float, gamma: float) -> tuple:

@@ -27,7 +27,7 @@ from dgtwolevel.closed_forms import (
     rho_on_ck_values,
 )
 from dgtwolevel.optimal import _alpha_formula
-from dgtwolevel.rd_coefficients import cell_coefficients, point_coefficients
+from dgtwolevel.rd_coefficients import _in_tau, cell_coefficients, point_coefficients
 
 
 def block_reference(delta0, gamma, kind, alpha, ck):
@@ -368,6 +368,9 @@ OUTSIDE_THE_DOMAIN = [
     (3.0, 2.0, 1.0, "c_k must lie in [-1, 1], got 3.0"),
     (np.array([0.5, -1.5]), 2.0, 1.0, "c_k must lie in [-1, 1], got -1.5"),
     (math.nan, 2.0, 1.0, "c_k must lie in [-1, 1], got nan"),
+    (0.5, 2.0, np.array([[1.0], [0.0]]), "gamma must be positive (or inf), got 0.0"),
+    (0.5, 2.0, np.array([[math.inf], [-1.0]]), "gamma must be positive (or inf), got -1.0"),
+    (0.5, 2.0, np.array([[1e-3], [math.nan]]), "gamma must be positive (or inf), got nan"),
 ]
 
 
@@ -412,3 +415,87 @@ def test_domain_edges_still_answer():
         assert np.isfinite(hi).all() and np.isfinite(lo).all()
         assert np.isfinite(symbols_at_ck(1.0, math.inf, kind, 0.5, -1.0).Ehat).all()
         assert np.isfinite(fourier.symbols_at_angle(0.0, 1.0, 0.0, kind, 0.5).Ehat).all()
+
+
+#: gammas on both branches of the tables and at their edges
+GAMMA_COLUMN = [5e-324, 1e-300, 1e-3, 0.05, 1 - 2**-52, 1.0, 1e4, 1e300, math.inf]
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+@pytest.mark.parametrize(
+    "x",
+    [np.linspace(-1.0, 1.0, 41), mesh_ck(6), np.linspace(-0.9, 0.9, 37), ASYMPTOTIC_CK],
+    ids=["both-ends", "plus-one", "no-ends", "asymptotic"],
+)
+def test_gamma_column_equals_scalar_loop(kind, x):
+    # each gamma of a column takes its own branch of the tables, and its
+    # own endpoint forms where the row holds +-1: the same bits as its
+    # scalar call, beside a column of penalties or a scalar one
+    gamma = np.array(GAMMA_COLUMN)[:, None]
+    penalties = [1.0, 1.05, 1.5, 2.0, 3.7, 10.0, 1.2, 7.0, 1.45]
+    alpha = np.array([[0.6], [0.9], [1.0], [1.1], [1.3], [0.8], [1.6], [0.7], [1.2]])
+    for delta0 in (np.array(penalties)[:, None], 2.0):
+        hi, lo = eigenvalue_pair(x, delta0, gamma, alpha, kind)
+        rho = rho_on_ck_values(x, delta0, gamma, alpha, kind)
+        assert hi.shape == lo.shape == (len(GAMMA_COLUMN), x.size)
+        assert rho.shape == (len(GAMMA_COLUMN),)
+        for i, g in enumerate(GAMMA_COLUMN):
+            d = penalties[i] if isinstance(delta0, np.ndarray) else delta0
+            a = float(alpha[i, 0])
+            row_hi, row_lo = eigenvalue_pair(x, d, g, a, kind)
+            assert np.array_equal(hi[i], row_hi) and np.array_equal(lo[i], row_lo)
+            one = rho_on_ck_values(x, d, g, a, kind)
+            assert type(one) is float and one == rho[i]
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+def test_samples_as_flat_arrays_equal_scalar_loop(kind):
+    # m samples of (c_k, delta0, gamma, alpha) as four (m,) arrays, the
+    # form validate's appendix check takes, c_k = +-1 among them
+    rng = np.random.default_rng(7)
+    m = 40
+    x = rng.uniform(-1.0, 1.0, m)
+    x[:2] = 1.0, -1.0
+    delta0 = rng.uniform(1.0, 10.0, m)
+    gamma = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), m))
+    gamma[2:4] = math.inf, 1.0
+    alpha = rng.uniform(0.3, 2.0, m)
+    hi, lo = eigenvalue_pair(x, delta0, gamma, alpha, kind)
+    for i in range(m):
+        one_hi, one_lo = eigenvalue_pair(float(x[i]), float(delta0[i]), float(gamma[i]),
+                                         float(alpha[i]), kind)
+        assert one_hi == hi[i] and one_lo == lo[i]
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+def test_gamma_column_overflows_where_an_element_does(kind):
+    # an element whose tables overflow fails the whole call, as its own
+    # scalar call does; both branches of the tables are in the column
+    gamma = np.array([[1e-3], [1e4]])
+    eigenvalue_pair(0.3, 2.0, 1e-3, 1.0, kind)
+    with pytest.raises(OverflowError):
+        eigenvalue_pair(0.3, 1e300, 1e4, 1.0, kind)
+    for delta0 in (np.array([[2.0], [1e300]]), 1e300):
+        for call in (eigenvalue_pair, rho_on_ck_values):
+            with pytest.raises(OverflowError):
+                call(np.array([0.3, 1.0]), delta0, gamma, 1.0, kind)
+
+
+def test_gamma_column_drops_the_overflow_of_the_branch_it_does_not_take():
+    # (c0, c1) = (1.7e308, 3e307): at gamma = 1/2 the polynomial in gamma
+    # is 1.15e308 and the dropped one in tau 1.85e308, past the largest
+    # float; at gamma = 4 the kept one in tau is 1.775e308
+    rows = ((1.7e308, 3e307),)
+    with np.errstate(over="raise", invalid="raise"):
+        column = _in_tau(rows, 1, np.array([[0.5], [4.0]]))
+        assert np.array_equal(column[0], [_in_tau(rows, 1, 0.5), _in_tau(rows, 1, 4.0)])
+
+
+def test_coordinates_of_a_gamma_column_equal_scalar_calls():
+    # the endpoint forms take (g, t) in extended precision, where a wrong
+    # choice of coordinates can round to the same float64 bits
+    gamma = np.array(GAMMA_COLUMN)
+    for values in (gamma, gamma.astype(np.longdouble)):
+        g, t = closed_forms._coordinates(values[:, None])
+        for i, value in enumerate(values):
+            assert (g[i, 0], t[i, 0]) == closed_forms._coordinates(value)

@@ -63,6 +63,26 @@ def test_block_circulant_layout():
 def test_block_count_mismatch():
     with pytest.raises(ValueError):
         verify_block_diagonalization([np.eye(2)] * 4, 8)
+    with pytest.raises(ValueError):
+        verify_block_diagonalization(np.zeros((8, 2)), 8)
+
+
+@pytest.mark.parametrize("cells", [2, 4, 8, 16])
+def test_stacked_block_diagonalization_is_the_largest_single_call(cells):
+    # one basis and one stacked Q* C Q: the residual is the largest of one
+    # call per circulant, bit for bit, whatever the leading axes
+    rng = np.random.default_rng(cells)
+    stack = rng.uniform(-1.0, 1.0, size=(3, 5, cells, 2, 2))
+    C = block_circulant(stack)
+    assert C.shape == (3, 5, 2 * cells, 2 * cells)
+    singles = []
+    for blocks, matrix in zip(stack.reshape(-1, cells, 2, 2), C.reshape(-1, 2 * cells, 2 * cells)):
+        assert np.array_equal(matrix, loop_block_circulant(list(blocks)))
+        singles.append(verify_block_diagonalization(list(blocks), cells))
+    off, unit = verify_block_diagonalization(stack, cells)
+    assert off == max(o for o, _ in singles)
+    assert all(u == unit for _, u in singles)
+    assert verify_block_diagonalization(stack.reshape(-1, cells, 2, 2), cells) == (off, unit)
 
 
 def test_frequency_validation():
