@@ -20,7 +20,8 @@ feed a factorization, never build them): an apply is one wrap-padded
 copy of the vector, one product with all bands at once and a sum over
 the bands.  A column stack goes through numpy's stacked 2x2 products,
 whose per-block cost many columns amortize.  ``toarray()`` gives the
-dense matrix, meant as a test oracle at desk scale.
+dense matrix, meant as a test oracle at desk scale;
+``BlockTridiagonal.columns`` gives a batch of its columns alone.
 ``CyclicReduction`` factors a ``BlockTridiagonal`` once, by batched
 Schur complements over chains of ``_CHUNK`` cells, and solves with it in
 O(n) work per right-hand side.
@@ -128,19 +129,20 @@ def _shift_off_constants(M: np.ndarray) -> np.ndarray:
     return M + np.abs(M).max() / M.shape[0]
 
 
-def _cycle_toarray(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Dense matrix of the block-tridiagonal cycle ``(diag, upper)``."""
+def _cycle_toarray(diag: np.ndarray, upper: np.ndarray, cells: slice = slice(None)) -> np.ndarray:
+    """Dense matrix of the block-tridiagonal cycle ``(diag, upper)``, or
+    only the columns of the cells in ``cells``, as a contiguous array."""
     J = len(diag)
-    dense = np.zeros((J, 2, J, 2))
-    cells = np.arange(J)
-    nxt = (cells + 1) % J
-    dense[cells, :, cells, :] += diag
+    cols = np.arange(J)[cells]
+    here = np.arange(len(cols))
+    dense = np.zeros((J, 2, len(cols), 2))
+    dense[cols, :, here, :] += diag[cols]
     # += on fancy indices does not accumulate repeated indices, so the
     # two couplings go in one at a time (they land in the same block
-    # when J is 1 or 2)
-    dense[cells, :, nxt, :] += upper
-    dense[nxt, :, cells, :] += np.swapaxes(upper, 1, 2)
-    return dense.reshape(2 * J, 2 * J)
+    # when J is 1 or 2); index -1 is the last cell
+    dense[cols - 1, :, here, :] += upper[cols - 1]
+    dense[(cols + 1) % J, :, here, :] += np.swapaxes(upper[cols], 1, 2)
+    return dense.reshape(2 * J, 2 * len(cols))
 
 
 class BlockTridiagonal:
@@ -189,6 +191,15 @@ class BlockTridiagonal:
 
     def toarray(self) -> np.ndarray:
         return _cycle_toarray(self.diag, self.upper)
+
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """Columns ``start:stop`` of ``toarray()``, the same bits, written
+        out from the blocks of the cells they cross only: contiguous when
+        ``start`` is even and ``stop`` even or past the last column."""
+        stop = min(stop, self.shape[1])
+        first = start // 2
+        dense = _cycle_toarray(self.diag, self.upper, slice(first, (stop + 1) // 2))
+        return dense[:, start - 2 * first : stop - 2 * first]
 
 
 class BlockDiagonal:

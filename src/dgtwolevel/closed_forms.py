@@ -123,6 +123,17 @@ def _mu_pair(s, q, delta0, gamma, kind, ends=None):
     return lo, k
 
 
+def _as_arrays(*values):
+    """``values`` with each list or tuple as a float array, the rest as
+    they are: the public closed forms take a sequence as the array it
+    spells, and scalars keep their plain-float path at the cost of one
+    ``isinstance`` each."""
+    for value in values:
+        if isinstance(value, (list, tuple)):
+            return [np.asarray(v, dtype=float) if isinstance(v, (list, tuple)) else v for v in values]
+    return values
+
+
 def _is_column(delta0, gamma) -> bool:
     """Whether ``delta0`` or ``gamma`` is an array rather than a scalar."""
     return isinstance(delta0, np.ndarray) or isinstance(gamma, np.ndarray)
@@ -202,13 +213,15 @@ def eigenvalue_pair(x, delta0, gamma, alpha, kind):
     gammas or relaxations of shape ``(m, 1)`` against ``c_k`` of shape
     ``(k,)`` or ``(m, k)`` gives ``(m, k)`` pairs, each equal to the pair
     of its own scalar call; so do ``m`` samples of each as four arrays of
-    shape ``(m,)``.  Each ``gamma`` takes its own branch of the tables
+    shape ``(m,)``; a list or tuple counts as the array it spells.  Each
+    ``gamma`` takes its own branch of the tables
     (:func:`~dgtwolevel.rd_coefficients._in_tau`).  Raises ``ValueError``
     outside the domain (:func:`_check_domain`), and ``OverflowError`` if
     the tables overflow at any element.
     """
     check_smoother(kind)
     x = np.asarray(x, dtype=float)
+    delta0, gamma, alpha = _as_arrays(delta0, gamma, alpha)
     _check_domain(x, delta0, gamma)
     plus, minus = x == 1.0, x == -1.0
     ends = plus | minus
@@ -314,7 +327,8 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
     Equal, bit for bit, to the largest ``|lambda|`` of
     :func:`eigenvalue_pair` over the row: a ``float`` for scalar
     ``delta0``, ``gamma`` and ``alpha``, an ``(m,)`` array when any is a
-    column of shape ``(m, 1)``.  Raises ``ValueError`` for ``c_k`` of more
+    column of shape ``(m, 1)``, as an array or as the list or tuple that
+    spells it.  Raises ``ValueError`` for ``c_k`` of more
     than one axis.
 
     It is ``max |1 - alpha mu|`` over the extremes of
@@ -322,6 +336,7 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
     so the largest ``|1 - alpha mu|`` sits at ``mu_min`` or ``mu_max``.
     Raises ``ValueError`` outside the domain (:func:`_check_domain`).
     """
+    delta0, gamma, alpha = _as_arrays(delta0, gamma, alpha)
     _check_domain(x, delta0, gamma)
     return _rho_of_extremes(*_mu_extremes(x, delta0, gamma, kind), _per_row(alpha))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import _inverse_2x2
-from .closed_forms import _check_domain
+from .closed_forms import _as_arrays, _check_domain
 from .config import CELL, ProblemConfig, check_penalty, check_smoother
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -202,8 +202,10 @@ def symbol_blocks(freq: Frequency, config: ProblemConfig, kind: str, alpha: floa
 
 def symbols_at_ck(delta0, gamma, kind: str, alpha, ck) -> SymbolSet:
     """Symbol blocks parameterized by ``c_k`` directly (mesh-free mode);
-    the arguments broadcast as in :func:`symbols_at_angle`.  Raises
+    the arguments broadcast as in :func:`symbols_at_angle`, a list or
+    tuple as the array it spells.  Raises
     ``ValueError`` outside the domain of ``closed_forms._check_domain``."""
+    delta0, gamma, alpha = _as_arrays(delta0, gamma, alpha)
     _check_domain(ck, delta0, gamma)
     inv_gamma = 1.0 / np.asarray(gamma, dtype=float)
     t = 0.5 * np.arccos(ck)

@@ -2,7 +2,8 @@
 
 ``build_iteration_matrix`` assembles the dense error propagation ``E =
 I - B A`` from ``apply_preconditioner``, the preconditioner ``B`` that
-``stationary_solve`` applies, on batches of columns of ``A``.
+``stationary_solve`` applies, on batches of columns of ``A`` written out
+from its blocks: ``E`` is the one array of the mesh's full size.
 
 ``assembled_mu`` and ``assembled_rho`` give the exact two-grid spectrum
 without ``E``, from one symmetric-definite pencil ``(Z^T A D^{-1} A Z,
@@ -35,9 +36,12 @@ smoother's 1x1 corners are exactly the couplings to the mirrored cells.
 So the sine form of the frequency analysis (Stueben and Trottenberg
 1982; Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001) splits the
 Dirichlet ``E`` into one 4x4 block per coarse frequency ``k = 0 .. J/2``
-in the orthonormal basis of ``_sine_basis``.  ``_dense_rho`` reads the
-Dirichlet radius off those blocks where ``_odd_fold`` finds the mesh to be
-such a fold, and keeps the dense compression of ``E`` for any other.
+in an orthonormal basis of cosines and sines over the coarse cells.
+``_sine_blocks`` forms those blocks in O(J^2) work from the diagonal and
+anti-diagonal sums of ``E``'s 16 planes of one unknown per coarse cell.
+``_dense_rho`` reads the Dirichlet radius off the blocks where
+``_odd_fold`` finds the mesh to be such a fold, and keeps the dense
+compression of ``E`` for any other.
 """
 
 import errno
@@ -162,14 +166,15 @@ def build_iteration_matrix(tl: TwoLevelComponents) -> np.ndarray:
     :func:`apply_preconditioner`: that is ``E = (I - P A0^{-1} R A)(I -
     alpha D^{-1} A)``.
 
-    ``B`` acts on ``_E_COLUMNS`` columns of the dense ``A`` per batched
-    apply, which bounds the apply's temporaries to a few ``n x
-    _E_COLUMNS`` blocks beside ``A`` and ``E``.
+    ``B`` acts on ``_E_COLUMNS`` columns of ``A`` per batched apply, each
+    batch written out from ``A``'s blocks (``BlockTridiagonal.columns``),
+    so that beside ``E`` only a few ``n x _E_COLUMNS`` blocks are held:
+    no dense ``A``.
     """
-    A = tl.A.toarray()
-    E = np.eye(len(A))
-    for j in range(0, len(A), _E_COLUMNS):
-        E[:, j : j + _E_COLUMNS] -= apply_preconditioner(tl, A[:, j : j + _E_COLUMNS])
+    n = tl.A.shape[0]
+    E = np.eye(n)
+    for j in range(0, n, _E_COLUMNS):
+        E[:, j : j + _E_COLUMNS] -= apply_preconditioner(tl, tl.A.columns(j, j + _E_COLUMNS))
     return E
 
 
@@ -264,7 +269,7 @@ def _whole_mesh(tl: TwoLevelComponents) -> tuple:
 def _dense_rho(tl: TwoLevelComponents) -> float:
     """Two-grid radius of ``E`` on a mesh without coarse-cell symmetry:
     from its sine blocks on the odd fold of a uniform pattern
-    (``_odd_fold``, ``_sine_basis``), otherwise from the dense compression
+    (``_odd_fold``, ``_sine_blocks``), otherwise from the dense compression
     ``C = K AZ^T E Z K^T`` of size J (see the module docstring)."""
     _check_desk_scale(tl.A.shape[0] // 2)
     # H from the assembled E rather than from the smoother alone: only the
@@ -286,65 +291,78 @@ def _dense_rho(tl: TwoLevelComponents) -> float:
     return spectral_radius_dense(0.5 * (C + C.T))
 
 
-def _sine_basis(cells: int) -> tuple:
-    """The odd-reflection sine basis ``F`` of a Dirichlet mesh of J =
-    ``cells`` cells, as its two tables of coefficients ``(near, far)``,
-    each ``(2 (J/2 + 1), J/2)``.
+def _sine_blocks(E: np.ndarray) -> np.ndarray:
+    """The ``(J/2 + 1, 4, 4)`` stack of ``F_k^T E F_k`` for the
+    odd-reflection sine basis ``F`` of ``E``'s mesh of J cells, in O(J^2)
+    work.
 
     ``F`` has four orthonormal columns per coarse frequency ``k = 0 ..
     J/2``, ``theta = 2 pi k / J``.  On coarse cell ``M`` (unknowns ``4M
-    .. 4M + 3``, those of fine cells ``2M`` and ``2M + 1``) column ``2l``
-    puts ``cos(theta M)`` on unknown ``l`` and ``-cos(theta (M + 1))`` on
-    unknown ``3 - l``, and column ``2l + 1`` puts ``sin(theta M)`` and
-    ``sin(theta (M + 1))`` there, for ``l = 0, 1``: row ``t (J/2 + 1) +
-    k`` of ``near`` holds the normalized entries on unknown ``l`` of the
-    cosine (``t = 0``) or sine (``t = 1``) column, and the same row of
-    ``far`` those on unknown ``3 - l``.  These are the mesh's vectors
-    whose odd extension to the periodic mesh of 2J cells lies in its
-    coarse frequencies ``+-k``.  The sine columns of ``k = 0`` and ``k =
-    J/2`` vanish and are zero, so the ranks are 2, 4, ..., 4, 2, 2J in
-    all.
+    .. 4M + 3``, those of fine cells ``2M`` and ``2M + 1``) column ``2l +
+    t`` puts ``trig_t(theta M)`` on unknown ``l`` and ``s_t trig_t(theta
+    (M + 1))`` on unknown ``3 - l``, for ``l = 0, 1``, with ``trig_0 =
+    cos``, ``s_0 = -1``, ``trig_1 = sin``, ``s_1 = 1``, and norm
+    ``sqrt(J/2)`` (``sqrt(J)`` for the cosines of ``k = 0`` and ``J/2``,
+    whose sines vanish and are taken as zero columns).  These are the
+    mesh's vectors whose odd extension to the periodic mesh of 2J cells
+    lies in its coarse frequencies ``+-k``.
+
+    Unknown ``u`` of a cell is ``l`` (``a = 0``) or ``3 - l`` (``a = 1``),
+    and so the plane ``P = E[u::4, v::4]`` enters the block entry ``(2l +
+    t, 2l' + t')`` as ``sum_{M, M'} trig_t(theta (M + a)) P[M, M']
+    trig_t'(theta (M' + b))``, times ``s_t^a s_t'^b`` and the norms.  By
+    product to sum, that needs only ``sum_{M - M' = d} P`` and ``sum_{M +
+    M' = e} P``, at the angles ``theta (d + a - b)`` and ``theta (e + a +
+    b)``: O(J^2) additions per plane, read through one padded ``(J/2,
+    J)`` buffer, then one real FFT of length J per sum (the angles are
+    periodic in ``d`` and ``e`` with period J).
     """
+    cells = len(E) // 2
     coarse = cells // 2
-    k, M = np.arange(coarse + 1)[:, None], np.arange(coarse + 1)
-    # theta M reduced mod 2 pi on integers, so that no large angle rounds
-    angle = 2.0 * np.pi * (k * M % cells) / cells
-    # the column norm is sqrt(J/2), and sqrt(J) for the cosines of k = 0
-    # and J/2
+    buffer = np.zeros((coarse, cells))
+    item = buffer.itemsize
+    # entry (M, M') of a plane goes to row M, column c - 1 - d (d = M - M')
+    # or column e (e = M + M') of the buffer, whose other entries stay 0
+    layouts = (
+        (((cells - 1) * item, item), (coarse - 1) * item),
+        (((cells + 1) * item, item), 0),
+    )
+    # entry r of a sum is d + a - b (e + a + b) mod J: column c - 1 - d (e)
+    r = np.arange(cells)
+    source = [[((coarse - 1 + a - b - r) % cells, (r - a - b) % cells) for b in (0, 1)] for a in (0, 1)]
+    # (l, a, l', b, difference or sum, r)
+    sums = np.empty((2, 2, 2, 2, 2, cells))
+    for which, (strides, offset) in enumerate(layouts):
+        view = np.ndarray((coarse, coarse), buffer=buffer, offset=offset, strides=strides)
+        buffer.fill(0.0)
+        for l, a, m, b in np.ndindex(2, 2, 2, 2):
+            view[...] = E[3 * a + (1 - 2 * a) * l :: 4, 3 * b + (1 - 2 * b) * m :: 4]
+            sums[l, a, m, b, which] = buffer.sum(axis=0)[source[a][b][which]]
+    # sum_r x_r cos(theta r) and sum_r x_r sin(theta r), k = 0 .. J/2
+    spectrum = np.fft.rfft(sums)
+    cos_d, cos_e = spectrum.real[..., 0, :], spectrum.real[..., 1, :]
+    sin_d, sin_e = -spectrum.imag[..., 0, :], -spectrum.imag[..., 1, :]
+    sign = np.array([1.0, -1.0])
+    s_a, s_b = sign[:, None, None, None], sign[:, None]
+    # (t, t'), each (l, l', k) after the sum over a and b
+    parts = (
+        ((s_a * s_b * (cos_d + cos_e)).sum((1, 3)), (s_a * (sin_e - sin_d)).sum((1, 3))),
+        ((s_b * (sin_e + sin_d)).sum((1, 3)), (cos_d - cos_e).sum((1, 3))),
+    )
+    blocks = np.array(parts).transpose(4, 2, 0, 3, 1).reshape(coarse + 1, 4, 4)
+    k = np.arange(coarse + 1)
     ends = (k == 0) | (k == coarse)
-    cos = np.cos(angle) / np.sqrt(np.where(ends, cells, coarse))
-    sin = np.where(ends, 0.0, np.sin(angle) / np.sqrt(coarse))
-    return np.concatenate((cos[:, :-1], sin[:, :-1])), np.concatenate((-cos[:, 1:], sin[:, 1:]))
-
-
-def _sine_blocks(E: np.ndarray) -> np.ndarray:
-    """The ``(J/2 + 1, 4, 4)`` stack of ``F_k^T E F_k`` for the
-    ``_sine_basis`` ``F`` of ``E``'s mesh.  Columns ``2l`` and ``2l + 1``
-    of ``F`` are nonzero on unknowns ``l`` and ``3 - l`` of each coarse
-    cell only, so their rows of ``F^T E`` are two products with a quarter
-    of the rows of ``E`` each, and each 2x2 part of a block sums over the
-    coarse cells only."""
-    n = len(E)
-    near, far = _sine_basis(n // 2)
-    frequencies = len(near) // 2
-    near_k, far_k = (table.reshape(2, frequencies, -1) for table in (near, far))
-    blocks = np.empty((frequencies, 4, 4))
-    for l in (0, 1):
-        FE = near @ E[l::4]
-        FE += far @ E[3 - l::4]
-        # (cosine or sine, k, coarse cell, unknown)
-        FE = FE.reshape(2, frequencies, n // 4, 4)
-        for m in (0, 1):
-            part = np.einsum("tkM,skM->kts", FE[..., m], near_k)
-            part += np.einsum("tkM,skM->kts", FE[..., 3 - m], far_k)
-            blocks[:, 2 * l : 2 * l + 2, 2 * m : 2 * m + 2] = part
-    return blocks
+    norm = np.empty((coarse + 1, 4))
+    norm[:, 0::2] = np.sqrt(np.where(ends, 1.0 / cells, 1.0 / coarse))[:, None]
+    norm[:, 1::2] = np.sqrt(np.where(ends, 0.0, 1.0 / coarse))[:, None]
+    return 0.5 * blocks * norm[:, :, None] * norm[:, None, :]
 
 
 def _odd_fold(tl: TwoLevelComponents) -> bool:
     """Whether ``tl`` is a Dirichlet mesh that is the odd fold of a uniform
     pattern, to within 8 eps of the largest interior entry of ``A`` and of
-    ``D``: then ``E`` is block diagonal in ``_sine_basis``.
+    ``D``: then ``E`` is block diagonal in the sine basis of
+    ``_sine_blocks``.
 
     The interior blocks of ``A`` repeat one diagonal block ``d`` and one
     coupling ``u`` with ``d = S d S`` and ``u^T = S u S`` (``S`` the 2x2

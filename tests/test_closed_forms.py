@@ -499,3 +499,33 @@ def test_coordinates_of_a_gamma_column_equal_scalar_calls():
         g, t = closed_forms._coordinates(values[:, None])
         for i, value in enumerate(values):
             assert (g[i, 0], t[i, 0]) == closed_forms._coordinates(value)
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+def test_lists_and_tuples_are_the_arrays_they_spell(kind):
+    # a sequence of penalties, gammas or relaxations is the float array it
+    # spells, bit for bit; a mixed list with an int among floats included
+    x = [0.1, 0.2, 1.0]
+    column = [[1.5], [2.0]]
+    gammas = ([1.0], (0.05,))
+    alphas = [[0.9], [1]]
+    arrays = [np.array(v, dtype=float) for v in (column, gammas, alphas)]
+    hi, lo = eigenvalue_pair(x, column, gammas, alphas, kind)
+    want_hi, want_lo = eigenvalue_pair(x, *arrays, kind)
+    assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
+    rho = rho_on_ck_values(x, column, gammas, alphas, kind)
+    assert np.array_equal(rho, rho_on_ck_values(x, *arrays, kind))
+    hi, lo = eigenvalue_pair(0.3, 2.0, [1.0, 2.0], 1.0, kind)
+    want_hi, want_lo = eigenvalue_pair(0.3, 2.0, np.array([1.0, 2.0]), 1.0, kind)
+    assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
+    rho = rho_on_ck_values([0.1, 0.2], [1.5, 2.0], 1.0, 0.9, kind)
+    assert rho == rho_on_ck_values([0.1, 0.2], np.array([1.5, 2.0]), 1.0, 0.9, kind)
+    blocks = symbols_at_ck([2.0, 3.0], (1.0, 2.0), kind, [1.0, 0.9], [0.3, 0.5])
+    want = symbols_at_ck(np.array([2.0, 3.0]), np.array([1.0, 2.0]), kind, np.array([1.0, 0.9]), [0.3, 0.5])
+    for name in ("Ahat", "Dhat", "Ehat"):
+        assert np.array_equal(getattr(blocks, name), getattr(want, name))
+    # and a sequence outside the domain is refused as its array is
+    with pytest.raises(ClosedFormDomainError, match="delta0"):
+        eigenvalue_pair(0.3, [2.0, 0.5], 1.0, 1.0, kind)
+    with pytest.raises(ClosedFormDomainError, match="gamma"):
+        rho_on_ck_values([0.1], 2.0, (1.0, -1.0), 0.9, kind)

@@ -210,6 +210,21 @@ def test_block_tridiagonal_vector_apply_matches_dense(cells, wrap):
     assert gap(op @ x, (op @ np.column_stack((x, -x)))[:, 0]) < 1e-14
 
 
+@pytest.mark.parametrize("cells", [1, 2, 3, 64])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_block_tridiagonal_columns_are_those_of_the_dense_matrix(cells, wrap):
+    op = random_cycle(np.random.default_rng(cells), cells, wrap)
+    dense = op.toarray()
+    n = 2 * cells
+    for start in range(n):
+        for stop in (start + 1, start + 2, start + 7, start + 64):
+            columns = op.columns(start, stop)
+            assert np.array_equal(columns, dense[:, start:stop]), (start, stop)
+            # whole cells, or the last ones: one contiguous batch
+            if start % 2 == 0 and (stop % 2 == 0 or stop >= n):
+                assert columns.flags.c_contiguous
+
+
 def written_out(blocks, x, shift):
     """``D @ x`` as the plain 2x2 product per block."""
     X = np.roll(x, -shift).reshape(-1, 2)

@@ -102,6 +102,21 @@ def test_iteration_matrix_vs_preconditioner_columns():
         assert np.abs(E[:, j] - col).max() < 1e-12
 
 
+@pytest.mark.parametrize("cells", [4, 6, 8, 16, 64, 130, 192])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+def test_iteration_matrix_is_the_loop_over_dense_columns(bc, cells):
+    # the batches of A's columns come from its blocks, not from a dense A:
+    # the same E, bit for bit, as batches cut from A.toarray()
+    for kind in (CELL, POINT):
+        for gamma in (math.inf, 1.0, 0.05):
+            tl = two_level_components(ProblemConfig(cells, 1.7, gamma, bc), kind, 0.9)
+            A = tl.A.toarray()
+            E = np.eye(len(A))
+            for j in range(0, len(A), 64):
+                E[:, j : j + 64] -= apply_preconditioner(tl, A[:, j : j + 64])
+            assert np.array_equal(build_iteration_matrix(tl), E), (kind, gamma)
+
+
 @pytest.mark.parametrize("columns", [1, 7, 80, 1000])
 def test_iteration_matrix_does_not_depend_on_its_column_batches(monkeypatch, columns):
     # J = 40: 80 columns, so the default batches of 64 leave a part batch;
