@@ -9,23 +9,21 @@ from its blocks: ``E`` is the one array of the mesh's full size.
 without ``E``, from one symmetric-definite pencil ``(Z^T A D^{-1} A Z,
 Z^T A Z)`` of half its size (Falgout, Vassilevski and Zikatanov, "On
 two-grid convergence estimates", NLAA 12, 2005).  ``Z`` spans the
-A-orthogonal complement of the coarse space, and ``_complement`` gives
-it with ``AZ = A Z`` and ``K = L^{-1}``, ``G = AZ^T Z = L L^T``.  The
-exact ``E`` maps everything into ``range(Z)`` (plus the constant vector
-when ``A0`` has a constant kernel), and ``E Z = Z G^{-1} H`` there with
-``H = AZ^T E Z``.  As ``AZ^T P = 0``, ``H = AZ^T (I - alpha D^{-1} A)
-Z``: the coarse correction, and with it any error of ``coarse_solve``,
-drops out.  So ``E`` has the eigenvalues of the symmetric ``C = K H K^T
-= I - alpha K AZ^T D^{-1} AZ K^T``, that is ``1 - alpha mu`` for the
-``mu`` of the pencil, plus n/2 zeros, plus the eigenvalue 1 of the
-untouched constant vector (``E 1 = 1``) on a constant kernel.
+A-orthogonal complement of the coarse space.  The exact ``E`` maps
+everything into ``range(Z)`` (plus the constant vector when ``A0`` has a
+constant kernel), and ``E Z = Z (Z^T A Z)^{-1} Z^T A E Z`` there.  As
+``Z^T A P = 0``, ``Z^T A E Z = Z^T A (I - alpha D^{-1} A) Z``: the
+coarse correction, and with it any error of ``coarse_solve``, drops
+out.  So ``E`` has the eigenvalues ``1 - alpha mu`` for the ``mu`` of
+the pencil, plus n/2 zeros, plus the eigenvalue 1 of the untouched
+constant vector (``E 1 = 1``) on a constant kernel.
 
 One evaluator, ``_pencil_mu``, solves the pencil on two kinds of input.
 Where the assembled operators repeat one block pattern on every coarse
 cell (periodic meshes), ``_coarse_cell_blocks`` gives their coarse-cell
 Fourier symbols, and the pencil splits into one 2x2 pencil per coarse
-frequency, all solved at once, at any mesh size.  Other meshes
-(Dirichlet) take the whole mesh (``_whole_mesh``), up to desk scale.
+frequency, all solved at once, at any mesh size.  Other meshes take the
+whole mesh (``_whole_mesh``), up to desk scale.
 
 A Dirichlet mesh of J cells is the odd subspace of the periodic mesh of
 2J cells: with ``Q = [I; -reverse(I)]``, ``A_per Q = 4 Q A_dir``, the same
@@ -39,9 +37,9 @@ Dirichlet ``E`` into one 4x4 block per coarse frequency ``k = 0 .. J/2``
 in an orthonormal basis of cosines and sines over the coarse cells.
 ``_sine_blocks`` forms those blocks in O(J^2) work from the diagonal and
 anti-diagonal sums of ``E``'s 16 planes of one unknown per coarse cell.
-``_dense_rho`` reads the Dirichlet radius off the blocks where
-``_odd_fold`` finds the mesh to be such a fold, and keeps the dense
-compression of ``E`` for any other.
+``assembled_rho`` reads the Dirichlet radius off the blocks where
+``_odd_fold`` finds the mesh to be such a fold, and takes ``max |1 -
+alpha mu|`` over the pencil on every other mesh.
 """
 
 import errno
@@ -185,19 +183,16 @@ def _check_desk_scale(size: int) -> None:
 
 def spectral_radius_dense(M: np.ndarray) -> float:
     """Largest eigenvalue modulus of a dense square matrix, or over a
-    stack ``(..., m, m)`` of square blocks.
-
-    Exactly symmetric blocks go to the symmetric eigensolver
-    (``eigvalsh``), any others to the nonsymmetric one (Hessenberg
-    reduction plus shifted QR); blocks are restricted to desk scale.
+    stack ``(..., m, m)`` of square blocks, by the nonsymmetric
+    eigensolver (Hessenberg reduction plus shifted QR); blocks are
+    restricted to desk scale.
     """
     M = np.asarray(M)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError(f"need a square matrix or a stack of them, got shape {M.shape}")
     _check_desk_scale(M.shape[-1])
-    solver = np.linalg.eigvalsh if np.array_equal(M, M.swapaxes(-2, -1)) else np.linalg.eigvals
     try:
-        return float(np.abs(solver(M)).max())
+        return float(np.abs(np.linalg.eigvals(M)).max())
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(str(exc)) from exc
 
@@ -206,28 +201,6 @@ def _stencil_complement(P: CellStencil) -> np.ndarray:
     """Orthonormal complement (4 x 2) of the prolongation stencil, by QR."""
     stencil = P.stencil
     return np.linalg.qr(stencil, mode="complete")[0][:, stencil.shape[1] :]
-
-
-def _complement(A, A0, W, R, P) -> tuple:
-    """``(Z, AZ, AZ^H, K)``: a basis ``Z`` of the A-orthogonal complement
-    of the coarse space, ``AZ = A Z`` and ``K = L^{-1}`` for the Cholesky
-    factor ``L`` of ``G = AZ^H Z``, so that ``K G K^H = I``.
-
-    ``Z = W - P X`` with ``A0 X = R A W``: ``W`` spans, per coarse cell,
-    the orthonormal complement of the prolongation stencil, so ``W^H P =
-    0`` and ``W^H Z = I``, and ``P^H A Z = 0``.  Only ``@`` and
-    ``np.linalg.solve`` act, so the operators are either the
-    coarse-frequency stacks of ``_coarse_cell_blocks`` (one small pencil
-    per frequency) or those of ``_whole_mesh``; either way ``A0`` is
-    shifted off the constants on a constant kernel (only its ``k = 0``
-    block is singular there), the columns of ``Z`` stay off the constant
-    vector, and ``G`` is still definite.  Raises ``ValueError`` when it is
-    not (an operator singular or indefinite off the coarse space).
-    """
-    Z = W - P @ np.linalg.solve(A0, R @ (A @ W))
-    AZ = A @ Z
-    AZ_h = AZ.conj().swapaxes(-2, -1)
-    return Z, AZ, AZ_h, _inverse_cholesky(AZ_h @ Z)
 
 
 def _inverse_cholesky(G: np.ndarray) -> np.ndarray:
@@ -240,20 +213,37 @@ def _inverse_cholesky(G: np.ndarray) -> np.ndarray:
 
 
 def _pencil_mu(Dinv, A, A0, W, R, P) -> np.ndarray:
-    """The ``mu`` of ``assembled_mu``, ascending: the eigenvalues of ``K
-    AZ^H D^{-1} AZ K^H`` from ``_complement``, per frequency or at once."""
-    _, AZ, AZ_h, K = _complement(A, A0, W, R, P)
+    """The ``mu`` of ``assembled_mu``, ascending, per frequency or at once.
+
+    ``Z = W - P X`` with ``A0 X = R A W`` is a basis of the A-orthogonal
+    complement of the coarse space: ``W`` spans, per coarse cell, the
+    orthonormal complement of the prolongation stencil, so ``W^H P = 0``
+    and ``W^H Z = I``, and ``P^H A Z = 0``.  With ``AZ = A Z`` and ``K =
+    L^{-1}`` for the Cholesky factor ``L`` of ``G = AZ^H Z``, the ``mu``
+    are the eigenvalues of the Hermitian ``K AZ^H D^{-1} AZ K^H``.  Only
+    ``@`` and ``np.linalg.solve`` act, so the operators are either the
+    coarse-frequency stacks of ``_coarse_cell_blocks`` (one small pencil
+    per frequency) or those of ``_whole_mesh``; either way ``A0`` is
+    shifted off the constants on a constant kernel (only its ``k = 0``
+    block is singular there), the columns of ``Z`` stay off the constant
+    vector, and ``G`` is still definite.  Raises ``ValueError`` when it is
+    not (an operator singular or indefinite off the coarse space).
+    """
+    Z = W - P @ np.linalg.solve(A0, R @ (A @ W))
+    AZ = A @ Z
+    AZ_h = AZ.conj().swapaxes(-2, -1)
+    K = _inverse_cholesky(AZ_h @ Z)
     mu = np.linalg.eigvalsh(K @ (AZ_h @ (Dinv @ AZ)) @ K.conj().swapaxes(-2, -1))
     return np.sort(mu, axis=None)
 
 
 def _whole_mesh(tl: TwoLevelComponents) -> tuple:
-    """``(D^{-1}, A, A0, W, R, P)`` of the whole mesh, for ``_complement``:
+    """``(D^{-1}, A, A0, W, R, P)`` of the whole mesh, for ``_pencil_mu``:
     the structured ``D^{-1}``, ``A``, ``R`` and ``P``, the dense ``A0``
     (shifted off the constants on a constant kernel) and ``W``.  Raises
     ``ValueError`` above desk scale, before anything dense is built.
 
-    ``X`` of ``_complement`` comes from LAPACK's LU on this dense ``A0``,
+    ``X`` of ``_pencil_mu`` comes from LAPACK's LU on this dense ``A0``,
     which keeps ``|P^T A Z|`` below 1e-15 of ``|A|`` even where ``A0`` is
     nearly singular (with the cyclic reduction it reached 5.6e-10 at gamma
     = 1e13 and 1.6e-6 at 1e14.5, periodic, J 64 and 192).
@@ -266,29 +256,20 @@ def _whole_mesh(tl: TwoLevelComponents) -> tuple:
     return tl._D_inverse, tl.A, A0, W, tl.R, tl.P
 
 
-def _dense_rho(tl: TwoLevelComponents) -> float:
-    """Two-grid radius of ``E`` on a mesh without coarse-cell symmetry:
-    from its sine blocks on the odd fold of a uniform pattern
-    (``_odd_fold``, ``_sine_blocks``), otherwise from the dense compression
-    ``C = K AZ^T E Z K^T`` of size J (see the module docstring)."""
+def _fold_rho(tl: TwoLevelComponents) -> float:
+    """Two-grid radius of ``E`` on the odd fold of a uniform pattern (a
+    Dirichlet mesh that passes ``_odd_fold``), from its ``J/2 + 1`` sine
+    blocks (``_sine_blocks``)."""
     _check_desk_scale(tl.A.shape[0] // 2)
-    # H from the assembled E rather than from the smoother alone: only the
-    # benchmark's per-layer metrics, which time build_iteration_matrix and
-    # spectral_radius_dense through sweep --dense, keep this route until
-    # ROADMAP item 1; then assembled_rho is max |1 - alpha mu| of
-    # assembled_mu on every mesh.  E is built first: beside Z, AZ and K its
-    # build would raise the peak memory.  A huge alpha overflows E (alpha
-    # D^{-1} A times the columns of A), C or the sine blocks where the
-    # radius is finite: an error, not numpy warnings and a failing
-    # eigensolve
+    # E rather than assembled_mu: only the benchmark's per-layer metrics,
+    # which time build_iteration_matrix and spectral_radius_dense through
+    # sweep --dense on Dirichlet meshes, keep this route until ROADMAP
+    # item 1.  A huge alpha overflows E (alpha D^{-1} A times the columns
+    # of A) or its blocks where the radius is finite: an error, not numpy
+    # warnings and a failing eigensolve
     with np.errstate(over="ignore", invalid="ignore"):
         E = _finite(build_iteration_matrix(tl), tl)
-        if _odd_fold(tl):
-            return spectral_radius_dense(_finite(_sine_blocks(E), tl))
-    Z, _, AZ_h, K = _complement(*_whole_mesh(tl)[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = _finite(K @ (AZ_h @ (E @ Z)) @ K.T, tl)
-    return spectral_radius_dense(0.5 * (C + C.T))
+        return spectral_radius_dense(_finite(_sine_blocks(E), tl))
 
 
 def _sine_blocks(E: np.ndarray) -> np.ndarray:
@@ -409,7 +390,7 @@ def _uniform(*stacks: np.ndarray) -> bool:
 
 def _coarse_cell_blocks(tl: TwoLevelComponents):
     """``(D^{-1}, A, A0, W, R, P)`` per coarse frequency, for
-    ``_complement``, or ``None`` unless ``A``, ``D^{-1}`` and ``A0`` repeat
+    ``_pencil_mu``, or ``None`` unless ``A``, ``D^{-1}`` and ``A0`` repeat
     the same blocks, bit for bit, on every coarse cell.
 
     Row block ``M`` of such an operator holds ``own`` on the diagonal,
@@ -451,8 +432,8 @@ def assembled_mu(tl: TwoLevelComponents) -> np.ndarray:
     vector, which is not among these ``mu``.
 
     Periodic meshes solve it per coarse frequency (``_coarse_cell_blocks``):
-    O(J) work and memory at any J.  Every other mesh (Dirichlet) solves it
-    whole (``_whole_mesh``), up to J = 1024; larger meshes raise
+    O(J) work and memory at any J.  Every other mesh (Dirichlet, say)
+    solves it whole (``_whole_mesh``), up to J = 1024; larger meshes raise
     ``ValueError`` before anything dense is built.  Raises ``ValueError``
     also when ``Z^T A Z`` is not definite.
     """
@@ -465,29 +446,22 @@ def assembled_rho(tl: TwoLevelComponents) -> float:
     alpha mu|`` over ``assembled_mu`` (see the module docstring), and at
     least 1 when ``A0`` has a constant kernel.
 
-    Periodic meshes take it at the two extreme ``mu`` of the frequency
-    route: O(J) work at any J.  Over J 4 to 192, gamma inf to 1e-3, delta0
-    1.05 to 10, alpha 0.7, 1.1 and the optimum, and both smoothers, that is
-    within 4.4e-15 of the dense ``C``; with finite gamma, up to the
-    constant-kernel switch, it is within 3.6e-15 of the closed-form
-    frequency analysis (J 4 to 1024), where ``eigvals(E)`` is up to
-    6.6e-8 off.  Every other cycle takes its radius from ``E``
-    (``_dense_rho``), up to J = 1024: the odd fold of a uniform pattern (a
-    Dirichlet mesh) from the ``J/2 + 1`` sine blocks of ``E``, within 3e-15
-    of the dense compression ``C`` over J 4 to 192, both smoothers, gamma
-    inf to 1e-3, delta0 1.05 to 10, alpha 1.1 and the optimum; any other
-    mesh from ``C`` itself, which agrees with
-    ``spectral_radius_dense(E)`` to 1.1e-14 over J 4 to 192, both
-    smoothers, delta0 1.01 to 10 and alpha 0.6 to 1.1.  There an
-    ``alpha`` so large that ``E``, its blocks or ``C`` overflow (from about
-    1e307) raises ``OverflowError``; a periodic radius beyond the float
-    range is ``inf``.
+    Periodic meshes take it at the two extreme ``mu`` of ``assembled_mu``
+    in O(J) work at any J: with finite gamma, up to the constant-kernel
+    switch, within 3.6e-15 of the closed-form frequency analysis (J 4 to
+    1024), where ``eigvals(E)`` is up to 6.6e-8 off.  So does every mesh
+    that is neither periodic nor a fold, up to J = 1024.  A radius beyond
+    the float range is ``inf`` there.  The odd fold of a uniform pattern (a
+    Dirichlet mesh, ``_odd_fold``) takes it from the ``J/2 + 1`` sine
+    blocks of ``E`` (``_fold_rho``), up to J = 1024; an ``alpha`` so large
+    that ``E`` or its blocks overflow (from about 1e307) raises
+    ``OverflowError``.
     """
     stacks = _coarse_cell_blocks(tl)
-    if stacks is None:
-        rho = _dense_rho(tl)
+    if stacks is None and _odd_fold(tl):
+        rho = _fold_rho(tl)
     else:
-        mu = _pencil_mu(*stacks)
+        mu = _pencil_mu(*(stacks or _whole_mesh(tl)))
         # fl(1 - fl(alpha mu)) is monotone in mu; a radius beyond the float
         # range rounds to inf, without a warning
         with np.errstate(over="ignore"):

@@ -14,7 +14,6 @@ nothing is kept between runs.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,8 @@ def run_validation(cells: int = 64) -> list:
     checks ``alpha`` across the regime thresholds: it is
     ``2 / (mu_min + mu_max)`` over the endpoint ``mu`` and reads no
     threshold.  Raises ``ValueError`` for a mesh ``ProblemConfig``
-    refuses.
+    refuses; ``cells`` changes no check, each of which reads fixed meshes
+    or ``c_k`` values.
     """
     check_cells(cells)
     checks = []
@@ -88,12 +88,6 @@ def run_validation(cells: int = 64) -> list:
     # Union of block spectra equals the dense periodic spectrum.  The
     # blocks of each smoother's two designs come from one stacked call.
     worst = 0.0
-    quarter_skipped = cells % 4 != 0
-    if quarter_skipped:
-        warnings.warn(
-            f"cells={cells} is not a multiple of 4; k = J/4 spectrum checks skipped",
-            stacklevel=2,
-        )
     # the node phases of two_grid_eigenvalues on a mesh of J = 16 cells
     J = 16
     t = 2.0 * math.pi * np.arange(1, J // 2 + 1) / J
@@ -181,16 +175,15 @@ def run_validation(cells: int = 64) -> list:
     checks.append(CheckResult("lfa", "poisson_degeneration", worst < 1e-8, worst, "< 1e-8"))
 
     # Touching eigenvalue curves at k = J/4 for delta0 = 1 (point smoother).
-    if not quarter_skipped:
-        cfg = ProblemConfig(cells, 1.0, math.inf, PERIODIC)
-        try:
-            # alpha_opt_poisson also evaluates rho on ASYMPTOTIC_CK through
-            # the tables, which the endpoint c_k = -1 below does not read
-            alpha = alpha_opt_poisson(POINT, 1.0).alpha_opt
-            pair = eigs_closed_form(math.cos(math.pi), cfg, POINT, alpha)
-            gap = abs(pair.lambda_plus - pair.lambda_minus)
-        except ClosedFormDomainError:
-            gap = math.inf
-        checks.append(CheckResult("lfa", "quarter_frequency_touch", gap < 1e-10, gap, "< 1e-10"))
+    cfg = ProblemConfig(cells, 1.0, math.inf, PERIODIC)
+    try:
+        # alpha_opt_poisson also evaluates rho on ASYMPTOTIC_CK through the
+        # tables, which the endpoint c_k = -1 below does not read
+        alpha = alpha_opt_poisson(POINT, 1.0).alpha_opt
+        pair = eigs_closed_form(math.cos(math.pi), cfg, POINT, alpha)
+        gap = abs(pair.lambda_plus - pair.lambda_minus)
+    except ClosedFormDomainError:
+        gap = math.inf
+    checks.append(CheckResult("lfa", "quarter_frequency_touch", gap < 1e-10, gap, "< 1e-10"))
 
     return checks

@@ -282,12 +282,16 @@ def test_validate_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_validate_warns_when_quarter_frequency_missing(capsys):
-    with pytest.warns(UserWarning, match="multiple of 4"):
-        code = main(["validate", "--cells", "6"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "quarter_frequency_touch" not in captured.out
+def test_validate_runs_every_check_at_any_cells(capsys):
+    # quarter_frequency_touch reads c_k = -1 whatever the mesh: J = 6 runs
+    # it too, without a warning, and prints what J = 16 prints
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "validate", "--cells", "6")
+    assert code == 0 and err == ""
+    assert "PASS lfa.quarter_frequency_touch" in out
+    assert out.splitlines()[-1] == "10/10 checks passed"
+    assert out == run_cli(capsys, "validate", "--cells", "16")[1]
 
 
 @pytest.mark.parametrize("cells", ["7", "2", "1", "-3"])

@@ -31,7 +31,8 @@ from dgtwolevel import twolevel
 from dgtwolevel.assembly import assemble_operator, assemble_smoother, assemble_transfer
 from dgtwolevel.blocks import BlockDiagonal, BlockTridiagonal
 from dgtwolevel.optimal import _alpha_formula
-from dgtwolevel.twolevel import TwoLevelComponents, _dense_rho, _odd_fold, assembled_rho
+from dgtwolevel.twolevel import TwoLevelComponents, _fold_rho, _odd_fold, assembled_rho
+from oracles import compression_rho, pencil_rho
 
 EPS = np.finfo(float).eps
 GAMMAS = (math.inf, 1e8, 1e4, 1.0, 0.05, 1e-3)
@@ -175,16 +176,9 @@ def test_sine_basis_block_diagonalizes_the_dirichlet_cycle(kind, cells):
             assert gap <= 1e-14 * scale
 
 
-def complement_rho(tl, monkeypatch):
-    """``_dense_rho`` through the dense compression, past the fold check."""
-    with monkeypatch.context() as patch:
-        patch.setattr(twolevel, "_odd_fold", lambda tl: False)
-        return _dense_rho(tl)
-
-
 @pytest.mark.parametrize("cells", [4, 6, 8, 16, 64, 192])
 @pytest.mark.parametrize("kind", [CELL, POINT])
-def test_sine_route_is_the_dense_compression(monkeypatch, kind, cells):
+def test_sine_route_is_the_dense_compression(kind, cells):
     worst = 0.0
     for gamma in GAMMAS:
         for delta0 in (1.05, 2.0, 10.0):
@@ -192,7 +186,7 @@ def test_sine_route_is_the_dense_compression(monkeypatch, kind, cells):
             for alpha in (_alpha_formula(kind, delta0, gamma), 1.1):
                 tl = two_level_components(config, kind, alpha)
                 assert _odd_fold(tl)
-                worst = max(worst, abs(_dense_rho(tl) - complement_rho(tl, monkeypatch)))
+                worst = max(worst, abs(_fold_rho(tl) - compression_rho(tl)))
     # measured: 3.0e-15
     assert worst <= 1e-13
 
@@ -241,7 +235,7 @@ def one_block_scaled(tl, factor):
 
 
 @pytest.mark.parametrize("kind", [CELL, POINT])
-def test_fold_check_refuses_one_block_scaled_by_1e_10(monkeypatch, kind):
+def test_fold_check_refuses_one_block_scaled_by_1e_10(kind):
     for cells in (4, 6, 16):
         for gamma in GAMMAS:
             for delta0 in (1.05, 2.0, 10.0):
@@ -249,14 +243,15 @@ def test_fold_check_refuses_one_block_scaled_by_1e_10(monkeypatch, kind):
                 tl = two_level_components(config, kind, 0.9)
                 for bent in one_block_scaled(tl, 1.0 + 1e-10):
                     assert not _odd_fold(bent), (cells, gamma, delta0)
-    # such a mesh keeps the dense compression, bit for bit
+    # such a mesh takes the whole pencil, bit for bit
     bent = next(one_block_scaled(tl, 1.0 + 1e-3))
-    assert _dense_rho(bent) == complement_rho(bent, monkeypatch)
-    assert abs(_dense_rho(bent) - _dense_rho(tl)) > 1e-6
+    assert assembled_rho(bent) == pencil_rho(bent)
+    assert assembled_rho(bent) == pytest.approx(compression_rho(bent), abs=1e-14)
+    assert abs(assembled_rho(bent) - assembled_rho(tl)) > 1e-6
 
 
 @pytest.mark.parametrize("kind", [CELL, POINT])
-def test_fold_check_needs_a_mirror_symmetric_pattern(monkeypatch, kind):
+def test_fold_check_needs_a_mirror_symmetric_pattern(kind):
     # interior blocks with unequal diagonals, boundary blocks folded from
     # them: every relation but d = S d S holds, and the sine blocks of E are
     # not those of its spectrum
@@ -268,8 +263,9 @@ def test_fold_check_needs_a_mirror_symmetric_pattern(monkeypatch, kind):
     bent = TwoLevelComponents(BlockTridiagonal(diag, tl.A.upper), tl.D, tl.alpha)
     assert not _odd_fold(bent)
     sine = spectral_radius_dense(twolevel._sine_blocks(build_iteration_matrix(bent)))
-    assert abs(sine - _dense_rho(bent)) > 1e-3
-    assert _dense_rho(bent) == complement_rho(bent, monkeypatch)
+    assert abs(sine - compression_rho(bent)) > 1e-3
+    assert assembled_rho(bent) == pencil_rho(bent)
+    assert assembled_rho(bent) == pytest.approx(compression_rho(bent), abs=1e-14)
 
 
 def test_spectral_radius_of_a_stack_of_blocks():

@@ -32,9 +32,9 @@ from dgtwolevel.optimal import _alpha_formula
 from dgtwolevel.twolevel import (
     TwoLevelComponents,
     _coarse_cell_blocks,
-    _dense_rho,
     _pencil_mu,
 )
+from oracles import compression_rho, pencil_rho
 
 
 def explicit_preconditioner(tl):
@@ -149,14 +149,13 @@ def test_spectral_radius_rejects_bad_input():
         spectral_radius_dense(np.ones((3, 4)))
     with pytest.raises(ValueError):
         spectral_radius_dense(np.eye(1100))
-    # the eigensolve of assembled_rho sees J x J: it refuses before building E
+    # assembled_rho refuses a Dirichlet mesh above desk scale before building E
     with pytest.raises(ValueError, match="desk scale"):
         assembled_rho(two_level_components(ProblemConfig(1026, 2.0, bc=DIRICHLET), CELL, 1.0))
 
 
-def test_spectral_radius_symmetric_path_equals_nonsymmetric():
-    # an exactly symmetric matrix goes to eigvalsh; the extreme eigenvalue
-    # here is negative, so the radius is its modulus
+def test_spectral_radius_of_a_symmetric_matrix_is_its_extreme_modulus():
+    # the extreme eigenvalue here is negative, so the radius is its modulus
     rng = np.random.default_rng(7)
     Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
     M = (Q * np.linspace(-3.0, 2.0, 40)) @ Q.T
@@ -187,8 +186,9 @@ def test_assembled_rho_is_the_iteration_matrix_radius(kind, bc, cells):
 @pytest.mark.parametrize("cells", [4, 6, 8, 16, 64, 192])
 @pytest.mark.parametrize("kind", [CELL, POINT])
 def test_frequency_route_equals_dense_compression(kind, cells):
-    # both routes called directly, past the dispatch of assembled_rho; the
-    # gammas reach past the constant-kernel switch (1e14 at delta0 = 10)
+    # the frequency route called directly, past the dispatch of
+    # assembled_rho, against the compression oracle; the gammas reach past
+    # the constant-kernel switch (1e14 at delta0 = 10)
     worst = 0.0
     for gamma in (math.inf, 1e14, 1e13, 1e12, 1e8, 1e4, 1.0, 0.05, 1e-3):
         for delta0 in (1.05, 1.2, 2.0, 3.0, 10.0):
@@ -198,7 +198,7 @@ def test_frequency_route_equals_dense_compression(kind, cells):
                 stacks = _coarse_cell_blocks(tl)
                 assert stacks is not None
                 rho = np.abs(1.0 - alpha * _pencil_mu(*stacks)).max()
-                worst = max(worst, abs(rho - _dense_rho(tl)))
+                worst = max(worst, abs(rho - compression_rho(tl)))
     assert worst <= 1e-14
 
 
@@ -219,12 +219,12 @@ def dense_pencil_mu(tl):
 def assert_whole_mesh_pencil(tl):
     """``assembled_mu`` on a mesh without coarse-cell symmetry against the
     eigvals oracle, and ``max |1 - alpha mu|`` over it against the dense
-    compression of ``E``."""
+    compression of ``E`` (``oracles.compression_rho``)."""
     assert _coarse_cell_blocks(tl) is None
     mu = assembled_mu(tl)
     assert mu.shape == (tl.A.cells,) and np.all(np.diff(mu) >= 0.0)
     assert np.abs(mu - dense_pencil_mu(tl)).max() <= 1e-13
-    assert np.abs(1.0 - tl.alpha * mu).max() == pytest.approx(_dense_rho(tl), abs=1e-14)
+    assert np.abs(1.0 - tl.alpha * mu).max() == pytest.approx(compression_rho(tl), abs=1e-14)
 
 
 @pytest.mark.parametrize("cells", [4, 6, 8, 16, 64, 192])
@@ -332,7 +332,8 @@ def test_one_perturbed_cell_falls_back_to_the_dense_route(kind, operator, cell):
     bent = perturbed(tl, operator, cell, 1.01)
     assert _coarse_cell_blocks(bent) is None
     rho = assembled_rho(bent)
-    assert rho == _dense_rho(bent)
+    assert rho == pencil_rho(bent)
+    assert rho == pytest.approx(compression_rho(bent), abs=1e-14)
     assert rho == pytest.approx(spectral_radius_dense(build_iteration_matrix(bent)), abs=1e-12)
     assert abs(rho - assembled_rho(tl)) > 1e-6
 
@@ -356,7 +357,8 @@ def test_operator_bent_off_the_coarse_space_falls_back(kind):
     bent = bent_off_the_coarse_space(tl)
     assert np.array_equal(bent.A0.diag, tl.A0.diag) and np.array_equal(bent.A0.upper, tl.A0.upper)
     assert _coarse_cell_blocks(bent) is None
-    assert assembled_rho(bent) == _dense_rho(bent)
+    assert assembled_rho(bent) == pencil_rho(bent)
+    assert assembled_rho(bent) == pytest.approx(compression_rho(bent), abs=1e-14)
 
 
 @pytest.mark.parametrize("kind", [CELL, POINT])
@@ -373,6 +375,31 @@ def test_assembled_mu_on_perturbed_periodic_meshes_is_the_whole_pencil(kind, gam
         assert_whole_mesh_pencil(bent)
 
 
+@pytest.mark.parametrize("cells", [4, 6, 16, 64])
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_assembled_rho_builds_e_only_on_a_dirichlet_fold(monkeypatch, kind, cells):
+    # every other mesh, periodic or perturbed, reads assembled_mu bit for
+    # bit; the fold reads the sine blocks of E, as the eigvals of the stack
+    built = []
+    build = twolevel.build_iteration_matrix
+    monkeypatch.setattr(twolevel, "build_iteration_matrix", lambda tl: built.append(tl) or build(tl))
+    for gamma in (math.inf, 1e14, 1.0, 1e-3):
+        for delta0 in (1.05, 2.0, 10.0):
+            for alpha in (_alpha_formula(kind, delta0, gamma), 1.1):
+                periodic, fold = (
+                    two_level_components(ProblemConfig(cells, delta0, gamma, bc), kind, alpha)
+                    for bc in (PERIODIC, DIRICHLET)
+                )
+                others = [periodic, bent_off_the_coarse_space(periodic)] if cells >= 8 else [periodic]
+                others += [perturbed(tl, op, 1, 1.01) for tl in (periodic, fold) for op in ("A", "D")]
+                for tl in others:
+                    assert assembled_rho(tl) == pencil_rho(tl)
+                assert not built
+                blocks = twolevel._sine_blocks(build_iteration_matrix(fold))
+                assert assembled_rho(fold) == np.abs(np.linalg.eigvals(blocks)).max()
+                assert built.pop() is fold and not built
+
+
 @pytest.mark.parametrize("kind", [CELL, POINT])
 def test_uniformly_perturbed_smoother_moves_rho_dense_off_lfa(kind):
     # the frequency route reads the assembled blocks, not the closed forms
@@ -386,7 +413,7 @@ def test_uniformly_perturbed_smoother_moves_rho_dense_off_lfa(kind):
     assert _coarse_cell_blocks(bent) is not None
     rho = assembled_rho(bent)
     assert abs(rho - rho_lfa) > 1e-5
-    assert rho == pytest.approx(_dense_rho(bent), abs=1e-14)
+    assert rho == pytest.approx(compression_rho(bent), abs=1e-14)
 
 
 def test_periodic_sweep_dense_at_65536_cells_matches_lfa(capsys):
