@@ -20,6 +20,11 @@ and applied in O(n) work; nothing builds an n x n array:
 * ``assemble_transfer`` returns ``CellStencil`` transfers that apply the
   fixed 2x4 restriction stencil per coarse cell.
 
+The interior stencil is written once, in ``_interior_blocks``, and the
+transfer weights once, in ``_PAIR_STENCIL``; ``fourier`` transforms
+these, and with ``_pair_blocks`` and ``_shifted_pair`` it and
+``twolevel`` lay them out per coarse cell.
+
 ``toarray()`` gives the dense matrix of each.  It is the oracle the tests
 compare against at desk scale and feeds the dense iteration matrix; no
 solve goes through it.
@@ -51,6 +56,29 @@ def symmetry_defect(A: np.ndarray) -> float:
     return float(np.abs(A - A.T).max() / scale)
 
 
+def _interior_blocks(delta0, inv_gamma, kind=None):
+    """Unscaled interior 2x2 blocks over the broadcast shape of ``delta0``
+    and ``inv_gamma``, with no validation: the operator's ``(diag,
+    upper)``, rows ``(u_j^+, u_j^-)`` against columns ``(u_j^+, u_j^-)``
+    and ``(u_{j+1}^+, u_{j+1}^-)``, for ``kind`` None, else the ``kind``
+    smoother's block (a point block pairs ``u_j^-`` with ``u_{j+1}^+``)."""
+    d, mu, cross = np.broadcast_arrays(delta0 + inv_gamma / 3.0, inv_gamma / 6.0, 1.0 - delta0)
+
+    def block(*entries):
+        return np.stack(entries, axis=-1).reshape(d.shape + (2, 2))
+
+    if kind is None:
+        half, zero = np.full(d.shape, -0.5), np.zeros(d.shape)
+        return block(d, mu, mu, d), block(half, zero, cross, half)
+    off = mu if kind == CELL else cross
+    return block(d, off, off, d)
+
+
+def _dirichlet_corner(config: ProblemConfig) -> float:
+    """Unscaled diagonal entry of the Dirichlet operator at a boundary unknown."""
+    return 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
+
+
 def assemble_operator(config: ProblemConfig) -> BlockTridiagonal:
     """Assemble the 2J x 2J interior-penalty reaction-diffusion matrix.
 
@@ -72,14 +100,10 @@ def assemble_operator(config: ProblemConfig) -> BlockTridiagonal:
     both.
     """
     J = config.cells
-    d = config.delta0 + config.inv_gamma / 3.0
-    mu = config.inv_gamma / 6.0
-    cross = 1.0 - config.delta0
-    diag = np.tile([[d, mu], [mu, d]], (J, 1, 1))
-    # rows (u_j^+, u_j^-) against columns (u_{j+1}^+, u_{j+1}^-)
-    upper = np.tile([[-0.5, 0.0], [cross, -0.5]], (J, 1, 1))
+    interior = _interior_blocks(config.delta0, config.inv_gamma)
+    diag, upper = (np.tile(block, (J, 1, 1)) for block in interior)
     if config.bc == DIRICHLET:
-        corner = 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
+        (d, mu), corner = diag[0, 0], _dirichlet_corner(config)
         edge = 0.5 + mu
         upper[-1] = 0.0
         diag[0] = [[corner, edge], [edge, d]]
@@ -127,13 +151,11 @@ def assemble_smoother(config: ProblemConfig, kind: str) -> BlockDiagonal:
     ``smoother_partition`` order.
     """
     J = config.cells
-    d = config.delta0 + config.inv_gamma / 3.0
-    off = config.inv_gamma / 6.0 if check_smoother(kind) == CELL else 1.0 - config.delta0
-    blocks = np.tile([[d, off], [off, d]], (J, 1, 1))
+    blocks = np.tile(_interior_blocks(config.delta0, config.inv_gamma, check_smoother(kind)), (J, 1, 1))
     corners = kind == POINT and config.bc == DIRICHLET
     if corners:
         # unpaired boundary unknowns: diagonal entry of the Dirichlet matrix
-        corner = 2.0 * config.delta0 - 1.0 + config.inv_gamma / 3.0
+        corner = _dirichlet_corner(config)
         blocks[-1] = [[corner, 0.0], [0.0, corner]]
     blocks /= config.h**2
     singular = np.flatnonzero(_inverse_2x2(blocks, 1e-14)[1])
@@ -171,6 +193,17 @@ def _pair_blocks(first, second, inner, outer) -> tuple:
     own[..., :2, :2], own[..., 2:, 2:], own[..., :2, 2:] = first, second, inner
     own[..., 2:, :2] = np.swapaxes(own[..., :2, 2:], -1, -2)
     nxt[..., 2:, :2] = outer
+    return own, nxt
+
+
+def _shifted_pair(even, odd) -> tuple:
+    """``(own, next)`` 4x4 blocks, as in ``_pair_blocks``, of the point
+    smoother's layout shifted by one unknown: ``even`` pairs unknowns 1
+    and 2 of a coarse cell, ``odd`` its unknown 3 with unknown 0 of the
+    next coarse cell; stacks of symmetric 2x2 blocks give stacks."""
+    own, nxt = np.zeros((2,) + np.shape(even)[:-2] + (4, 4))
+    own[..., 1:3, 1:3] = even
+    own[..., 3, 3], nxt[..., 3, 0], own[..., 0, 0] = odd[..., 0, 0], odd[..., 0, 1], odd[..., 1, 1]
     return own, nxt
 
 

@@ -348,6 +348,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: floating-point overflow: {exc.args[-1]}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

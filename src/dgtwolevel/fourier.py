@@ -13,8 +13,12 @@ other, and every block carries their leading axes, so one call and one
 stacked ``np.linalg.eigvals`` cover all frequencies of a mesh or a batch
 of sampled parameters.  Scalar input gives single blocks.
 
-Everything here is built numerically from the grid-function products;
-printed closed forms are used as cross-checks in the test suite only.
+The slabs these blocks transform are the assembled interior blocks
+(``assembly._interior_blocks``, ``_pair_blocks`` and ``_shifted_pair``)
+and the transfer rows the assembled stencil (``assembly._PAIR_STENCIL``),
+so the analysis is of the matrices ``assembly`` builds, not of a second
+copy of the stencil.  Printed closed forms are used as cross-checks in
+the test suite only.
 """
 
 import math
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import _PAIR_STENCIL, _interior_blocks, _pair_blocks, _shifted_pair
 from .blocks import _inverse_2x2
 from .closed_forms import _as_arrays, _check_domain
 from .config import CELL, ProblemConfig, check_penalty, check_smoother
@@ -80,49 +85,25 @@ class SymbolSet:
 
 
 def _stencil_rows(delta0, inv_gamma, kind: str | None) -> np.ndarray:
-    """4x8 slab of operator (kind None) or smoother rows for two cells,
-    stacked over the broadcast shape of ``delta0`` and ``inv_gamma``."""
-    d = np.asarray(delta0 + inv_gamma / 3.0, dtype=float)
-    mu = np.asarray(inv_gamma / 6.0, dtype=float)
-    w = np.asarray(1.0 - delta0, dtype=float)
-    d, mu, w = np.broadcast_arrays(d, mu, w)
-    half = np.full(d.shape, -0.5)
-    T = np.zeros(d.shape + (4, 8))
+    """4x8 slab of operator (kind None) or smoother rows of cells j, j+1
+    against cells j-1 .. j+2, stacked over the broadcast shape of
+    ``delta0`` and ``inv_gamma``: the ``(own, next)`` blocks of a coarse
+    cell of the assembled matrix, with ``next^T`` reaching back to cell
+    j-1.  Each matrix repeats this pattern on every pair of neighbouring
+    cells."""
     if kind is None:
-        T[..., 0, :5] = np.stack([half, w, d, mu, half], axis=-1)
-        T[..., 1, 1:6] = np.stack([half, mu, d, w, half], axis=-1)
-        T[..., 2, 2:7] = np.stack([half, w, d, mu, half], axis=-1)
-        T[..., 3, 3:8] = np.stack([half, mu, d, w, half], axis=-1)
-    elif kind == CELL:
-        T[..., 0, 2:4] = np.stack([d, mu], axis=-1)
-        T[..., 1, 2:4] = np.stack([mu, d], axis=-1)
-        T[..., 2, 4:6] = np.stack([d, mu], axis=-1)
-        T[..., 3, 4:6] = np.stack([mu, d], axis=-1)
-    else:  # point: blocks pair the unknowns meeting at a node
-        T[..., 0, 1:3] = np.stack([w, d], axis=-1)
-        T[..., 1, 3:5] = np.stack([d, w], axis=-1)
-        T[..., 2, 3:5] = np.stack([w, d], axis=-1)
-        T[..., 3, 5:7] = np.stack([d, w], axis=-1)
-    return T
+        diag, upper = _interior_blocks(delta0, inv_gamma)
+        own, nxt = _pair_blocks(diag, diag, upper, upper)
+    else:
+        block = _interior_blocks(delta0, inv_gamma, kind)
+        own, nxt = _pair_blocks(block, block, 0.0, 0.0) if kind == CELL else _shifted_pair(block, block)
+    return np.concatenate((nxt.swapaxes(-1, -2)[..., 2:], own, nxt[..., :2]), axis=-1)
 
 
-_RESTRICTION_ROWS = 0.5 * np.array(
-    [
-        [1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.5, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0],
-    ]
-)
-
-_PROLONGATION_ROWS = np.array(
-    [
-        [0.5, 0.5, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.5, 0.5],
-    ]
-)
+# the transfer stencil over two coarse cells: R's rows on their eight fine
+# unknowns, P's on the four either side of their shared node
+_RESTRICTION_ROWS = np.kron(np.eye(2), 0.5 * _PAIR_STENCIL)
+_PROLONGATION_ROWS = np.kron(np.eye(2), _PAIR_STENCIL.T)[2:6]
 
 
 def _grid_factors(t) -> tuple:

@@ -84,7 +84,6 @@ def _in_tau(rows, n, gamma):
 def point_coefficients(delta0: float, gamma: float) -> tuple:
     """Return (k0, k1, k2, e, a0, ..., a4, den0, den1, den2) of the point smoother."""
     d = delta0
-    d2 = d * d
     f1 = 2 * d - 1  # 2d - 1
     f2 = 2 * d - 3  # 2d - 3
     f3 = 4 * d - 1  # 4d - 1

@@ -50,6 +50,7 @@ import numpy as np
 
 from .assembly import (
     _pair_blocks,
+    _shifted_pair,
     assemble_coarse,
     assemble_operator,
     assemble_smoother,
@@ -407,15 +408,7 @@ def _coarse_cell_blocks(tl: TwoLevelComponents):
     fine = (A.diag[0::2], A.diag[1::2], A.upper[0::2], A.upper[1::2])
     if not _uniform(*fine, even, odd, A0.diag, A0.upper):
         return None
-    if Dinv.shift:
-        # block 2M pairs unknowns 1 and 2 of coarse cell M, block 2M + 1
-        # its unknown 3 with unknown 0 of cell M + 1
-        own, nxt = np.zeros((4, 4)), np.zeros((4, 4))
-        own[1:3, 1:3] = even[0]
-        (own[3, 3], nxt[3, 0]), (_, own[0, 0]) = odd[0]
-        smoother = own, nxt
-    else:
-        smoother = _pair_blocks(even[0], odd[0], 0.0, 0.0)
+    smoother = _shifted_pair(even[0], odd[0]) if Dinv.shift else _pair_blocks(even[0], odd[0], 0.0, 0.0)
     pairs = (smoother, _pair_blocks(*(block[0] for block in fine)), (A0.diag[0], A0.upper[0]))
     z = np.exp(2j * np.pi * np.arange(A0.cells) / A0.cells)[:, None, None]
     Dinv, A, A0 = (own + nxt * z + nxt.T * z.conj() for own, nxt in pairs)

@@ -59,6 +59,12 @@ def run_validation(cells: int = 64) -> list:
     denominator out of range there is a failed check with observed
     ``inf``, not an error.
 
+    ``fourier`` transforms the stencil that ``assembly`` builds, so
+    ``block_vs_dense_spectrum`` checks the Fourier transform (the basis,
+    the aliasing and the transfer symbols) against dense algebra, not the
+    stencil entries: ``appendix_vs_blocks`` checks those against the
+    coefficient tables.
+
     The optimum is checked by the equioscillation of its pure-diffusion
     spectrum, and the thresholds by the paper's printed values.  Nothing
     checks ``alpha`` across the regime thresholds: it is

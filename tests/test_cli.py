@@ -303,6 +303,23 @@ def test_validate_refuses_a_mesh_no_other_command_builds(capsys, cells):
     assert err == f"error: cells must be even and >= 4, got {cells}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--smoother", "cell"],
+        ["spectrum", "--smoother", "cell"],
+        ["sweep", "--dense", "--smoother", "cell"],
+        ["sweep", "--dense", "--smoother", "point", "--bc", "dirichlet"],
+    ],
+)
+def test_a_mesh_past_any_address_space_is_an_error_line(capsys, argv):
+    # J = 1e17 needs arrays of hundreds of PiB, more than 64-bit addresses
+    # reach: the allocation fails whatever the memory settings
+    code, out, err = run_cli(capsys, *argv, "--cells", "100000000000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 def test_crossover_output(capsys):
     code, out, _ = run_cli(capsys, "crossover", "--gamma", "inf")
     assert code == 0

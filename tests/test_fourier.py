@@ -11,6 +11,8 @@ from dgtwolevel import (
     POINT,
     ProblemConfig,
     assemble_operator,
+    assemble_smoother,
+    assemble_transfer,
     block_circulant,
     build_iteration_matrix,
     eigenvalue_pair,
@@ -21,6 +23,8 @@ from dgtwolevel import (
     two_level_components,
     verify_block_diagonalization,
 )
+from dgtwolevel import fourier
+from dgtwolevel.assembly import _shifted_pair
 from dgtwolevel.fourier import Frequency, symbols_at_angle
 
 
@@ -101,6 +105,34 @@ def test_symbol_shapes_and_invariants():
     assert sym.A0hat.shape == (2, 2) and sym.Ehat.shape == (4, 4)
     assert np.abs(sym.Phat - 2.0 * sym.Rhat.conj().T).max() < 1e-12
     assert np.abs(sym.A0hat - sym.Rhat @ sym.Ahat @ sym.Phat).max() == 0.0
+
+
+@pytest.mark.parametrize("gamma", [math.inf, 1.0, 1e-3])
+def test_slabs_and_transfer_rows_are_the_assembled_entries(gamma):
+    # the slabs hold the unscaled rows 2j .. 2j+3 of each assembled matrix
+    # against columns 2j-2 .. 2j+5, bit for bit, at every coarse cell
+    cfg = ProblemConfig(8, 1.7, gamma, PERIODIC)
+    n = 2 * cfg.cells
+    matrices = {None: assemble_operator(cfg)}
+    matrices.update((kind, assemble_smoother(cfg, kind)) for kind in (CELL, POINT))
+    R, P = (M.toarray() for M in assemble_transfer(cfg.cells))
+    for j in range(0, cfg.cells, 2):
+        rows, cols = np.arange(2 * j, 2 * j + 4), np.arange(2 * j - 2, 2 * j + 6) % n
+        for kind, matrix in matrices.items():
+            slab = fourier._stencil_rows(cfg.delta0, cfg.inv_gamma, kind)
+            assert slab.tobytes() == (matrix.toarray()[np.ix_(rows, cols)] * cfg.h**2).tobytes()
+        # coarse cells j/2 and j/2 + 1: R on their eight fine unknowns, P on
+        # the four of the fine cells either side of their shared node
+        coarse, fine = np.arange(j, j + 4) % cfg.cells, np.arange(2 * j, 2 * j + 8) % n
+        assert fourier._RESTRICTION_ROWS.tobytes() == R[np.ix_(coarse, fine)].tobytes()
+        assert fourier._PROLONGATION_ROWS.tobytes() == P[np.ix_(fine[2:6], coarse)].tobytes()
+    D = matrices[POINT]
+    dense = D.toarray()
+    for M in range(cfg.cells // 2):
+        own, nxt = _shifted_pair(D.blocks[2 * M], D.blocks[2 * M + 1])
+        rows = np.arange(4 * M, 4 * M + 4)
+        assert own.tobytes() == dense[np.ix_(rows, rows)].tobytes()
+        assert nxt.tobytes() == dense[np.ix_(rows, (rows + 4) % n)].tobytes()
 
 
 def test_operator_symbol_matches_corrected_print():
