@@ -19,9 +19,11 @@ first vector apply (operators that only meet column stacks, or only
 feed a factorization, never build them): an apply is one wrap-padded
 copy of the vector, one product with all bands at once and a sum over
 the bands.  A column stack goes through numpy's stacked 2x2 products,
-whose per-block cost many columns amortize.  ``toarray()`` gives the
-dense matrix, meant as a test oracle at desk scale;
-``BlockTridiagonal.columns`` gives a batch of its columns alone.
+whose per-block cost many columns amortize, written into the array the
+apply returns: no copy of the input and no rotated or padded stack
+(``BlockTridiagonal`` adds one buffer for its couplings' products).
+``toarray()`` gives the dense matrix, meant as a test oracle at desk
+scale; ``BlockTridiagonal.columns`` gives a batch of its columns alone.
 ``CyclicReduction`` factors a ``BlockTridiagonal`` once, by batched
 Schur complements over chains of ``_CHUNK`` cells, and solves with it in
 O(n) work per right-hand side.
@@ -47,12 +49,6 @@ _REFINE_STEPS = 2
 def _as_blocks(x: np.ndarray, size: int) -> np.ndarray:
     """View a vector or column stack as ``(groups, size, columns)``."""
     return x.reshape(x.shape[0] // size, size, -1)
-
-
-def _rotate(X: np.ndarray, shift: int) -> np.ndarray:
-    """``X`` with its leading axis rotated up by ``shift`` (``np.roll(X,
-    -shift, axis=0)`` at a fraction of its call cost)."""
-    return np.concatenate((X[shift:], X[:shift]))
 
 
 class _Bands:
@@ -107,8 +103,13 @@ def _inverse_2x2(M: np.ndarray, tol: float = 0.0) -> tuple:
     underflows unless the inverse does, and wherever ``adj(M) / det(M)``
     stays in range the two agree bit for bit.  A block is ``singular``
     when ``det(M) = 0`` or ``|det(M)| < tol max(1, m)^2``; its inverse is
-    then meaningless.
+    then meaningless.  A lone block is inverted as a stack of one: numpy's
+    scalar complex arithmetic rounds differently from its array loops, and
+    so the block gets the bits it gets inside any stack.
     """
+    if M.ndim == 2:
+        inverse, singular = _inverse_2x2(M[None], tol)
+        return inverse[0], singular[0]
     m = np.abs(M).max(axis=(-2, -1))
     s = np.ldexp(1.0, np.minimum(np.frexp(m)[1], 1023))
     (a, b), (c, d) = np.moveaxis(M / s[..., None, None], (-2, -1), (0, 1))
@@ -166,7 +167,7 @@ class BlockTridiagonal:
         self.diag = diag
         self.upper = upper
         # lower[j] = upper[j - 1].T couples cell j to cell j - 1
-        self._lower = _rotate(np.swapaxes(upper, 1, 2), -1)
+        self._lower = np.roll(np.swapaxes(upper, 1, 2), 1, axis=0)
 
     @cached_property
     def _bands(self) -> _Bands:
@@ -185,8 +186,16 @@ class BlockTridiagonal:
         if x.ndim == 1:
             return self._bands @ x
         X = _as_blocks(x, 2)
-        wrapped = np.concatenate((X[-1:], X, X[:1]))
-        Y = self.diag @ X + self.upper @ wrapped[2:] + self._lower @ wrapped[:-2]
+        # (diag X_j + upper X_{j+1}) + lower X_{j-1}, indices modulo the
+        # cells, summed in the result through one buffer of products
+        Y = self.diag @ X
+        term = np.empty_like(Y)
+        np.matmul(self.upper[:-1], X[1:], out=term[:-1])
+        np.matmul(self.upper[-1:], X[:1], out=term[-1:])
+        Y += term
+        np.matmul(self._lower[1:], X[:-1], out=term[1:])
+        np.matmul(self._lower[:1], X[-1:], out=term[:1])
+        Y += term
         return Y.reshape(x.shape)
 
     def toarray(self) -> np.ndarray:
@@ -242,10 +251,15 @@ class BlockDiagonal:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
             return self._bands @ x
-        if self.shift:
-            x = _rotate(x, self.shift)
-        Y = (self.blocks @ _as_blocks(x, 2)).reshape(x.shape)
-        return _rotate(Y, -self.shift) if self.shift else Y
+        if not self.shift:
+            return (self.blocks @ _as_blocks(x, 2)).reshape(x.shape)
+        # block j < J - 1 acts on unknowns 2j + 1 and 2j + 2, the rows
+        # between the first and the last; the last block on those two
+        inner = (len(self.blocks) - 1, 2, x[0].size)
+        Y = np.empty(x.shape, np.result_type(self.blocks, x))
+        np.matmul(self.blocks[:-1], x[1:-1].reshape(inner), out=Y[1:-1].reshape(inner))
+        Y[-1], Y[0] = self.blocks[-1] @ x[[-1, 0]]
+        return Y
 
     def toarray(self) -> np.ndarray:
         J = self.blocks.shape[0]
@@ -346,23 +360,32 @@ class _SchurLevel:
 
     def restrict(self, B: np.ndarray) -> tuple:
         """Separators' right-hand side, and ``A_II^{-1} b_I`` per chunk."""
-        # np.take and concatenate cost a fraction of fancy indexing and
-        # np.roll on these small arrays
+        # np.take costs a fraction of fancy indexing on these small arrays
         c, w = self.interior.shape
         Z = self.gain @ np.take(B, self.interior, axis=0).reshape(c, 2 * w, -1)
         y, h = Z[:, : 2 * w], Z[:, 2 * w :]
-        from_previous = np.concatenate((h[-1:, 2:], h[:-1, 2:]))
-        return np.take(B, self.separators, axis=0) - h[:, :2] - from_previous, y
+        # separator q is coupled to chunk q (rows :2 of h) and to chunk
+        # q - 1 (rows 2:), subtracted in that order
+        S = np.take(B, self.separators, axis=0)
+        S -= h[:, :2]
+        S[1:] -= h[:-1, 2:]
+        S[:1] -= h[-1:, 2:]
+        return S, y
 
     def expand(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Every cell's solution from the separators' ``t``:
         ``x_I = y - W [t_q; t_{q+1}]``."""
-        c, k = len(t), t.shape[2]
+        (c, w), k = self.interior.shape, t.shape[2]
         ends = np.concatenate((t, t[:1]))
         # chunk q reads the four unknowns of separators q and q + 1
         pairs = np.ndarray((c, 4, k), ends.dtype, ends, strides=ends.strides)
-        x = (y - self.W @ pairs).reshape(-1, 2, k)
-        return np.take(np.concatenate((x, t)), self.place, axis=0)
+        # the rows that self.place reads: interior positions, then separators
+        rows = np.empty((c * w + c, 2, k))
+        x = rows[: c * w].reshape(c, 2 * w, k)
+        np.matmul(self.W, pairs, out=x)
+        np.subtract(y, x, out=x)
+        rows[c * w :] = t
+        return np.take(rows, self.place, axis=0)
 
 
 class CyclicReduction:

@@ -13,11 +13,19 @@ the coarse solves of ``build_iteration_matrix`` with it; as ``AZ^T P =
 
 ``pencil_rho`` is the radius that ``assembled_rho`` gives on every mesh
 but a Dirichlet fold, written out from ``assembled_mu``.
+
+``rolled_apply``, ``rolled_solve`` and ``rolled_preconditioner`` are the
+column-stack applies written as plain expressions, each term a fresh
+array and every cyclic neighbour an ``np.roll``: the same products and
+sums, in the same order, as the in-place applies of ``dgtwolevel.blocks``
+and ``apply_preconditioner``.  A vector goes through the operators'
+bands, as in the library.
 """
 
 import numpy as np
 
 from dgtwolevel import assembled_mu, build_iteration_matrix
+from dgtwolevel.blocks import BlockDiagonal, BlockTridiagonal
 from dgtwolevel.twolevel import _check_desk_scale, _finite, _inverse_cholesky, _whole_mesh
 
 
@@ -49,3 +57,58 @@ def pencil_rho(tl) -> float:
     constant kernel."""
     rho = np.abs(1.0 - tl.alpha * assembled_mu(tl)).max()
     return max(rho, 1.0) if tl._A0_factor.constant_kernel else rho
+
+
+def rolled_apply(op, x):
+    """``op @ x``: ``(diag X_j + upper X_{j+1}) + lower X_{j-1}`` for a
+    ``BlockTridiagonal``, the product on the unknowns rolled up by one and
+    back for a shifted ``BlockDiagonal``, the library's ``@`` otherwise."""
+    if x.ndim == 1:
+        return op @ x
+    if isinstance(op, BlockTridiagonal):
+        X = x.reshape(op.cells, 2, -1)
+        lower = np.roll(np.swapaxes(op.upper, 1, 2), 1, axis=0)
+        Y = op.diag @ X + op.upper @ np.roll(X, -1, axis=0) + lower @ np.roll(X, 1, axis=0)
+        return Y.reshape(x.shape)
+    if isinstance(op, BlockDiagonal) and op.shift:
+        X = np.roll(x, -op.shift, axis=0).reshape(len(op.blocks), 2, -1)
+        return np.roll((op.blocks @ X).reshape(x.shape), op.shift, axis=0)
+    return op @ x
+
+
+def rolled_solve(factor, b):
+    """``CyclicReduction.solve``: every level's separator sums and
+    interior updates as fresh arrays."""
+
+    def once(b):
+        B = b.reshape(len(b) // 2, 2, -1)
+        if factor.constant_kernel:
+            B = B - B.mean(axis=(0, 1))
+        interiors = []
+        for level in factor.levels:
+            c, w = level.interior.shape
+            Z = level.gain @ B[level.interior].reshape(c, 2 * w, -1)
+            y, h = Z[:, : 2 * w], Z[:, 2 * w :]
+            B = B[level.separators] - h[:, :2] - np.roll(h[:, 2:], 1, axis=0)
+            interiors.append(y)
+        X = factor.remainder_inverse @ B.reshape(len(factor.remainder_inverse), -1)
+        X = X.reshape(B.shape)
+        for level, y in zip(reversed(factor.levels), reversed(interiors)):
+            pairs = np.concatenate((X, np.roll(X, -1, axis=0)), axis=1)
+            x = (y - level.W @ pairs).reshape(-1, 2, X.shape[2])
+            X = np.concatenate((x, X))[level.place]
+        if factor.constant_kernel:
+            X -= X.mean(axis=(0, 1))
+        return X.reshape(b.shape)
+
+    x = once(b)
+    for _ in range(factor.refine_steps):
+        x += once(b - rolled_apply(factor.op, x))
+    return x
+
+
+def rolled_preconditioner(tl, g):
+    """``apply_preconditioner``: ``x + P A0^{-1} R (g - A x)`` with ``x =
+    alpha D^{-1} g``."""
+    x = tl.alpha * rolled_apply(tl._D_inverse, g)
+    return x + tl.P @ rolled_solve(tl._A0_factor, tl.R @ (g - rolled_apply(tl.A, x)))

@@ -40,6 +40,7 @@ from dgtwolevel import (
     two_level_components,
 )
 from dgtwolevel.cli import main
+from oracles import rolled_apply, rolled_preconditioner, rolled_solve
 
 EPS = np.finfo(float).eps
 
@@ -258,6 +259,45 @@ def test_vector_preconditioner_equals_stacked_column(cells, bc, kind, gamma):
     G = np.random.default_rng(cells).standard_normal((2 * cells, 2))
     for j in range(2):
         assert gap(apply_preconditioner(tl, G[:, j]), apply_preconditioner(tl, G)[:, j]) < 1e-14
+
+
+def assert_rolled(apply, rolled, x):
+    """``apply(x)`` equals ``rolled(x)`` bit for bit and leaves ``x`` as it
+    was."""
+    before = x.copy()
+    assert np.array_equal(apply(x), rolled(x))
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("cells", [4, 6, 8, 16, 64, 130, 192])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("kind", [CELL, POINT])
+@pytest.mark.parametrize("gamma", [math.inf, 0.05, 1e9])
+def test_applies_are_the_rolled_expressions_and_keep_their_input(cells, bc, kind, gamma):
+    # the stacked applies sum into their result in the order of the
+    # written-out expressions; a vector is stationary_solve's residual.
+    # Periodic pure diffusion projects the coarse constants out, gamma =
+    # 1e9 refines periodic coarse solves, 130 and 192 cells reduce once
+    tl = two_level_components(ProblemConfig(cells, 1.7, gamma, bc), kind, 0.9)
+    n = 2 * cells
+    rng = np.random.default_rng(cells)
+    for x in (rng.standard_normal(n), rng.standard_normal((n, 3)), tl.A.columns(0, 64)):
+        for op in (tl.A, tl._D_inverse):
+            assert_rolled(op.__matmul__, lambda v: rolled_apply(op, v), x)
+        assert_rolled(lambda v: apply_preconditioner(tl, v), lambda v: rolled_preconditioner(tl, v), x)
+        g = tl.R @ x
+        assert_rolled(tl._A0_factor.solve, lambda v: rolled_solve(tl._A0_factor, v), g)
+
+
+@pytest.mark.parametrize("cells", [3, 65, 130, 1100])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_cyclic_reduction_solve_is_the_rolled_expression(cells, wrap):
+    # 1100 cells reduce twice (69, then 5 separators)
+    rng = np.random.default_rng(cells)
+    factor = CyclicReduction(random_cycle(rng, cells, wrap))
+    for b in (rng.standard_normal(2 * cells), rng.standard_normal((2 * cells, 5))):
+        assert_rolled(factor.solve, lambda v: rolled_solve(factor, v), b)
+        assert_rolled(factor.op.__matmul__, lambda v: rolled_apply(factor.op, v), b)
 
 
 # The remainder is inverted densely at 64 cells or fewer; above that a

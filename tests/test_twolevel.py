@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,6 +126,23 @@ def test_iteration_matrix_does_not_depend_on_its_column_batches(monkeypatch, col
     E = build_iteration_matrix(tl)
     monkeypatch.setattr(twolevel, "_E_COLUMNS", columns)
     assert np.abs(build_iteration_matrix(tl) - E).max() <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", [CELL, POINT])
+def test_iteration_matrix_holds_e_and_five_batches(kind):
+    # beside E (8 n^2 bytes) a batch holds A's columns g, x = alpha D^{-1}
+    # g, A x (then the residual) and the buffer of its products: at most
+    # five n x 64 arrays in all, 2.06 MiB at J = 192
+    cells = 192
+    n = 2 * cells
+    tl = two_level_components(ProblemConfig(cells, 2.0, 1.0, DIRICHLET), kind, 0.9)
+    tracemalloc.start()
+    try:
+        build_iteration_matrix(tl)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n + 5 * 8 * n * twolevel._E_COLUMNS
 
 
 def test_unrelaxed_point_dirichlet_converges():

@@ -163,6 +163,19 @@ def test_appendix_samples_equal_reference_draws(monkeypatch):
             assert np.abs(ev - ref).max() / max(1.0, np.abs(ref).max()) < 1e-13
 
 
+@pytest.mark.parametrize("kind", [POINT, CELL])
+def test_scalar_symbols_are_their_stacked_rows_bit_for_bit(kind):
+    # a lone coarse block A0hat is inverted as a stack of one, so a scalar
+    # call gives every field of its row of validate's stacked call
+    samples = np.array(reference_appendix_samples())
+    delta0s, gammas, alphas, xs = samples.T
+    stacked = symbols_at_ck(delta0s, gammas, kind, alphas, xs)
+    for i, (delta0, gamma, alpha, x) in enumerate(samples.tolist()):
+        scalar = symbols_at_ck(delta0, gamma, kind, alpha, x)
+        for name in ("Ahat", "Dhat", "Rhat", "Phat", "A0hat", "Ehat"):
+            assert np.array_equal(getattr(scalar, name), getattr(stacked, name)[i]), (i, name)
+
+
 def test_block_diagonalization_equals_one_call_per_circulant(monkeypatch):
     # the per-circulant route: one call per random circulant, drawn block
     # by block, and one for the operator's first block row
