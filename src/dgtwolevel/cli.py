@@ -5,7 +5,8 @@ Subcommands: ``spectrum`` (eigenvalue pair per frequency), ``optimize``
 CSV), ``validate`` (invariant suite) and ``crossover`` (smoother
 break-even penalty).  Floats are written in shortest round-trip form and
 ``inf`` encodes the pure diffusion limit, so output is lossless and
-byte-reproducible.
+byte-reproducible, also across platforms: the closed forms compute in
+double alone, whatever the width of the platform's ``long double``.
 """
 
 import argparse

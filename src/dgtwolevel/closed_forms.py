@@ -19,7 +19,10 @@ At ``c_k = +-1`` the block splits, and the ``mu`` are rational in
 ``delta0`` and ``tau``: no square root, no cancellation at any ``gamma``.
 Those points take exact endpoint forms, also because the tables are
 ``0/0`` at ``s = tau = 0``; :func:`_mu_extremes` takes them as four
-scalars.
+scalars.  :func:`_endpoint_pairs` is their one evaluation, in double:
+each is within 4 eps (relative) of its exact rational value at the same
+floating-point inputs, and no extended precision enters, so no result
+depends on the width of the platform's ``long double``.
 
 Error bound: ``|mu - mu_exact| <= 1e-14``, with ``mu_exact`` the tables
 in exact arithmetic at the same floating-point inputs (the test suite
@@ -157,18 +160,21 @@ def _coordinates(gamma):
 
 
 def _endpoint_pairs(delta0, gamma, kind):
-    """The four ``mu`` of :func:`_endpoint_mu` at ``(delta0, gamma)`` as
-    float64, ``(plus_1, plus_2, minus_1, minus_2)``.
+    """The four ``mu`` of :func:`_endpoint_mu` at ``(delta0, gamma)``,
+    ``(plus_1, plus_2, minus_1, minus_2)``: the one evaluation of them
+    that the radii, the pairs and the closed-form optimum read.
 
-    They are evaluated in extended precision where the platform has it,
-    so that each comes within about half an ulp of its exact rational
-    value, and in the coordinates of :func:`_coordinates`, so that no
-    power of ``1/gamma`` overflows where extended precision is plain
-    double.  ``delta0`` and ``gamma`` are scalars or arrays that
-    broadcast; arrays give four arrays of their broadcast shape.
+    They are evaluated in double, in the coordinates of
+    :func:`_coordinates`, so that no power of ``1/gamma`` overflows at any
+    ``gamma > 0``; each comes within 4 eps (relative) of its exact
+    rational value at the same floating-point inputs.  No extended
+    precision enters, so the values are the same on every platform.
+    ``delta0`` and ``gamma`` are scalars or arrays that broadcast; arrays
+    give arrays of their broadcast shape, except the point smoother's
+    ``plus_1``, which does not depend on ``delta0``.
     """
-    g, t = _coordinates(np.longdouble(gamma))
-    return [np.float64(mu) for mu in _endpoint_mu(np.longdouble(delta0), t, kind, g)]
+    g, t = _coordinates(gamma)
+    return _endpoint_mu(delta0, t, kind, g)
 
 
 def _endpoint_mu(delta0, tau, kind, g=1):
@@ -328,8 +334,10 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
     :func:`eigenvalue_pair` over the row: a ``float`` for scalar
     ``delta0``, ``gamma`` and ``alpha``, an ``(m,)`` array when any is a
     column of shape ``(m, 1)``, as an array or as the list or tuple that
-    spells it.  Raises ``ValueError`` for ``c_k`` of more
-    than one axis.
+    spells it.  Any other shape of a parameter raises
+    ``ClosedFormDomainError``: a row of ``m`` penalties or relaxations
+    would pair them with the ``c_k`` or be read at its first element.
+    Raises ``ValueError`` for ``c_k`` of more than one axis.
 
     It is ``max |1 - alpha mu|`` over the extremes of
     :func:`_mu_extremes`: ``fl(1 - fl(alpha mu))`` is monotone in ``mu``,
@@ -337,6 +345,11 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
     Raises ``ValueError`` outside the domain (:func:`_check_domain`).
     """
     delta0, gamma, alpha = _as_arrays(delta0, gamma, alpha)
+    for name, value in (("delta0", delta0), ("gamma", gamma), ("alpha", alpha)):
+        if isinstance(value, np.ndarray) and value.ndim and value.shape != (len(value), 1):
+            raise ClosedFormDomainError(
+                f"{name} must be a scalar or a column of shape (m, 1), got shape {value.shape}"
+            )
     _check_domain(x, delta0, gamma)
     return _rho_of_extremes(*_mu_extremes(x, delta0, gamma, kind), _per_row(alpha))
 
@@ -346,21 +359,6 @@ def _rho_of_extremes(mu_min, mu_max, alpha):
     ``float`` for scalars, an ``(m,)`` array for columns."""
     rho = np.maximum(abs(1 - alpha * mu_min), abs(1 - alpha * mu_max))
     return rho if isinstance(rho, np.ndarray) else float(rho)
-
-
-def _endpoint_rho(delta0, gamma, alpha, kind):
-    """``max |1 - alpha mu|`` over the four ``mu`` of
-    :func:`_endpoint_pairs`, for scalar ``delta0`` and ``alpha``: the
-    radius on ``c_k = +-1`` alone, in microseconds.
-
-    For ``alpha >= 0`` it is never above :func:`rho_on_ck_values` at the
-    same arguments over a row that holds ``+-1`` (``ASYMPTOTIC_CK``, or
-    ``mesh_ck(J)`` with ``J`` divisible by 4), bit for bit: that row's
-    ``mu`` extremes enclose these four, both take the same float
-    expression, and ``fl(1 - fl(alpha mu))`` is monotone in ``mu``.
-    """
-    mu = _endpoint_pairs(delta0, gamma, kind)
-    return _rho_of_extremes(min(mu), max(mu), alpha)
 
 
 def mesh_ck(cells: int) -> np.ndarray:

@@ -5,15 +5,17 @@ The nonzero two-grid eigenvalues are affine in the relaxation parameter,
 is least at ``alpha = 2 / (mu_min + mu_max)``, where the extreme
 eigenvalues equioscillate.  The paper's closed-form optimum takes the
 extremes over the four ``mu`` at the endpoint frequencies ``c_k = +-1``,
-which are rational in ``delta0`` and ``1/gamma``
-(``closed_forms._endpoint_mu``); each of its branch formulas is that
-expression for the endpoint pair of one regime.  Plain arithmetic, so
-one call takes a whole array of penalties, as ``sweep --alpha opt``
-does for each ``gamma``.  The thresholds between the regimes, where two
-endpoint ``mu`` tie, name the branch a result reports; they do not enter
+which are rational in ``delta0`` and ``1/gamma``; it reads them from
+their one evaluation, ``closed_forms._endpoint_pairs``, the same values
+the radii take.  Each of its branch formulas is that expression for the
+endpoint pair of one regime.  Plain arithmetic, so one call takes a
+whole array of penalties, as ``sweep --alpha opt`` does for each
+``gamma``.  The thresholds between the regimes, where two endpoint
+``mu`` tie, name the branch a result reports; they do not enter
 ``alpha``.  None of them cancels as ``gamma -> 0``: ``delta_c2`` and
 ``delta_c_minus`` take the root form that does not cancel, and
-``delta_c1`` sums a series in ``gamma`` below 1e-3.  As an independent
+``delta_c1`` is Newton's method on its cubic, written homogeneous in the
+coordinates of ``closed_forms._coordinates``.  As an independent
 check, :func:`alpha_opt_numeric` takes ``mu_min`` and ``mu_max`` over sampled
 closed-form pairs, interior frequencies included.
 """
@@ -27,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_forms import (
-    ASYMPTOTIC_CK, _coordinates, _endpoint_mu, _endpoint_rho, _rho_of_extremes, eigenvalue_pair,
-    rho_on_ck_values,
+    ASYMPTOTIC_CK, _coordinates, _endpoint_pairs, _rho_of_extremes, eigenvalue_pair, rho_on_ck_values,
 )
 from .config import CELL, POINT, ProblemConfig, check_penalty, check_reaction, check_smoother
 from .rd_coefficients import horner
@@ -136,45 +137,27 @@ def _delta_c_minus(g: float) -> float:
     return (num - math.sqrt(disc)) / (8.0 * g * (6.0 * g - 1.0))
 
 
-# Below this gamma, _delta_c1 sums the Taylor series of its root in gamma:
-# the closed form's numerator 4 + chi + 1/chi and its denominator 36 gamma
-# both tend to 0, so its relative error grows from about 2e-12 at the
-# cut-off to 0.26 at gamma = 1e-14.  The eight terms are exact to under
-# 1e-16 relative at the cut-off and below.
-_DELTA_C1_SERIES_BELOW = 1e-3
-
-#: The root of the cubic 144 g^2 d^3 + (48 g - 288 g^2) d^2 + (144 g^2 -
-#: 84 g + 5) d - 36 g^2 + 12 g - 9 that stays finite as gamma = g -> 0,
-#: as a series in g (exact rationals, from sympy).
-_DELTA_C1_SERIES = (
-    9 / 5, -408 / 125, 99972 / 3125, -5305392 / 15625, 7321928256 / 1953125,
-    -2041522361856 / 48828125, 560666697806592 / 1220703125,
-    -147198933857092608 / 30517578125,
-)
-
-
 def _delta_c1(gamma: float) -> float:
-    if gamma < _DELTA_C1_SERIES_BELOW:
-        return horner(_DELTA_C1_SERIES, gamma)
+    """The penalty where the cell smoother's ``plus_2`` and ``minus_1``
+    tie: the root near 9/5 of the cubic
+
+        144 g^2 d^3 + (48 g t - 288 g^2) d^2 + (144 g^2 - 84 g t + 5 t^2) d
+            - 36 g^2 + 12 g t - 9 t^2,
+
+    ``gamma = g / t`` in the coordinates of ``closed_forms._coordinates``,
+    by eight Newton steps from 9/5, its limit as ``gamma -> 0``.  No more
+    than six are needed at any ``gamma`` from 5e-324 to 1e300, and the
+    result is within 4 eps of the exact root.  The paper writes this root
+    by Cardano's form with an auxiliary ``xi``, which cancels as
+    ``gamma -> 0``: 2e-12 relative at ``gamma = 1e-3``, 26% at 1e-14.
+    """
     g, t = _coordinates(gamma)
-    inner = 12.0 * g * (
-        27.0 * g * (8.0 * g * (g * (6.0 * g * (33.0 * g + 46.0 * t) + 155.0 * t * t)
-                               + 44.0 * t**3) + 51.0 * t**4)
-        + 89.0 * t**5
-    ) + 25.0 * t**6
-    arg = 3.0 * math.sqrt(3.0 * inner) - 2.0 * (3.0 * g + t) * (
-        12.0 * g * (57.0 * g + 20.0 * t) + 13.0 * t * t
-    )
-    # the real cube root; the paper's auxiliary xi is g * chi at t = 1
-    chi = float(np.cbrt(arg))
-    d = -(
-        4.0 * (t - 6.0 * g) + chi + (12.0 * g * (12.0 * g + 5.0 * t) + t * t) / chi
-    ) / (36.0 * g)
-    # the closed form cancels to 2e-12 relative near the cut-off; a Newton
-    # step on the cubic, homogeneous in (g, t), restores full precision
     c0, c1 = -36.0 * g * g + 12.0 * g * t - 9.0 * t * t, 144.0 * g * g - 84.0 * g * t + 5.0 * t * t
     c2, c3 = 48.0 * g * t - 288.0 * g * g, 144.0 * g * g
-    return d - horner((c0, c1, c2, c3), d) / horner((c1, 2.0 * c2, 3.0 * c3), d)
+    d = 1.8
+    for _ in range(8):
+        d -= horner((c0, c1, c2, c3), d) / horner((c1, 2.0 * c2, 3.0 * c3), d)
+    return d
 
 
 def _delta_c2(gamma: float) -> float:
@@ -274,36 +257,45 @@ def _regime(kind: str, delta0: float, gamma: float) -> tuple:
     return f"rd-cell-{tag}", used
 
 
-def _alpha_formula(kind: str, delta0, gamma: float):
-    """The closed-form optimal relaxation, ``2 / (mu_min + mu_max)`` over
-    the four endpoint ``mu`` at ``c_k = +-1``.
+def _endpoint_optimum(kind: str, delta0, gamma: float) -> tuple:
+    """``(alpha, mu_min, mu_max)``: the closed-form optimal relaxation
+    ``2 / (mu_min + mu_max)`` and the extremes of the four endpoint ``mu``
+    of ``closed_forms._endpoint_pairs`` it takes.
 
-    Every branch formula of the paper is this expression for the pair of
-    endpoint ``mu`` its regime names.  It evaluates in the coordinates of
-    ``closed_forms._coordinates``, so no ``gamma > 0`` overflows; a ``mu`` that
-    overflows at a huge ``delta0`` raises ``OverflowError``.  An array of
-    penalties gives the array of their optima in one call, each equal to
-    its scalar call, and raises where any of them would.
+    An array of penalties gives arrays, each element equal to its scalar
+    call.  Raises ``OverflowError`` wherever any of the four ``mu`` is not
+    finite, as at a huge ``delta0``: all four are tested, since ``min``
+    and ``max`` can skip a ``nan``.
     """
     check_smoother(kind)
-    g, t = _coordinates(gamma)
     if isinstance(delta0, np.ndarray):
         # numpy warns where Python floats overflow to inf quietly; the
         # check below raises for both
         with np.errstate(over="ignore", invalid="ignore"):
             # plus_1 of the point smoother does not depend on delta0
-            mu = np.broadcast_arrays(*_endpoint_mu(delta0.astype(float), t, kind, g))
+            mu = np.broadcast_arrays(*_endpoint_pairs(delta0, gamma, kind))
             lo, hi = np.minimum.reduce(mu), np.maximum.reduce(mu)
-            finite = np.isfinite(lo).all() and np.isfinite(hi).all()
-            alpha = 2.0 / (lo + hi)
+        # the reductions propagate nan
+        finite = np.isfinite(lo).all() and np.isfinite(hi).all()
     else:
-        mu = _endpoint_mu(delta0, t, kind, g)
+        mu = _endpoint_pairs(delta0, gamma, kind)
+        lo, hi = float(min(mu)), float(max(mu))
         finite = all(map(math.isfinite, mu))
-        if finite:
-            alpha = float(2.0 / (min(mu) + max(mu)))
     if not finite:
         raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
-    return alpha
+    return 2.0 / (lo + hi), lo, hi
+
+
+def _alpha_formula(kind: str, delta0, gamma: float):
+    """The closed-form optimal relaxation, ``2 / (mu_min + mu_max)`` over
+    the four endpoint ``mu`` at ``c_k = +-1`` (:func:`_endpoint_optimum`).
+
+    Every branch formula of the paper is this expression for the pair of
+    endpoint ``mu`` its regime names.  An array of penalties gives the
+    array of their optima in one call, each equal to its scalar call, and
+    raises ``OverflowError`` where any of them would.
+    """
+    return _endpoint_optimum(kind, delta0, gamma)[0]
 
 
 def _closed_form(kind: str, delta0: float, gamma: float) -> RelaxationResult:
@@ -404,9 +396,12 @@ def crossover_check(gamma: float = math.inf) -> tuple:
     diffusion) and ``RuntimeError`` if the sign never changes.
 
     Only the sign of the gap is read, and one exact radius settles it at
-    most penalties.  The radius on ``c_k = +-1`` alone
-    (``closed_forms._endpoint_rho``, microseconds) is never above the
-    radius on ``ASYMPTOTIC_CK``, bit for bit.  So the smoother whose
+    most penalties.  The radius on ``c_k = +-1`` alone, ``max |1 - alpha
+    mu|`` over the extremes of the four endpoint ``mu`` that give
+    ``alpha`` (:func:`_endpoint_optimum`, microseconds), is never above
+    the radius on ``ASYMPTOTIC_CK``, bit for bit: that row's ``mu``
+    extremes enclose the same four values, and ``fl(1 - fl(alpha mu))``
+    is monotone in ``mu``.  So the smoother whose
     endpoint radius is smaller takes its exact radius first; if that is
     below the other smoother's endpoint radius, it is below that
     smoother's exact radius too, and the sign is known.  Otherwise the
@@ -430,12 +425,15 @@ def crossover_check(gamma: float = math.inf) -> tuple:
     def rho(d0, alpha, kind):
         return rho_on_ck_values(ASYMPTOTIC_CK, d0, gamma, alpha, kind)
 
+    def optimum(d0, kind):
+        # the alpha and, from the same four endpoint mu, the endpoint radius
+        alpha, lo, hi = _endpoint_optimum(kind, d0, gamma)
+        return alpha, _rho_of_extremes(lo, hi, alpha)
+
     def cell_wins(d0):
         # rho_cell - rho_point < 0, from one exact radius where the other's
         # endpoint radius, a lower bound of it, decides
-        a_cell, a_point = _alpha_formula(CELL, d0, gamma), _alpha_formula(POINT, d0, gamma)
-        e_cell = _endpoint_rho(d0, gamma, a_cell, CELL)
-        e_point = _endpoint_rho(d0, gamma, a_point, POINT)
+        (a_cell, e_cell), (a_point, e_point) = optimum(d0, CELL), optimum(d0, POINT)
         if e_cell <= e_point:
             r_cell = rho(d0, a_cell, CELL)
             return r_cell < e_point or r_cell - rho(d0, a_point, POINT) < 0.0

@@ -177,7 +177,7 @@ def test_sweep_evaluates_the_closed_forms_once_per_gamma(capsys, monkeypatch):
     # each (per chunk of _SWEEP_CHUNK points), not one call per row
     from dgtwolevel import closed_forms, optimal
 
-    calls = {"_endpoint_mu": 0, "_mu_pair": 0}
+    calls = {"_endpoint_pairs": 0, "_endpoint_mu": 0, "_mu_pair": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -188,16 +188,21 @@ def test_sweep_evaluates_the_closed_forms_once_per_gamma(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    # _endpoint_pairs is the one evaluator of the endpoint mu, for the
+    # alpha column (optimal) and the radii (closed_forms) alike
+    counted(closed_forms, "_endpoint_pairs")
+    monkeypatch.setattr(optimal, "_endpoint_pairs", closed_forms._endpoint_pairs)
     counted(closed_forms, "_endpoint_mu")
-    counted(optimal, "_endpoint_mu")
     counted(closed_forms, "_mu_pair")
     code, out, _ = run_cli(
         capsys, "sweep", "--smoother", "cell", "--delta0", "1:4:0.01", "--gamma", "inf,1"
     )
     assert code == 0 and len(out.splitlines()) == 1 + 2 * 301
     chunks = -(-301 // (cli._SWEEP_CHUNK // 32))
-    # per gamma: the alpha column, and per chunk the tables and their endpoints
-    assert calls == {"_endpoint_mu": 2 * (1 + chunks), "_mu_pair": 2 * chunks}
+    # per gamma: one endpoint evaluation for the whole alpha column, and
+    # per chunk the tables and their endpoints
+    ends = 2 * (1 + chunks)
+    assert calls == {"_endpoint_pairs": ends, "_endpoint_mu": ends, "_mu_pair": 2 * chunks}
 
 
 def test_sweep_dense_column_matches_lfa(capsys):

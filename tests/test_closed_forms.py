@@ -1,4 +1,6 @@
 import math
+import pickle
+import re
 import warnings
 
 import numpy as np
@@ -11,14 +13,18 @@ from dgtwolevel import (
     PERIODIC,
     POINT,
     ProblemConfig,
+    alpha_opt,
+    alpha_opt_numeric,
     build_iteration_matrix,
+    crossover_check,
     eigenvalue_pair,
     eigs_closed_form,
     lfa_spectral_radius,
     symbols_at_ck,
     two_level_components,
 )
-from dgtwolevel import closed_forms, fourier
+from dgtwolevel import closed_forms, fourier, optimal
+from dgtwolevel.cli import main
 from dgtwolevel.closed_forms import (
     ASYMPTOTIC_CK,
     ClosedFormDomainError,
@@ -26,7 +32,6 @@ from dgtwolevel.closed_forms import (
     mesh_ck,
     rho_on_ck_values,
 )
-from dgtwolevel.optimal import _alpha_formula
 from dgtwolevel.rd_coefficients import _in_tau, cell_coefficients, point_coefficients
 
 
@@ -282,12 +287,15 @@ def test_rho_equals_largest_pair_modulus_at_random_inputs(kind, x, delta0, gamma
 def test_endpoint_rho_is_a_lower_bound_bit_for_bit(kind, cells, delta0, gamma, alpha):
     # a row holding c_k = +-1 has mu extremes that enclose the four endpoint
     # mu, and fl(1 - fl(alpha mu)) is monotone in mu; alpha None is the
-    # closed-form optimum
+    # closed-form optimum, whose endpoint extremes crossover_check reads
     x = ASYMPTOTIC_CK if cells is None else mesh_ck(cells)
     assert x.min() == -1.0 and x.max() == 1.0
+    optimum, lo, hi = optimal._endpoint_optimum(kind, delta0, gamma)
+    mu = closed_forms._endpoint_pairs(delta0, gamma, kind)
+    assert (lo, hi) == (min(mu), max(mu))
     if alpha is None:
-        alpha = _alpha_formula(kind, delta0, gamma)
-    bound = closed_forms._endpoint_rho(delta0, gamma, alpha, kind)
+        alpha = optimum
+    bound = closed_forms._rho_of_extremes(lo, hi, alpha)
     assert type(bound) is float
     assert bound <= rho_on_ck_values(x, delta0, gamma, alpha, kind)
 
@@ -492,13 +500,10 @@ def test_gamma_column_drops_the_overflow_of_the_branch_it_does_not_take():
 
 
 def test_coordinates_of_a_gamma_column_equal_scalar_calls():
-    # the endpoint forms take (g, t) in extended precision, where a wrong
-    # choice of coordinates can round to the same float64 bits
     gamma = np.array(GAMMA_COLUMN)
-    for values in (gamma, gamma.astype(np.longdouble)):
-        g, t = closed_forms._coordinates(values[:, None])
-        for i, value in enumerate(values):
-            assert (g[i, 0], t[i, 0]) == closed_forms._coordinates(value)
+    g, t = closed_forms._coordinates(gamma[:, None])
+    for i, value in enumerate(gamma):
+        assert (g[i, 0], t[i, 0]) == closed_forms._coordinates(value)
 
 
 @pytest.mark.parametrize("kind", [POINT, CELL])
@@ -518,8 +523,10 @@ def test_lists_and_tuples_are_the_arrays_they_spell(kind):
     hi, lo = eigenvalue_pair(0.3, 2.0, [1.0, 2.0], 1.0, kind)
     want_hi, want_lo = eigenvalue_pair(0.3, 2.0, np.array([1.0, 2.0]), 1.0, kind)
     assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
-    rho = rho_on_ck_values([0.1, 0.2], [1.5, 2.0], 1.0, 0.9, kind)
-    assert rho == rho_on_ck_values([0.1, 0.2], np.array([1.5, 2.0]), 1.0, 0.9, kind)
+    # a row of penalties is refused as its array is (a column is needed)
+    for delta0 in ([1.5, 2.0], np.array([1.5, 2.0])):
+        with pytest.raises(ClosedFormDomainError, match=r"got shape \(2,\)"):
+            rho_on_ck_values([0.1, 0.2], delta0, 1.0, 0.9, kind)
     blocks = symbols_at_ck([2.0, 3.0], (1.0, 2.0), kind, [1.0, 0.9], [0.3, 0.5])
     want = symbols_at_ck(np.array([2.0, 3.0]), np.array([1.0, 2.0]), kind, np.array([1.0, 0.9]), [0.3, 0.5])
     for name in ("Ahat", "Dhat", "Ehat"):
@@ -529,3 +536,61 @@ def test_lists_and_tuples_are_the_arrays_they_spell(kind):
         eigenvalue_pair(0.3, [2.0, 0.5], 1.0, 1.0, kind)
     with pytest.raises(ClosedFormDomainError, match="gamma"):
         rho_on_ck_values([0.1], 2.0, (1.0, -1.0), 0.9, kind)
+
+
+@pytest.mark.parametrize("kind", [POINT, CELL])
+def test_rho_takes_scalars_or_columns_only(kind):
+    # a row of m parameters paired each penalty with one c_k, and a row of
+    # relaxations was read at its first element alone: for the cell
+    # smoother at gamma = 1 the four penalties below gave one radius,
+    # 0.2394, for 0.1861, 0.2842, 0.4380 and 0.532, and the relaxations
+    # (0.8, 0.9) at delta0 = 1.5 the radius at 0.8, 0.26
+    x = mesh_ck(8)
+    penalties = [1.5, 2.0, 3.0, 4.0]
+    column = rho_on_ck_values(x, np.array(penalties)[:, None], 1.0, 0.9, kind)
+    assert column.tolist() == [rho_on_ck_values(x, d, 1.0, 0.9, kind) for d in penalties]
+    for name, args in [
+        ("delta0", (penalties, 1.0, 0.9)),
+        ("delta0", (np.array(penalties), 1.0, 0.9)),
+        ("alpha", (1.5, 1.0, [0.8, 0.9])),
+        ("alpha", (1.5, 1.0, np.array([[0.8, 0.9]]))),
+        ("gamma", (1.5, np.ones((2, 1, 1)), 0.9)),
+        ("gamma", (1.5, (1.0, 2.0), 0.9)),
+    ]:
+        shape = np.shape(args[("delta0", "gamma", "alpha").index(name)])
+        message = f"{name} must be a scalar or a column of shape (m, 1), got shape {shape}"
+        with pytest.raises(ClosedFormDomainError, match=re.escape(message)):
+            rho_on_ck_values(x, *args, kind)
+
+
+class _NoLongDouble:
+    """Stands in for ``np.longdouble``: any use of it fails."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("long double used")
+
+
+def test_closed_forms_do_not_read_long_double(monkeypatch, capsys):
+    # the output must not depend on the platform's long double, which is
+    # plain double on some: every result is the same bits with it unusable
+    def outputs():
+        results = []
+        for kind in (POINT, CELL):
+            for delta0, gamma in [(1.05, math.inf), (1.5, 1e-300), (2.0, 0.05), (3.7, 1e8)]:
+                results.append(eigenvalue_pair(np.array([1.0, -1.0]), delta0, gamma, 0.9, kind))
+                for x in (ASYMPTOTIC_CK, mesh_ck(16), mesh_ck(6)):
+                    results.append(rho_on_ck_values(x, delta0, gamma, 0.9, kind))
+                    results.append(rho_on_ck_values(x, np.array([[delta0], [4.0]]), gamma, 0.9, kind))
+                config = ProblemConfig(16, delta0, gamma)
+                results += [alpha_opt(config, kind), alpha_opt_numeric(config, kind)]
+        results += [crossover_check(gamma) for gamma in (math.inf, 1.0)]
+        for argv in (
+            ["sweep", "--smoother", "cell", "--delta0", "1.05,1.5,2,3", "--gamma", "inf,1,0.05"],
+            ["optimize", "--smoother", "point", "--delta0", "1.5", "--gamma", "0.05"],
+        ):
+            results.append((main(argv), *capsys.readouterr()))
+        return pickle.dumps(results)
+
+    expected = outputs()
+    monkeypatch.setattr(np, "longdouble", _NoLongDouble)
+    assert outputs() == expected

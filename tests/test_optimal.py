@@ -22,6 +22,7 @@ from dgtwolevel import (
     alpha_opt_rd,
     assembled_mu,
     build_iteration_matrix,
+    closed_forms,
     crossover_check,
     gamma_c_cell,
     gamma_c_point,
@@ -356,8 +357,9 @@ def test_crossover_equals_full_scan(gamma):
 def test_crossover_takes_one_exact_radius_per_penalty(monkeypatch, gamma, penalties):
     # the endpoint radius bounds the exact one from below, so one exact
     # radius settles the sign at each penalty the scan and the bisection
-    # visit; both radii at each would be 2 * penalties calls
-    alphas, radii = [], []
+    # visit; both radii at each would be 2 * penalties calls.  Each
+    # smoother's alpha and endpoint radius share one endpoint evaluation.
+    endpoints, radii = [], []
 
     def counted(log, function):
         def call(*args):
@@ -365,10 +367,10 @@ def test_crossover_takes_one_exact_radius_per_penalty(monkeypatch, gamma, penalt
             return function(*args)
         return call
 
-    monkeypatch.setattr(optimal, "_alpha_formula", counted(alphas, optimal._alpha_formula))
+    monkeypatch.setattr(optimal, "_endpoint_pairs", counted(endpoints, closed_forms._endpoint_pairs))
     monkeypatch.setattr(optimal, "rho_on_ck_values", counted(radii, rho_on_ck_values))
     crossover_check(gamma)
-    assert len(alphas) == 2 * penalties
+    assert len(endpoints) == len({args[::2] for args in endpoints}) == 2 * penalties
     assert len(radii) == len({args[1] for args in radii}) == penalties
 
 
