@@ -7,6 +7,10 @@ break-even penalty).  Floats are written in shortest round-trip form and
 ``inf`` encodes the pure diffusion limit, so output is lossless and
 byte-reproducible, also across platforms: the closed forms compute in
 double alone, whatever the width of the platform's ``long double``.
+
+Each command parses all of its options (a syntax error is a usage error,
+exit 2), then checks every value, then computes: an invalid value is
+reported before any closed form runs, and so before any overflow.
 """
 
 import argparse
@@ -19,7 +23,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from .closed_forms import eigenvalue_pair, mesh_ck, rho_on_ck_values
-from .config import BOUNDARY_MODES, DIRICHLET, SMOOTHERS, ProblemConfig, check_penalty, check_reaction
+from .config import (
+    BOUNDARY_MODES, DIRICHLET, SMOOTHERS, ProblemConfig, check_cells, check_penalty, check_reaction,
+)
 from .optimal import _alpha_formula, alpha_opt, alpha_opt_numeric, crossover_check
 from .twolevel import assembled_rho, two_level_components
 from .validate import run_validation
@@ -101,14 +107,17 @@ def _add_common(sub, mesh=True, bc=True):
         sub.add_argument("--alpha", default="opt", help="value, 'opt', or range")
         sub.add_argument("--cells", type=int, default=64)
     if bc:
-        sub.add_argument("--bc", choices=BOUNDARY_MODES, default=DIRICHLET)
+        sub.add_argument(
+            "--bc", choices=BOUNDARY_MODES, default=DIRICHLET,
+            help="boundary of the --dense rows; rho_lfa takes the periodic c_k of the mesh",
+        )
     sub.add_argument("--out", default="-", help="output path or - for stdout")
 
 
-def _resolve_alpha(text, parser, config, kind):
-    if text.strip().lower() == "opt":
-        return [_alpha_formula(kind, config.delta0, config.gamma)]
-    return _parse_grid(text, parser, "--alpha")
+def _parse_alpha(text: str, parser):
+    """``None`` for ``opt``, the closed-form optimum of each row, or the
+    parsed ``--alpha`` grid."""
+    return None if text.strip().lower() == "opt" else _parse_grid(text, parser, "--alpha")
 
 
 def cmd_spectrum(args, parser) -> int:
@@ -116,11 +125,13 @@ def cmd_spectrum(args, parser) -> int:
     gamma = _parse_grid(args.gamma, parser, "--gamma", allow_inf=True)
     if len(delta0) != 1 or len(gamma) != 1:
         parser.error("spectrum expects a single --delta0 and --gamma")
+    alphas = _parse_alpha(args.alpha, parser)
+    if alphas is not None and len(alphas) != 1:
+        parser.error("spectrum expects a single --alpha")
     # the frequency pairs come from the periodic analysis: no boundary enters
     config = ProblemConfig(args.cells, delta0[0], gamma[0])
-    alphas = _resolve_alpha(args.alpha, parser, config, args.smoother)
-    if len(alphas) != 1:
-        parser.error("spectrum expects a single --alpha")
+    if alphas is None:
+        alphas = [_alpha_formula(args.smoother, config.delta0, config.gamma)]
     ck = mesh_ck(config.cells)
     # a huge alpha overflows a pair to inf: the check below names the row
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,31 +173,6 @@ def cmd_optimize(args, parser) -> int:
     return 0 if agrees else 1
 
 
-def _first_invalid_row(args, delta0, gamma):
-    """``(i, j, error)``: the error of the first invalid sweep row, at
-    ``delta0[i]`` and ``gamma[j]``, or ``(len(delta0), 0, None)``.
-
-    Rows run delta0 outer and gamma inner, and a row checks cells, delta0,
-    gamma and bc in that order (``ProblemConfig``).  So the first row
-    checks cells and bc for all, and each value is checked once.
-    """
-    try:
-        ProblemConfig(args.cells, delta0[0], gamma[0], args.bc)
-    except ValueError as exc:
-        return 0, 0, exc
-    for j, g in enumerate(gamma):
-        try:
-            check_reaction(g)
-        except ValueError as exc:
-            return 0, j, exc
-    for i, d in enumerate(delta0):
-        try:
-            check_penalty(d)
-        except ValueError as exc:
-            return i, 0, exc
-    return len(delta0), 0, None
-
-
 def _finite_rows(table: np.ndarray) -> np.ndarray:
     """``table``, or ``ValueError`` naming its first row with a non-finite
     alpha or rho."""
@@ -216,24 +202,20 @@ def _dense_row(args, kind, delta0, gamma, alpha, rho_lfa) -> float:
 def cmd_sweep(args, parser) -> int:
     delta0 = _parse_grid(args.delta0, parser, "--delta0")
     gamma = _parse_grid(args.gamma, parser, "--gamma", allow_inf=True)
+    alphas = _parse_alpha(args.alpha, parser)
     kind = args.smoother
-    bad_i, bad_j, error = _first_invalid_row(args, delta0, gamma)
-    if error is not None and bad_i == bad_j == 0:
-        raise error
-    # every row takes its alpha after its checks: parsed at the first row,
-    # or the closed-form optimum of each row
-    opt = args.alpha.strip().lower() == "opt"
-    alphas = None if opt else _parse_grid(args.alpha, parser, "--alpha")
-    if error is not None:
-        if opt:
-            # the rows before the invalid one may overflow first
-            for j, g in enumerate(gamma):
-                _alpha_formula(kind, np.array(delta0[: bad_i + (j < bad_j)]), g)
-        raise error
+    # every value is checked before any closed form runs: the first row
+    # (cells, delta0, gamma, bc), then each gamma, then each delta0
+    ProblemConfig(args.cells, delta0[0], gamma[0], args.bc)
+    for g in gamma:
+        check_reaction(g)
+    for d in delta0:
+        check_penalty(d)
 
     # one array call per reaction scaling for its alpha column, then one
     # closed-form evaluation per chunk of its rows
     d0 = np.array(delta0)
+    opt = alphas is None
     n_alpha = 1 if opt else len(alphas)
     alpha = {
         g: np.broadcast_to(_alpha_formula(kind, d0, g)[:, None] if opt else alphas, (d0.size, n_alpha))
@@ -270,7 +252,9 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_validate(args, parser) -> int:
-    checks = run_validation(cells=args.cells)
+    # every check reads fixed meshes or c_k: the mesh is only checked
+    check_cells(args.cells)
+    checks = run_validation()
     with _output(args.out) as out:
         for check in checks:
             out.write(check.line() + "\n")

@@ -221,13 +221,16 @@ def eigenvalue_pair(x, delta0, gamma, alpha, kind):
     of its own scalar call; so do ``m`` samples of each as four arrays of
     shape ``(m,)``; a list or tuple counts as the array it spells.  Each
     ``gamma`` takes its own branch of the tables
-    (:func:`~dgtwolevel.rd_coefficients._in_tau`).  Raises ``ValueError``
-    outside the domain (:func:`_check_domain`), and ``OverflowError`` if
-    the tables overflow at any element.
+    (:func:`~dgtwolevel.rd_coefficients._in_tau`).  Raises
+    ``ClosedFormDomainError`` for arrays that do not broadcast together
+    (:func:`_check_shapes`), ``ValueError`` outside the domain
+    (:func:`_check_domain`), and ``OverflowError`` if the tables overflow
+    at any element.
     """
     check_smoother(kind)
     x = np.asarray(x, dtype=float)
     delta0, gamma, alpha = _as_arrays(delta0, gamma, alpha)
+    _check_shapes(x=x, delta0=delta0, gamma=gamma, alpha=alpha)
     _check_domain(x, delta0, gamma)
     plus, minus = x == 1.0, x == -1.0
     ends = plus | minus
@@ -246,6 +249,19 @@ def _extremes(values) -> tuple:
     if isinstance(values, np.ndarray):
         return (values.min(), values.max()) if values.size else ()
     return values, values
+
+
+def _check_shapes(**values) -> None:
+    """``ClosedFormDomainError`` naming the arrays among ``values`` and
+    their shapes unless they broadcast together, rather than numpy's error
+    from inside the tables; no check unless at least two are arrays."""
+    shapes = {name: value.shape for name, value in values.items() if isinstance(value, np.ndarray)}
+    if len(shapes) > 1:
+        try:
+            np.broadcast_shapes(*shapes.values())
+        except ValueError:
+            listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+            raise ClosedFormDomainError(f"shapes do not broadcast together: {listed}") from None
 
 
 def _check_domain(x, delta0, gamma) -> None:
@@ -334,9 +350,10 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
     :func:`eigenvalue_pair` over the row: a ``float`` for scalar
     ``delta0``, ``gamma`` and ``alpha``, an ``(m,)`` array when any is a
     column of shape ``(m, 1)``, as an array or as the list or tuple that
-    spells it.  Any other shape of a parameter raises
-    ``ClosedFormDomainError``: a row of ``m`` penalties or relaxations
-    would pair them with the ``c_k`` or be read at its first element.
+    spells it.  Any other shape of a parameter, or columns of different
+    lengths, raises ``ClosedFormDomainError``: a row of ``m`` penalties or
+    relaxations would pair them with the ``c_k`` or be read at its first
+    element.
     Raises ``ValueError`` for ``c_k`` of more than one axis.
 
     It is ``max |1 - alpha mu|`` over the extremes of
@@ -345,11 +362,17 @@ def rho_on_ck_values(x, delta0, gamma, alpha, kind):
     Raises ``ValueError`` outside the domain (:func:`_check_domain`).
     """
     delta0, gamma, alpha = _as_arrays(delta0, gamma, alpha)
+    arrays = 0
     for name, value in (("delta0", delta0), ("gamma", gamma), ("alpha", alpha)):
-        if isinstance(value, np.ndarray) and value.ndim and value.shape != (len(value), 1):
-            raise ClosedFormDomainError(
-                f"{name} must be a scalar or a column of shape (m, 1), got shape {value.shape}"
-            )
+        if isinstance(value, np.ndarray):
+            arrays += 1
+            if value.ndim and value.shape != (len(value), 1):
+                raise ClosedFormDomainError(
+                    f"{name} must be a scalar or a column of shape (m, 1), got shape {value.shape}"
+                )
+    # the scalar calls, crossover_check's, do no more than count
+    if arrays > 1:
+        _check_shapes(delta0=delta0, gamma=gamma, alpha=alpha)
     _check_domain(x, delta0, gamma)
     return _rho_of_extremes(*_mu_extremes(x, delta0, gamma, kind), _per_row(alpha))
 

@@ -66,8 +66,15 @@ class RelaxationResult:
     For the closed forms, ``branch`` names the paper's regime of
     ``(delta0, gamma)`` (``"point"``, ``"cell-low"``, ``"rd-cell-A"``,
     ...) and ``thresholds_used`` the thresholds that placed it there;
-    ``alpha_opt`` is the endpoint optimum in every regime.  For
-    :func:`alpha_opt_numeric`, ``branch`` is ``"numeric-lfa"``.
+    ``alpha_opt`` is the endpoint optimum in every regime.  The endpoint
+    pair a branch names misses an extreme in two regions of the point
+    smoother, where ``plus_2`` and ``minus_2`` hold the extremes: below
+    ``gamma_c_point`` between ``delta0 = 3 (6 gamma^2 + 4 gamma + 1)``
+    and ``delta_c_minus`` (``"rd-point-quarter"``), and in a band just
+    above ``gamma_c_point`` from ``delta0`` about 5.22 on, up to the tie
+    of ``plus_1`` and ``plus_2``, at most 1.0235 ``gamma_c_point``
+    (``"rd-point-mixed"``).  For :func:`alpha_opt_numeric`, ``branch`` is
+    ``"numeric-lfa"``.
     """
 
     alpha_opt: float

@@ -20,7 +20,7 @@ import numpy as np
 
 from .assembly import assemble_operator
 from .closed_forms import ASYMPTOTIC_CK, ClosedFormDomainError, eigenvalue_pair, eigs_closed_form
-from .config import CELL, PERIODIC, POINT, ProblemConfig, check_cells
+from .config import CELL, PERIODIC, POINT, ProblemConfig
 from .fourier import symbols_at_angle, symbols_at_ck, verify_block_diagonalization
 from .optimal import (
     DELTA0_TILDE_PLUS,
@@ -48,7 +48,7 @@ class CheckResult:
         )
 
 
-def run_validation(cells: int = 64) -> list:
+def run_validation() -> list:
     """Run the full invariant suite; returns a list of check results.
 
     The checks of closed-form pairs (``appendix_vs_blocks``,
@@ -69,11 +69,9 @@ def run_validation(cells: int = 64) -> list:
     spectrum, and the thresholds by the paper's printed values.  Nothing
     checks ``alpha`` across the regime thresholds: it is
     ``2 / (mu_min + mu_max)`` over the endpoint ``mu`` and reads no
-    threshold.  Raises ``ValueError`` for a mesh ``ProblemConfig``
-    refuses; ``cells`` changes no check, each of which reads fixed meshes
-    or ``c_k`` values.
+    threshold.  It takes no mesh: each check reads fixed meshes or ``c_k``
+    values.
     """
-    check_cells(cells)
     checks = []
     rng = np.random.default_rng(2024)
 
@@ -180,13 +178,13 @@ def run_validation(cells: int = 64) -> list:
         worst = max(worst, np.abs(hi[:3] - hi[3:]).max(), np.abs(lo[:3] - lo[3:]).max())
     checks.append(CheckResult("lfa", "poisson_degeneration", worst < 1e-8, worst, "< 1e-8"))
 
-    # Touching eigenvalue curves at k = J/4 for delta0 = 1 (point smoother).
-    cfg = ProblemConfig(cells, 1.0, math.inf, PERIODIC)
+    # Touching eigenvalue curves at k = J/4, c_k = -1 on every mesh, for
+    # delta0 = 1 (point smoother): the mesh of the config is a placeholder.
     try:
         # alpha_opt_poisson also evaluates rho on ASYMPTOTIC_CK through the
         # tables, which the endpoint c_k = -1 below does not read
         alpha = alpha_opt_poisson(POINT, 1.0).alpha_opt
-        pair = eigs_closed_form(math.cos(math.pi), cfg, POINT, alpha)
+        pair = eigs_closed_form(math.cos(math.pi), ProblemConfig(4, 1.0), POINT, alpha)
         gap = abs(pair.lambda_plus - pair.lambda_minus)
     except ClosedFormDomainError:
         gap = math.inf

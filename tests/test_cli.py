@@ -20,6 +20,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_or_usage(capsys, *argv):
+    """``run_cli``, with a usage error as its exit code and last line."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err.splitlines()[-1] + "\n"
+
+
 def test_spectrum_rows_and_touching_curves(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -136,10 +145,13 @@ GAMMA_ERROR = "error: gamma must be positive (or inf), got -1.0\n"
 DELTA0_ERROR = "error: delta0 must be finite and >= 1, got 0.5\n"
 ALPHA_OVERFLOW = "error: floating-point overflow: Numerical result out of range\n"
 TABLE_OVERFLOW = "error: floating-point overflow: the coefficient tables of the closed forms overflow\n"
+ALPHA_USAGE = "dgtwolevel: error: --alpha: cannot parse 'bogus'\n"
 
 
-# rows run delta0 outer and gamma inner; a row checks cells, delta0, gamma
-# and bc, then takes its alpha; the first row that fails names the error
+# usage errors come first; then the first invalid value, in row order
+# (rows run delta0 outer and gamma inner, and the first row checks cells,
+# delta0, gamma and bc, so every later gamma, then every later delta0);
+# then the evaluation errors, every alpha column before the radii
 @pytest.mark.parametrize(
     "argv, code, err",
     [
@@ -147,14 +159,14 @@ TABLE_OVERFLOW = "error: floating-point overflow: the coefficient tables of the 
         (["--delta0", "0.5,2", "--gamma", "1,-1"], 1, DELTA0_ERROR),
         (["--cells", "3", "--delta0", "0.5", "--gamma=-1"], 1, "error: cells must be even and >= 4, got 3\n"),
         (["--delta0", "2", "--gamma", "1,-1,0"], 1, GAMMA_ERROR),
-        (["--delta0", "1e300,0.5", "--gamma", "1"], 1, ALPHA_OVERFLOW),
-        (["--delta0", "2,1e300,0.5", "--gamma", "1"], 1, ALPHA_OVERFLOW),
-        (["--delta0", "1e300", "--gamma", "1,-1"], 1, ALPHA_OVERFLOW),
+        (["--delta0", "1e300,0.5", "--gamma", "1"], 1, DELTA0_ERROR),
+        (["--delta0", "2,1e300,0.5", "--gamma", "1"], 1, DELTA0_ERROR),
+        (["--delta0", "1e300", "--gamma", "1,-1"], 1, GAMMA_ERROR),
         (["--delta0", "2,1e300", "--gamma", "1,-1"], 1, GAMMA_ERROR),
-        (["--delta0", "1e300,2", "--gamma", "inf,-1"], 1, ALPHA_OVERFLOW),
+        (["--delta0", "1e300,2", "--gamma", "inf,-1"], 1, GAMMA_ERROR),
         (["--delta0", "1e300", "--gamma=-1,1"], 1, GAMMA_ERROR),
-        (["--delta0", "0.5", "--alpha", "bogus"], 1, DELTA0_ERROR),
-        (["--delta0", "2,0.5", "--alpha", "bogus"], 2, "dgtwolevel: error: --alpha: cannot parse 'bogus'\n"),
+        (["--delta0", "0.5", "--alpha", "bogus"], 2, ALPHA_USAGE),
+        (["--delta0", "2,0.5", "--alpha", "bogus"], 2, ALPHA_USAGE),
         (["--delta0", "2,0.5", "--gamma", "1,1e-300", "--alpha", "0.9"], 1, DELTA0_ERROR),
         (["--delta0", "2,1e300", "--gamma", "1,2", "--alpha", "0.9"], 1, TABLE_OVERFLOW),
         (["--delta0", "1,1e200", "--gamma", "1e-300,inf"], 1, ALPHA_OVERFLOW),
@@ -162,14 +174,20 @@ TABLE_OVERFLOW = "error: floating-point overflow: the coefficient tables of the 
 )
 @pytest.mark.parametrize("kind", ["cell", "point"])
 def test_sweep_first_error_follows_row_order(capsys, argv, code, err, kind):
-    # each distinct delta0 and gamma is checked once, and the alpha column
-    # is one call per gamma: the error printed is still the first row's
-    try:
-        got = run_cli(capsys, "sweep", "--smoother", kind, *argv)
-    except SystemExit as exc:
-        captured = capsys.readouterr()
-        got = exc.code, captured.out, captured.err.splitlines()[-1] + "\n"
-    assert got == (code, "", err)
+    # an overflow at 1e300 is not reached while a later value is invalid
+    assert run_cli_or_usage(capsys, "sweep", "--smoother", kind, *argv) == (code, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["--delta0", "0.5", "--alpha", "bogus"], 2, ALPHA_USAGE),
+        (["--cells", "3", "--alpha", "1,2"], 2, "dgtwolevel: error: spectrum expects a single --alpha\n"),
+    ],
+)
+def test_spectrum_parses_alpha_before_it_checks_values(capsys, argv, code, err):
+    # --alpha is parsed before the config is built, as in sweep
+    assert run_cli_or_usage(capsys, "spectrum", "--smoother", "cell", *argv) == (code, "", err)
 
 
 def test_sweep_evaluates_the_closed_forms_once_per_gamma(capsys, monkeypatch):

@@ -563,6 +563,22 @@ def test_rho_takes_scalars_or_columns_only(kind):
             rho_on_ck_values(x, *args, kind)
 
 
+@pytest.mark.parametrize("kind", [POINT, CELL])
+def test_columns_of_different_lengths_name_their_shapes(kind):
+    # numpy's broadcast error came from inside the coefficient tables
+    two, three = np.array([[1.5], [2.0]]), np.array([[1.0], [2.0], [3.0]])
+    x = mesh_ck(8)
+    for call, listed in [
+        (lambda: rho_on_ck_values(x, two, three, 0.9, kind), "delta0 (2, 1), gamma (3, 1)"),
+        (lambda: rho_on_ck_values(x, two, 1.0, three, kind), "delta0 (2, 1), alpha (3, 1)"),
+        (lambda: eigenvalue_pair(x, two, three, 0.9, kind), "x (4,), delta0 (2, 1), gamma (3, 1)"),
+        (lambda: eigenvalue_pair(x, np.array([1.5, 2.0]), 1.0, 0.9, kind), "x (4,), delta0 (2,)"),
+    ]:
+        message = f"shapes do not broadcast together: {listed}"
+        with pytest.raises(ClosedFormDomainError, match=re.escape(message)):
+            call()
+
+
 class _NoLongDouble:
     """Stands in for ``np.longdouble``: any use of it fails."""
 

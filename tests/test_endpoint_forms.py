@@ -241,6 +241,22 @@ def test_printed_formulas_equioscillate_their_endpoint_pair(branch):
     assert sympy.cancel(printed - 2 / (mu[i] + mu[j])) == 0
 
 
+@pytest.mark.parametrize("delta0, gamma, branch", [
+    # below gamma_c_point, between delta0 = 3(6 gamma^2 + 4 gamma + 1) and delta_c_minus
+    (4.0, 0.05, "rd-point-quarter"),
+    # just above gamma_c_point, from delta0 about 5.22 on
+    (7.4111, 0.15849, "rd-point-mixed"),
+])
+def test_point_regions_where_the_branch_pair_misses_an_extreme(delta0, gamma, branch):
+    # in both, plus_2 and minus_2 hold the extremes of the four endpoint
+    # mu, not the pair the branch names; alpha is their optimum all the same
+    mu = closed_forms._endpoint_pairs(delta0, gamma, POINT)
+    assert optimal._regime(POINT, delta0, gamma)[0] == branch
+    assert (mu.index(min(mu)), mu.index(max(mu))) == (3, 1)
+    assert set(PRINTED[branch][1]) != {1, 3}
+    assert optimal._alpha_formula(POINT, delta0, gamma) == 2 / (mu[1] + mu[3])
+
+
 @pytest.mark.parametrize("name, edge, pair", [
     ("delta_c3", lambda g: 2 * g + 2, (0, 2)),
     ("delta_c4", lambda g: 3 * (6 * g * g + 4 * g + 1), (1, 3)),

@@ -44,7 +44,7 @@ def shift_table(monkeypatch, table, index, amount):
 
 
 def test_suite_passes_clean():
-    checks = run_validation(cells=16)
+    checks = run_validation()
     assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
     names = {c.name for c in checks}
     assert {"block_diagonalization", "appendix_vs_blocks", "equioscillation",
@@ -55,7 +55,7 @@ def test_perturbed_coefficient_is_caught(monkeypatch):
     # mutation test: shifting one reaction-diffusion table entry must trip
     # the table-vs-blocks comparison and nothing else
     shift_table(monkeypatch, "point_coefficients", 3, 1e-3)
-    checks = run_validation(cells=16)
+    checks = run_validation()
     bad = by_name(checks, "appendix_vs_blocks")
     assert not bad.passed
     assert bad.observed > 1e-8
@@ -84,7 +84,7 @@ def test_table_slip_is_a_fail_line(monkeypatch, table, index, amount, infinite):
     # a radicand driven below zero is an out-of-range closed form: the
     # check fails with observed inf instead of aborting the suite
     shift_table(monkeypatch, table, index, amount)
-    checks = run_validation(cells=16)
+    checks = run_validation()
     failed = {c.name for c in checks if not c.passed}
     assert "appendix_vs_blocks" in failed
     assert failed <= TABLE_CHECKS
@@ -95,7 +95,7 @@ def test_table_slip_is_a_fail_line(monkeypatch, table, index, amount, infinite):
 
 
 def test_check_line_format():
-    checks = run_validation(cells=16)
+    checks = run_validation()
     line = checks[0].line()
     assert line.startswith("PASS ") and "observed" in line and "expected" in line
 
@@ -129,7 +129,7 @@ def test_appendix_samples_equal_reference_draws(monkeypatch):
 
     monkeypatch.setattr(dgtwolevel.validate, "symbols_at_ck", record_blocks)
     monkeypatch.setattr(dgtwolevel.validate, "eigenvalue_pair", record_pair)
-    checks = run_validation(cells=16)
+    checks = run_validation()
     samples = np.array(reference_appendix_samples())
     # one stacked block call and one stacked pair call per smoother, whose
     # columns are the samples; the next pair call is another check's
@@ -197,7 +197,7 @@ def test_block_diagonalization_equals_one_call_per_circulant(monkeypatch):
         return verify_block_diagonalization(blocks, cells)
 
     monkeypatch.setattr(dgtwolevel.validate, "verify_block_diagonalization", record)
-    checks = run_validation(cells=16)
+    checks = run_validation()
     # one stacked call for the circulants, one for the operator
     assert len(calls) == 2
     assert np.array_equal(calls[0], np.array(circulants))
@@ -222,7 +222,7 @@ def test_stacked_frequency_blocks_equal_one_call_per_design(monkeypatch):
         return sym
 
     monkeypatch.setattr(dgtwolevel.validate, "symbols_at_angle", record)
-    checks = run_validation(cells=16)
+    checks = run_validation()
     # one call per smoother over both its designs; each design's blocks
     # have the eigenvalues of two_grid_eigenvalues, bit for bit
     assert [kind for kind, _ in calls] == [CELL, POINT]
@@ -247,4 +247,4 @@ def test_poisson_degeneration_equals_two_calls_per_smoother():
         hi_rd, lo_rd = eigenvalue_pair(ASYMPTOTIC_CK, penalties, 1e10, 1.0, kind)
         hi_p, lo_p = eigenvalue_pair(ASYMPTOTIC_CK, penalties, math.inf, 1.0, kind)
         worst = max(worst, np.abs(hi_rd - hi_p).max(), np.abs(lo_rd - lo_p).max())
-    assert by_name(run_validation(cells=16), "poisson_degeneration").observed == worst
+    assert by_name(run_validation(), "poisson_degeneration").observed == worst
